@@ -205,6 +205,11 @@ def cmd_walk(args) -> str:
         wp = [tuple(map(int, v)) for v in doc["w_prime"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad pair document: {exc}") from exc
+    for v in w + wp:
+        if len(v) != 2:
+            raise InputError(
+                f"bad pair document: vertex {list(v)} is not a [part, index] pair"
+            )
     steps = adjacency_walk(h, w, wp)
     out = {
         "length": len(steps) - 1,

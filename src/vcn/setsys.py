@@ -85,9 +85,9 @@ class SetSystem:
 
     def __post_init__(self):
         members = tuple(sorted(int(m) for m in self.members))
-        limit = 1 << self.universe.tuple_count
+        count = self.universe.tuple_count
         for m in members:
-            if not 0 <= m < limit:
+            if m < 0 or m.bit_length() > count:
                 raise InputError("member bit vector exceeds the tuple space")
         if len(set(members)) != len(members):
             raise InputError("members must be distinct")
@@ -174,9 +174,8 @@ class GroundFamily:
         if self.ground_size < 0:
             raise InputError("ground size must be nonnegative")
         members = tuple(sorted(int(m) for m in self.members))
-        limit = 1 << self.ground_size
         for m in members:
-            if not 0 <= m < limit:
+            if m < 0 or m.bit_length() > self.ground_size:
                 raise InputError("member exceeds the ground set")
         if len(set(members)) != len(members):
             raise InputError("members must be distinct")

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError
 from .fmodel import FiniteStructure, Relation
@@ -121,40 +121,56 @@ def contains_complete_partite(h: PartiteHypergraph, d: int) -> bool:
     return _contains_box(h.edges, d, h.n)
 
 
-def _popcount_key(mask: int) -> tuple[int, int]:
-    return (bin(mask).count("1"), mask)
+def _masks_from(start: int, width: int) -> Iterator[tuple[int, int]]:
+    """(popcount, mask) pairs from start down: popcount, then mask, descending.
+
+    Within one popcount the next mask is the largest smaller one with the
+    same popcount: clear the trailing ones, move the lowest remaining set
+    bit down one place and pack the cleared ones right below it.  After
+    the smallest mask of a popcount comes the top k-1 bits of the width.
+    """
+    mask = start
+    k = start.bit_count()
+    while True:
+        yield k, mask
+        cleared = mask & (mask + 1)  # trailing ones removed
+        if cleared:
+            low = cleared & -cleared
+            mask = cleared - (low >> (mask ^ (mask + 1)).bit_length())
+        elif k:
+            k -= 1
+            mask = ((1 << k) - 1) << (width - k)
+        else:
+            return
 
 
-def _orbit_max_masks(m: int, n: int, width: int) -> set[int] | None:
-    """Masks maximal in their orbit under coordinate permutations of the grid.
+def _root_leader_test(m: int, n: int, width: int) -> Callable[[int], bool] | None:
+    """Predicate for masks maximal in their orbit under coordinate permutations.
 
     Only used to prune the root of the layer search; None means no pruning.
     """
     if n == 2:
         # one symmetric coordinate: the orbit max packs bits at the top
-        return {((1 << r) - 1) << (m - r) for r in range(m + 1)}
+        def packed_at_top(mask: int) -> bool:
+            k = mask.bit_count()
+            return mask == ((1 << k) - 1) << (m - k)
+
+        return packed_at_top
     group_size = factorial(m) ** (n - 1)
     if group_size > 10_000 or width > 16:
         return None
     grid = list(product(range(m), repeat=n - 1))
     index = {t: i for i, t in enumerate(grid)}
-    maps = []
-    for perms in product(permutations(range(m)), repeat=n - 1):
-        maps.append(
-            [index[tuple(perms[c][t[c]] for c in range(n - 1))] for t in grid]
-        )
-    out = set()
-    for mask in range(1 << width):
-        best = 0
-        for mp in maps:
-            img = 0
-            for i in range(width):
-                if mask >> i & 1:
-                    img |= 1 << mp[i]
-            if img > best:
-                best = img
-        out.add(best)
-    return out
+    images = [
+        [1 << index[tuple(perms[c][t[c]] for c in range(n - 1))] for t in grid]
+        for perms in product(permutations(range(m)), repeat=n - 1)
+    ]
+
+    def is_leader(mask: int) -> bool:
+        bits = [i for i in range(width) if mask >> i & 1]
+        return all(sum(img[i] for i in bits) <= mask for img in images)
+
+    return is_leader
 
 
 def zarankiewicz(
@@ -164,7 +180,10 @@ def zarankiewicz(
 
     Runs a branch-and-bound over per-vertex layers of the first part,
     maximizing the edge count among d-box-free subgraphs; the threshold is
-    that maximum plus one.  When the node budget runs out the best edge
+    that maximum plus one.  Layers are tried by popcount, then mask,
+    descending, each child resuming at its parent's mask, so the search
+    keeps O(depth) state.  Every layer the search expands counts as one
+    node against the budget.  When the node budget runs out the best edge
     count found so far still yields a valid lower bound on the threshold,
     flagged by status, never silently reported as exact.
     """
@@ -178,8 +197,7 @@ def zarankiewicz(
 
     width = m ** (n - 1)
     grid = list(product(range(m), repeat=n - 1))
-    masks = sorted(range(1 << width), key=_popcount_key, reverse=True)
-    root_ok = _orbit_max_masks(m, n, width)
+    root_ok = _root_leader_test(m, n, width)
     sub_d_size = d ** (n - 1)
 
     def mask_tuples(mask: int) -> list[tuple[int, ...]]:
@@ -188,14 +206,15 @@ def zarankiewicz(
     def violates(layers: list[int], new: int) -> bool:
         if d == 1:
             return new != 0
-        for combo in combinations(range(len(layers)), d - 1):
+        for combo in combinations(layers, d - 1):
             inter = new
-            for i in combo:
-                inter &= layers[i]
-                if bin(inter).count("1") < sub_d_size:
+            for layer in combo:
+                inter &= layer
+                if inter.bit_count() < sub_d_size:
                     break
             else:
-                if _contains_box(mask_tuples(inter), d, n - 1):
+                # one coordinate left: d common cells already form the box
+                if n == 2 or _contains_box(mask_tuples(inter), d, n - 1):
                     return True
         return False
 
@@ -204,7 +223,7 @@ def zarankiewicz(
     nodes = 0
     exhausted = False
 
-    def dfs(layers: list[int], total: int, prev_key: tuple[int, int]):
+    def dfs(layers: list[int], total: int, start: int):
         nonlocal best_total, best_layers, nodes, exhausted
         if len(layers) == m:
             if total > best_total:
@@ -212,13 +231,10 @@ def zarankiewicz(
                 best_layers = list(layers)
             return
         remaining = m - len(layers)
-        for mask in masks:
-            key = _popcount_key(mask)
-            if key > prev_key:
-                continue
-            if total + remaining * key[0] <= best_total:
-                break  # masks are sorted by popcount: no later mask can help
-            if not layers and root_ok is not None and mask not in root_ok:
+        for count, mask in _masks_from(start, width):
+            if total + remaining * count <= best_total:
+                break  # masks come by popcount: no later mask can help
+            if not layers and root_ok is not None and not root_ok(mask):
                 continue
             if exhausted:
                 return
@@ -229,10 +245,10 @@ def zarankiewicz(
             if violates(layers, mask):
                 continue
             layers.append(mask)
-            dfs(layers, total + key[0], key)
+            dfs(layers, total + count, mask)
             layers.pop()
 
-    dfs([], 0, (width, (1 << width) - 1))
+    dfs([], 0, (1 << width) - 1)
 
     edges = set()
     for v, mask in enumerate(best_layers):

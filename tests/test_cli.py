@@ -186,6 +186,18 @@ def test_walk_bad_pair_is_input_error(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("vertex", [[0], [0, 1, 2], []])
+def test_walk_vertex_not_a_pair_is_input_error(tmp_path, capsys, vertex):
+    code, out, _ = run(capsys, "gen-random", "--n", "2", "--m", "6", "--t", "0", "--seed", "1")
+    h_path = tmp_path / "h.json"
+    h_path.write_text(out.strip())
+    p_path = tmp_path / "pair.json"
+    p_path.write_text(json.dumps({"w": [vertex], "w_prime": [[0, 1]]}))
+    code, out, err = run(capsys, "walk", str(h_path), str(p_path))
+    assert code == 1 and not out
+    assert err.startswith("error:") and "[part, index] pair" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "dim", "/nonexistent/system.json")
     assert code == 1 and "error:" in err

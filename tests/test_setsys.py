@@ -1,5 +1,7 @@
 """Set system primitives against naive frozenset references."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,30 @@ def test_system_rejects_out_of_range_masks():
     u = ProductUniverse((2,))
     with pytest.raises(InputError):
         SetSystem(u, (1 << 2,))
+    with pytest.raises(InputError, match="exceeds the tuple space"):
+        SetSystem(u, (-1,))
+    SetSystem(u, ((1 << 2) - 1,))
+
+
+def test_ground_family_rejects_out_of_range_masks():
+    with pytest.raises(InputError, match="exceeds the ground set"):
+        GroundFamily(3, (1 << 3,))
+    with pytest.raises(InputError, match="exceeds the ground set"):
+        GroundFamily(3, (-1,))
+    GroundFamily(3, ((1 << 3) - 1,))
+
+
+def test_range_check_allocates_nothing_per_tuple():
+    # 10**10 tuples: a 1 << tuple_count limit alone would take 1.25 GB
+    tracemalloc.start()
+    try:
+        s = SetSystem(ProductUniverse((100_000, 100_000)), (0b101,))
+        fam = GroundFamily(10**10, (0b11,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.members == (0b101,) and fam.members == (0b11,)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -6,6 +6,10 @@ were produced by that same enumeration and cross-checked against the
 published small values.
 """
 
+import math
+import tracemalloc
+from itertools import permutations, product
+
 import pytest
 
 from instance_gen import ref_has_box, ref_zar
@@ -22,6 +26,7 @@ from vcn import (
     z22_lower_bound,
     zarankiewicz,
 )
+from vcn.zar import _masks_from, _root_leader_test
 
 # (n, m, d) -> threshold, from the exhaustive reference
 FROZEN = {
@@ -50,8 +55,13 @@ def test_zarankiewicz_matches_reference(key):
 @pytest.mark.parametrize(
     "n,m,d,want",
     [
-        (2, 4, 2, 10),  # classical 4x4 value
-        (2, 5, 2, 13),  # classical 5x5 value
+        # classical m x m values (Guy 1969; OEIS A072567 lists z - 1)
+        (2, 4, 2, 10),
+        (2, 5, 2, 13),
+        (2, 6, 2, 17),
+        (2, 7, 2, 22),
+        (2, 8, 2, 25),
+        (2, 9, 2, 30),
         (2, 4, 3, 14),
         (2, 5, 3, 21),
         (2, 4, 4, 16),  # only the full grid contains the full box
@@ -71,6 +81,110 @@ def test_single_part_closed_form(m, d):
     assert res.z == min(m, d - 1) + 1
     if m >= d:
         assert res.z == d
+
+
+@pytest.mark.parametrize("width", range(9))
+def test_mask_order_matches_sorted_reference(width):
+    want = sorted(range(1 << width), key=lambda x: (bin(x).count("1"), x), reverse=True)
+    assert [mask for _, mask in _masks_from((1 << width) - 1, width)] == want
+    for i in range(0, len(want), 7):
+        got = list(_masks_from(want[i], width))
+        assert [mask for _, mask in got] == want[i:]
+        assert all(count == bin(mask).count("1") for count, mask in got)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_root_leaders_are_orbit_maxima(m, n):
+    width = m ** (n - 1)
+    grid = list(product(range(m), repeat=n - 1))
+    maps = [
+        [grid.index(tuple(p[c][t[c]] for c in range(n - 1))) for t in grid]
+        for p in product(permutations(range(m)), repeat=n - 1)
+    ]
+    leaders = {
+        max(sum(1 << mp[i] for i in range(width) if mask >> i & 1) for mp in maps)
+        for mask in range(1 << width)
+    }
+    is_leader = _root_leader_test(m, n, width)
+    assert {mask for mask in range(1 << width) if is_leader(mask)} == leaders
+
+
+# (n, m, d, node_budget) -> (z, status, witness): one string per vertex of
+# the first part, listing its edges' remaining coordinates digit by digit.
+# The search order decides which extremal witness comes out first, and the
+# capped row's answer depends on the node count the budget reads.
+FROZEN_WITNESSES = {
+    (2, 5, 2, None): (13, "exact", ["1 2 3 4", "0 4", "0 3", "0 2", "0 1"]),
+    (2, 6, 2, None): (17, "exact", ["3 4 5", "1 2 5", "0 2 4", "0 1 3", "0 5", "1 4"]),
+    (2, 7, 2, None): (
+        22, "exact", ["4 5 6", "2 3 6", "0 1 6", "1 3 5", "0 2 5", "0 3 4", "1 2 4"]
+    ),
+    (2, 8, 2, None): (
+        25,
+        "exact",
+        ["4 5 6 7", "2 3 7", "0 1 7", "1 3 6", "0 2 6", "0 3 5", "1 2 5", "3 4"],
+    ),
+    (2, 9, 2, None): (
+        30,
+        "exact",
+        ["5 6 7 8", "2 3 4 8", "0 1 8", "1 4 7", "0 3 7", "0 4 6", "1 2 6", "1 3 5", "0 2 5"],
+    ),
+    (3, 3, 2, None): (
+        23,
+        "exact",
+        ["01 02 10 11 12 20 21 22", "00 01 02 10 11 20 22", "00 01 02 10 12 20 21"],
+    ),
+    (2, 7, 3, None): (
+        34,
+        "exact",
+        ["1 2 3 4 5 6", "0 3 4 5 6", "0 1 2 5 6", "0 1 2 3 4", "0 2 4 6", "0 1 3 6", "0 1 4 5"],
+    ),
+    (2, 10, 2, 100_000): (
+        31,
+        "lower_bound_only",
+        ["4 5 6 7 8 9", "2 3 9", "0 1 9", "1 3 8", "0 2 8", "0 3 7", "1 2 7", "3 6", "2 6", "1 6"],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_WITNESSES), ids=str)
+def test_search_order_is_frozen(key):
+    z, status, rows = FROZEN_WITNESSES[key]
+    res = zarankiewicz(*key)
+    assert (res.z, res.status) == (z, status)
+    want = {
+        (v, *map(int, cell)) for v, row in enumerate(rows) for cell in row.split()
+    }
+    assert sorted(res.extremal_witness.edges) == sorted(want)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_reiman_bound(m):
+    # Reiman 1958: a 2 x 2 box-free m x m bipartite graph has at most
+    # m(1 + sqrt(4m - 3))/2 edges
+    res = zarankiewicz(2, m, 2)
+    assert res.status == "exact"
+    assert res.z - 1 <= m * (1 + math.sqrt(4 * m - 3)) / 2
+
+
+def test_three_partite_m4_is_exact():
+    # the orbit-leader test at the root must not enumerate every mask
+    res = zarankiewicz(3, 4, 2)
+    assert res.status == "exact"
+    assert res.z == 50
+    assert not contains_complete_partite(res.extremal_witness, 2)
+
+
+def test_capped_search_memory_stays_small():
+    # 2**27 candidate layers: the search must never list them
+    tracemalloc.start()
+    try:
+        res = zarankiewicz(4, 3, 2, node_budget=2_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status == "lower_bound_only"
+    assert peak < 4 * 2**20
 
 
 def test_witness_is_extremal_and_box_free():
