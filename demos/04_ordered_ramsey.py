@@ -1,8 +1,9 @@
 """Ordered substructure arrows, tagged sums, and the partite double.
 
 Ordered structures are rigid, so counting copies means counting
-increasing selections.  The arrow check enumerates colorings exhaustively
-and refuses past its budget rather than sampling.
+increasing selections.  The arrow check searches the colorings in
+lexicographic order, cutting every branch that already has a
+monochromatic copy, and refuses past its budget rather than sampling.
 """
 
 from vcn import (

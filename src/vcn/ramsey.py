@@ -6,20 +6,26 @@ rigidity makes substructure copies and embeddings the same thing: a copy
 of A inside B is an increasing vertex selection whose induced parts and
 edges match A exactly.
 
-The arrow predicate C -> (B)^A_k is decided by enumerating every
-k-coloring of the A-copies of C and looking for a B-copy all of whose
-A-copies share one color.  The enumeration refuses over its budget rather
-than sampling, which keeps every reported arrow exact.  The direct-sum
-builder composes pigeonhole-sized witnesses along the chain argument that
-proves two arrow problems can be solved jointly on a tagged disjoint
-union.
+The arrow predicate C -> (B)^A_k is decided by a pruned depth-first
+search for a bad coloring: the A-copies of C are colored in index order,
+and a color is skipped wherever it would make some B-copy monochromatic,
+so a whole block of good colorings is ruled out at once.  The count it
+reports, colorings_checked, is the number of colorings decided before the
+answer: all k**N when the arrow holds, or the lexicographic rank of the
+first bad coloring plus one when it fails.  The search refuses up front
+when k**N exceeds its budget rather than sampling, which keeps every
+reported arrow exact.
+
+The direct-sum builder composes pigeonhole-sized witnesses along the
+chain argument that proves two arrow problems can be solved jointly on a
+tagged disjoint union.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError
@@ -102,28 +108,37 @@ class RelStructure:
             doc = json.loads(text)
             size = int(doc["domain"])
             order = [int(v) for v in doc.get("order", range(size))]
-        except (KeyError, TypeError, ValueError) as exc:
+            if sorted(order) != list(range(size)):
+                raise InputError("order must enumerate the whole domain")
+            relabel = {v: i for i, v in enumerate(order)}
+
+            def vertex(v) -> int:
+                v = int(v)
+                if v not in relabel:
+                    raise InputError(f"vertex {v} is not in the domain")
+                return relabel[v]
+
+            part_sizes = None
+            if "parts" in doc:
+                covered, sizes = [], []
+                for part in doc["parts"]:
+                    part = sorted(vertex(v) for v in part)
+                    covered.extend(part)
+                    sizes.append(len(part))
+                if covered != list(range(size)):
+                    raise InputError("parts must be convex in the order and cover the domain")
+                part_sizes = tuple(sizes)
+            arity, edges = None, None
+            rels = doc.get("relations", {})
+            if "R" in rels:
+                arity = int(rels["R"]["arity"])
+                edges = frozenset(
+                    frozenset(vertex(v) for v in t) for t in rels["R"]["tuples"]
+                )
+        except InputError:
+            raise  # already says what is wrong; it is a ValueError too
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad structure document: {exc}") from exc
-        if sorted(order) != list(range(size)):
-            raise InputError("order must enumerate the whole domain")
-        relabel = {v: i for i, v in enumerate(order)}
-        part_sizes = None
-        if "parts" in doc:
-            covered, sizes = [], []
-            for part in doc["parts"]:
-                part = sorted(relabel[int(v)] for v in part)
-                covered.extend(part)
-                sizes.append(len(part))
-            if covered != list(range(size)):
-                raise InputError("parts must be convex in the order and cover the domain")
-            part_sizes = tuple(sizes)
-        arity, edges = None, None
-        rels = doc.get("relations", {})
-        if "R" in rels:
-            arity = int(rels["R"]["arity"])
-            edges = frozenset(
-                frozenset(relabel[int(v)] for v in t) for t in rels["R"]["tuples"]
-            )
         return cls(size, part_sizes, arity, edges)
 
 
@@ -201,34 +216,55 @@ class ColoringProblem:
 
 
 def arrow_scan(problem: ColoringProblem, budget: int = 1 << 20) -> tuple[bool, int]:
-    """Like arrow_check but also reports how many colorings were examined."""
+    """Like arrow_check but also reports how many colorings were decided.
+
+    The count is every coloring, k**N for N A-copies, when the arrow
+    holds, and the lexicographic rank of the first bad coloring plus one
+    when it fails.  The budget caps k**N up front, before any search.
+    """
     a_copies = copies(problem.c, problem.a).embeddings
     b_copies = copies(problem.c, problem.b).embeddings
     inner = copies(problem.b, problem.a).embeddings
-    total = problem.k ** len(a_copies)
+    k, n = problem.k, len(a_copies)
+    total = k**n
     if total > budget:
         raise BudgetExceededError(
             f"{total} colorings exceed the budget of {budget}; refusing to sample"
         )
+    if b_copies and not inner:
+        return True, total  # no inner copies: every B-copy is vacuously constant
     index = {emb: i for i, emb in enumerate(a_copies)}
-    b_sets = []
+    # closing[i]: for each B-copy whose last A-copy is i, the bitmask of
+    # its other A-copies; coloring i with c makes that B-copy constant
+    # exactly when every one of them already has color c
+    closing: list[list[int]] = [[] for _ in range(n)]
     for emb_b in b_copies:
-        b_sets.append(tuple(index[tuple(emb_b[v] for v in e)] for e in inner))
-    checked = 0
-    for coloring in product(range(problem.k), repeat=len(a_copies)):
-        checked += 1
-        mono = False
-        for bs in b_sets:
-            if not bs:
-                mono = True  # no inner copies: constant vacuously
-                break
-            first = coloring[bs[0]]
-            if all(coloring[i] == first for i in bs):
-                mono = True
-                break
-        if not mono:
-            return False, checked
-    return True, checked
+        ids = sorted(index[tuple(emb_b[v] for v in e)] for e in inner)
+        closing[ids[-1]].append(sum(1 << i for i in ids[:-1]))
+    # depth-first over positions in index order, colors ascending: the
+    # order of itertools.product, so the first leaf is the first bad
+    # coloring; a pruned branch holds only colorings with a constant B-copy
+    color = [0] * n
+    by_color = [0] * k  # bitmask of the positions holding each color
+    pos, c = 0, 0
+    while pos < n:
+        while c < k and any(o & by_color[c] == o for o in closing[pos]):
+            c += 1
+        if c < k:
+            color[pos] = c
+            by_color[c] |= 1 << pos
+            pos, c = pos + 1, 0
+        elif pos == 0:
+            return True, total
+        else:
+            pos -= 1
+            c = color[pos]
+            by_color[c] &= ~(1 << pos)
+            c += 1
+    rank = 0
+    for c in color:
+        rank = rank * k + c
+    return False, rank + 1
 
 
 def arrow_check(problem: ColoringProblem, budget: int = 1 << 20) -> bool:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from math import factorial, prod
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError
 from .fmodel import FiniteStructure, Relation
@@ -89,27 +89,33 @@ class ErdosBound:
     degenerate: bool
 
 
-def _contains_box(tuples: Iterable[tuple[int, ...]], d: int, width: int) -> bool:
-    """Does a set of width-long tuples contain a full d x ... x d box?"""
-    tuples = set(tuples)
-    if width == 1:
-        return len(tuples) >= d
-    layers: dict[int, set] = {}
-    for t in tuples:
-        layers.setdefault(t[0], set()).add(t[1:])
-    firsts = [v for v, rest in layers.items() if len(rest) >= d ** (width - 1)]
+def _mask_has_box(mask: int, d: int, sizes: tuple[int, ...]) -> bool:
+    """Does a cell mask over the grid of sizes hold a full d x ... x d box?
 
-    def search(chosen: int, start: int, inter: set) -> bool:
+    The cell (t0, ..., tk) is one bit, the last coordinate varying
+    fastest, so the mask splits into sizes[0] slices over the remaining
+    coordinates; a box is d slices whose AND holds a smaller box.
+    """
+    if len(sizes) == 1:
+        return mask.bit_count() >= d
+    rest = sizes[1:]
+    step = prod(rest)
+    need = d ** len(rest)
+    full = (1 << step) - 1
+    slices = [mask >> (a * step) & full for a in range(sizes[0])]
+    slices = [s for s in slices if s.bit_count() >= need]
+
+    def search(chosen: int, start: int, inter: int) -> bool:
         if chosen == d:
-            return _contains_box(inter, d, width - 1)
-        for i in range(start, len(firsts)):
-            nxt = inter & layers[firsts[i]] if chosen else layers[firsts[i]]
-            if len(nxt) >= d ** (width - 1):
-                if search(chosen + 1, i + 1, nxt):
-                    return True
+            # with one coordinate left, the need common cells are the box
+            return len(rest) == 1 or _mask_has_box(inter, d, rest)
+        for i in range(start, len(slices)):
+            nxt = inter & slices[i]
+            if nxt.bit_count() >= need and search(chosen + 1, i + 1, nxt):
+                return True
         return False
 
-    return search(0, 0, set())
+    return search(0, 0, full)
 
 
 def contains_complete_partite(h: PartiteHypergraph, d: int) -> bool:
@@ -118,7 +124,13 @@ def contains_complete_partite(h: PartiteHypergraph, d: int) -> bool:
         raise InputError("d must be positive")
     if any(d > s for s in h.part_sizes):
         return False
-    return _contains_box(h.edges, d, h.n)
+    mask = 0
+    for e in h.edges:
+        cell = 0
+        for v, s in zip(e, h.part_sizes):
+            cell = cell * s + v
+        mask |= 1 << cell
+    return _mask_has_box(mask, d, h.part_sizes)
 
 
 def _masks_from(start: int, width: int) -> Iterator[tuple[int, int]]:
@@ -214,7 +226,7 @@ def zarankiewicz(
                     break
             else:
                 # one coordinate left: d common cells already form the box
-                if n == 2 or _contains_box(mask_tuples(inter), d, n - 1):
+                if n == 2 or _mask_has_box(inter, d, (m,) * (n - 1)):
                     return True
         return False
 

@@ -11,11 +11,16 @@ import random
 from itertools import combinations, product
 
 from vcn import (
+    BudgetExceededError,
+    ColoringProblem,
     FiniteStructure,
     GroundFamily,
     ProductUniverse,
     Relation,
+    RelStructure,
     SetSystem,
+    copies,
+    induced,
 )
 
 
@@ -161,3 +166,75 @@ def ref_extension_ok(h, t: int) -> bool:
                 if not ok:
                     return False
     return True
+
+
+# --- reference arrow scan --------------------------------------------------
+
+
+def ref_arrow_scan(problem: ColoringProblem, budget: int = 1 << 20) -> tuple[bool, int]:
+    """Walk every coloring in product order; stop at the first bad one."""
+    a_copies = copies(problem.c, problem.a).embeddings
+    b_copies = copies(problem.c, problem.b).embeddings
+    inner = copies(problem.b, problem.a).embeddings
+    total = problem.k ** len(a_copies)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{total} colorings exceed the budget of {budget}; refusing to sample"
+        )
+    index = {emb: i for i, emb in enumerate(a_copies)}
+    b_sets = []
+    for emb_b in b_copies:
+        b_sets.append(tuple(index[tuple(emb_b[v] for v in e)] for e in inner))
+    checked = 0
+    for coloring in product(range(problem.k), repeat=len(a_copies)):
+        checked += 1
+        mono = False
+        for bs in b_sets:
+            if not bs:
+                mono = True  # no inner copies: constant vacuously
+                break
+            first = coloring[bs[0]]
+            if all(coloring[i] == first for i in bs):
+                mono = True
+                break
+        if not mono:
+            return False, checked
+    return True, checked
+
+
+def random_ordered(
+    rng: random.Random, size: int, arity: int | None, parts: int | None
+) -> RelStructure:
+    """Ordered structure with random convex parts and random edges."""
+    part_sizes = None
+    if parts is not None:
+        cuts = sorted(rng.randint(0, size) for _ in range(parts - 1))
+        part_sizes = tuple(b - a for a, b in zip([0, *cuts], [*cuts, size]))
+    edges = None
+    if arity is not None:
+        edges = frozenset(
+            frozenset(e) for e in combinations(range(size), arity) if rng.random() < 0.5
+        )
+    return RelStructure(size, part_sizes, arity, edges)
+
+
+def random_arrow_problem(seed: int) -> ColoringProblem:
+    """Small arrow problem: plain sets, ordered graphs or 3-graphs, maybe parts.
+
+    B is usually an induced substructure of C and A one of B, so copies
+    exist; otherwise A or B is drawn on its own and may embed nowhere.
+    """
+    rng = random.Random(seed)
+    arity = rng.choice([None, 2, 3])
+    parts = rng.choice([None, None, 1, 2])
+    k = rng.randint(1, 3)
+    c = random_ordered(rng, rng.randint(0, 7), arity, parts)
+    if rng.random() < 0.8:
+        b = induced(c, rng.sample(range(c.size), rng.randint(0, c.size)))
+    else:
+        b = random_ordered(rng, rng.randint(0, 4), arity, parts)
+    if rng.random() < 0.8:
+        a = induced(b, rng.sample(range(b.size), rng.randint(0, max(0, min(b.size - 1, 3)))))
+    else:
+        a = random_ordered(rng, rng.randint(0, 3), arity, parts)
+    return ColoringProblem(a, b, c, k)

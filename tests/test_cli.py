@@ -118,6 +118,25 @@ def test_arrow_budget_exit_code(tmp_path, capsys):
     assert code == 2 and "refused:" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"domain": 3, "relations": {"R": {"arity": 2, "tuples": [[0, 9]]}}},
+        {"domain": 3, "parts": [[0, 1], [2, 7]]},
+        {"domain": 3, "relations": {"R": {"arity": 2}}},
+    ],
+    ids=["tuple-vertex-out-of-domain", "part-vertex-out-of-domain", "relation-without-tuples"],
+)
+def test_arrow_malformed_structure_is_input_error(tmp_path, capsys, doc):
+    (tmp_path / "a.json").write_text(points(1).to_json())
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "arrow", str(tmp_path / "a.json"), str(tmp_path / "a.json"),
+        str(tmp_path / "c.json"), "--k", "2",
+    )
+    assert code == 1 and not out and err.startswith("error:")
+
+
 def test_direct_sum_verb(tmp_path, capsys):
     (tmp_path / "pt.json").write_text(points(1).to_json())
     (tmp_path / "two.json").write_text(points(2).to_json())

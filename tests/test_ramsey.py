@@ -6,10 +6,12 @@ at 5) pins down the arrow scan, and the encoding tests run exhaustively
 over every small bipartite graph.
 """
 
+import time
 from itertools import combinations, product
 
 import pytest
 
+from instance_gen import random_arrow_problem, ref_arrow_scan
 from vcn import (
     BudgetExceededError,
     ColoringProblem,
@@ -116,6 +118,59 @@ def test_arrow_with_edges():
     assert arrow_check(ColoringProblem(e, path, host, 1))
     # with 2 colors the single path in itself splits its edges
     assert not arrow_check(ColoringProblem(e, path, host, 2))
+
+
+def scan_or_refusal(scan, problem, budget):
+    try:
+        return scan(problem, budget)
+    except BudgetExceededError:
+        return "refused"
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_arrow_scan_matches_reference(seed):
+    problem = random_arrow_problem(seed)
+    want = scan_or_refusal(ref_arrow_scan, problem, 1 << 12)
+    assert scan_or_refusal(arrow_scan, problem, 1 << 12) == want
+
+
+@pytest.mark.parametrize(
+    "a,b,c",
+    [
+        (points(2), points(3), points(2)),  # no B-copy
+        (points(2), points(3), points(0)),  # empty C, no A-copy either
+        (points(0), points(0), points(0)),  # one empty copy of each
+        (points(3), points(2), points(4)),  # A not embeddable in B
+        (points(3), points(2), points(2)),  # N = 0 with a B-copy
+        (ordered_graph(2, [(0, 1)]), ordered_graph(3, []), ordered_graph(4, [])),
+        (ordered_graph(2, []), ordered_graph(3, [(0, 2)]), ordered_graph(4, [(0, 2), (1, 3)])),
+        (RelStructure(2, (1, 1)), RelStructure(3, (1, 2)), RelStructure(3, (2, 1))),
+        (RelStructure(1, (1, 0)), RelStructure(2, (1, 1)), RelStructure(4, (2, 2))),
+    ],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_arrow_scan_vacuous_cases_match_reference(a, b, c, k):
+    problem = ColoringProblem(a, b, c, k)
+    assert arrow_scan(problem) == ref_arrow_scan(problem)
+
+
+def test_arrow_scan_refusals_match_reference():
+    problem = ColoringProblem(points(2), points(3), points(6), 2)
+    for scan in (arrow_scan, ref_arrow_scan):
+        with pytest.raises(BudgetExceededError):
+            scan(problem, budget=(1 << 15) - 1)
+    assert arrow_scan(problem, budget=1 << 15) == ref_arrow_scan(problem, budget=1 << 15)
+
+
+def test_arrow_scan_pinned_counts():
+    # the arrow holds on 7 points: every one of the 2**21 colorings is decided
+    start = time.perf_counter()
+    got = arrow_scan(ColoringProblem(points(2), points(3), points(7), 2), budget=1 << 21)
+    assert got == (True, 2097152)
+    assert time.perf_counter() - start < 1.0
+    # failing arrows stop at the first bad coloring in lexicographic order
+    assert arrow_scan(ColoringProblem(points(3), points(4), points(6), 2)) == (False, 8085)
+    assert arrow_scan(ColoringProblem(points(2), points(3), points(5), 2)) == (False, 237)
 
 
 def test_hereditary_closure_counts():

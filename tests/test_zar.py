@@ -7,6 +7,7 @@ published small values.
 """
 
 import math
+import random
 import tracemalloc
 from itertools import permutations, product
 
@@ -230,6 +231,16 @@ def test_contains_complete_partite_direct():
     assert contains_complete_partite(missing, 1)
     empty = PartiteHypergraph(2, (2, 2), frozenset())
     assert not contains_complete_partite(empty, 1)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_contains_complete_partite_matches_reference(seed):
+    rng = random.Random(seed)
+    n, m, d = rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 3)
+    density = rng.choice([0.5, 0.8, 0.95])
+    edges = {t for t in product(range(m), repeat=n) if rng.random() < density}
+    h = PartiteHypergraph(n, (m,) * n, frozenset(edges))
+    assert contains_complete_partite(h, d) == ref_has_box(edges, n, m, d)
 
 
 def test_hypergraph_json_round_trip():
