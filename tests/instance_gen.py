@@ -15,6 +15,7 @@ from vcn import (
     ColoringProblem,
     FiniteStructure,
     GroundFamily,
+    PartiteHypergraph,
     ProductUniverse,
     Relation,
     RelStructure,
@@ -166,6 +167,77 @@ def ref_extension_ok(h, t: int) -> bool:
                 if not ok:
                     return False
     return True
+
+
+# --- reference V-adjacency -------------------------------------------------
+
+
+def _ref_v_conditions(h, w, w_prime) -> tuple[bool, bool]:
+    """(map and mixed edges agree, full edge differs) for w -> w_prime.
+
+    Both lists start with one vertex per part (g, then g') followed by
+    the shared tail V; vertices are (part, position) pairs.
+    """
+    n = h.n
+    if len(set(w)) != len(w) or len(set(w_prime)) != len(w_prime):
+        return False, False
+    # the natural map w_i -> w'_i keeps parts and the part-major order
+    pairs = list(zip(w, w_prime))
+    if any(a[0] != b[0] for a, b in pairs):
+        return False, False
+    for (a, b), (c, d) in combinations(pairs, 2):
+        if (a < c) != (b < d):
+            return False, False
+
+    def edge(verts, picks):
+        return tuple(verts[i][1] for i in picks) in h.edges
+
+    by_part = [[i for i, x in enumerate(w) if x[0] == p] for p in range(n)]
+    for picks in product(*by_part):
+        from_g = sum(i < n for i in picks)
+        if 0 < from_g < n and edge(w, picks) != edge(w_prime, picks):
+            return False, False
+    full = tuple(range(n))
+    return True, edge(w, full) != edge(w_prime, full)
+
+
+def ref_v_adjacent(h, w, w_prime, v) -> bool:
+    """V-adjacency from the definition: an order-and-parts map, every
+    cross tuple using both a V vertex and a moved vertex agrees, and the
+    full cross edge differs."""
+    assert list(w[h.n :]) == list(v) == list(w_prime[h.n :])
+    agree, differs = _ref_v_conditions(h, w, w_prime)
+    return agree and differs
+
+
+def ref_dichotomy(h, v, g, cross) -> str | None:
+    """'iso' or 'adjacent' when map and mixed edges agree, else None."""
+    gv = [(p, i) for p, i in enumerate(g)] + list(v)
+    cv = [(p, i) for p, i in enumerate(cross)] + list(v)
+    agree, differs = _ref_v_conditions(h, gv, cv)
+    if not agree:
+        return None
+    return "adjacent" if differs else "iso"
+
+
+def random_v_instance(seed: int, n: int):
+    """(h, v, g, g') with V avoiding g and g'; g' often moves one vertex."""
+    rng = random.Random(seed)
+    sizes = tuple(rng.randint(3, 5) for _ in range(n))
+    density = rng.choice([0.2, 0.5, 0.8])
+    edges = frozenset(
+        t for t in product(*(range(s) for s in sizes)) if rng.random() < density
+    )
+    h = PartiteHypergraph(n, sizes, edges)
+    g = [rng.randrange(s) for s in sizes]
+    gp = list(g)
+    for p in rng.sample(range(n), 1 if rng.random() < 0.6 else rng.randint(1, n)):
+        gp[p] = rng.randrange(sizes[p])
+    free = [
+        (p, i) for p in range(n) for i in range(sizes[p]) if i not in (g[p], gp[p])
+    ]
+    v = sorted(rng.sample(free, min(len(free), rng.randint(1, 4))))
+    return h, v, g, gp
 
 
 # --- reference arrow scan --------------------------------------------------

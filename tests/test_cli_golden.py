@@ -1,0 +1,116 @@
+"""Golden output of the vcn command: one pinned run of every verb.
+
+Each case pins stdout and the exit code byte for byte (and stderr for the
+refusal and the error), so any change to what a verb prints shows here.
+The inputs follow the README examples; set systems and hypergraphs are
+the pinned outputs of the extremal and gen-random cases themselves.
+"""
+
+import json
+
+import pytest
+
+from vcn import GroundFamily, RelStructure, points
+from vcn.cli import main
+
+EXTREMAL = '{"members": ["0", "1", "2", "3", "8", "9", "a", "b"], "part_sizes": [2, 2]}\n'
+GEN_RANDOM = (
+    '{"edges": [[0, 0], [0, 4], [1, 5], [2, 1], [2, 3], [3, 0], [3, 1], [3, 2], '
+    '[3, 3], [3, 5], [4, 0], [4, 5], [5, 1], [5, 2]], "n": 2, "part_sizes": [6, 6], '
+    '"seed": 4, "t": 1}\n'
+)
+ARROW_HEADER = "a_size,b_size,c_size,k,result,colorings_checked\n"
+
+
+def _inputs(tmp_path):
+    files = {f"p{k}.json": points(k).to_json() for k in (1, 2, 3, 5, 6)}
+    files["fam.json"] = EXTREMAL
+    files["family.json"] = GroundFamily(4, (0b0101, 0b0011, 0b0111, 0b1100, 0b1010)).to_json()
+    graph = RelStructure(4, None, 2, frozenset(map(frozenset, [(0, 1), (1, 3), (2, 3)])))
+    files["graph.json"] = graph.to_json()
+    files["h.json"] = GEN_RANDOM
+    files["pair.json"] = json.dumps({"w": [[0, 1], [1, 1]], "w_prime": [[0, 2], [1, 1]]})
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+
+# (argv, exit code, stdout, stderr); file names are relative to the inputs.
+CASES = {
+    "zar-table": (
+        ["zar-table", "--n", "2", "--m", "2..4", "--d", "2"], 0,
+        "n,m,d,z,status,erdos_bound\n2,2,2,4,exact,8\n2,3,2,7,exact,14.6969\n"
+        "2,4,2,10,exact,22.6274\n", "",
+    ),
+    "extremal": (["extremal", "--n", "2", "--d", "1", "--m", "2"], 0, EXTREMAL, ""),
+    "dim": (["dim", "fam.json"], 0, "1\n", ""),
+    "shatter": (
+        ["shatter", "fam.json", "--m", "1..2"], 0,
+        "m,pi,bound,tight\n1,2,2,true\n2,8,15,false\n", "",
+    ),
+    "verify-bounds": (
+        ["verify-bounds", "fam.json", "--m", "2"], 0, "m,pi,bound,ok\n2,8,15,true\n", "",
+    ),
+    "shift": (
+        ["shift", "family.json"], 0,
+        '{"ground_size": 4, "members": ["0", "2", "4", "8", "c"]}\n', "",
+    ),
+    "counterexample": (
+        ["counterexample", "--m", "2"], 0,
+        '{"domain": 10, "relations": {"R": {"arity": 3, "tuples": [[1, 8, 8], [2, 8, 9], '
+        "[3, 8, 8], [3, 8, 9], [4, 9, 9], [5, 8, 8], [5, 9, 9], [6, 8, 9], [6, 9, 9], "
+        "[7, 8, 8], [7, 8, 9], [7, 9, 9]]}}}\n", "",
+    ),
+    "arrow": (
+        ["arrow", "p2.json", "p3.json", "p6.json", "--k", "2"], 0,
+        ARROW_HEADER + "2,3,6,2,true,32768\n", "",
+    ),
+    "arrow-fails": (
+        ["arrow", "p2.json", "p3.json", "p5.json", "--k", "2"], 0,
+        ARROW_HEADER + "2,3,5,2,false,237\n", "",
+    ),
+    "direct-sum": (
+        ["direct-sum", "p1.json", "p2.json", "p1.json", "p2.json", "--k", "2"], 0,
+        '{"domain": 20, "order": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, '
+        '16, 17, 18, 19], "parts": [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, '
+        '15, 16], [17, 18, 19]], "relations": {}}\n', "",
+    ),
+    "encode-partite": (
+        ["encode-partite", "graph.json"], 0,
+        '{"domain": 8, "order": [0, 1, 2, 3, 4, 5, 6, 7], "parts": [[0, 1, 2, 3], '
+        '[4, 5, 6, 7]], "relations": {"R": {"arity": 2, "tuples": [[0, 5], [1, 7], '
+        "[2, 7]]}}}\n", "",
+    ),
+    "gen-random": (
+        ["gen-random", "--n", "2", "--m", "6", "--t", "1", "--seed", "4"], 0, GEN_RANDOM, "",
+    ),
+    "walk": (
+        ["walk", "h.json", "pair.json"], 0,
+        '{"length": 1, "steps": [[[0, 1], [1, 1]], [[0, 2], [1, 1]]]}\n', "",
+    ),
+    "refusal": (
+        ["arrow", "p2.json", "p3.json", "p6.json", "--k", "2", "--budget", "10"], 2, "",
+        "refused: 32768 colorings exceed the budget of 10; refusing to sample\n",
+    ),
+    "error": (
+        ["zar-table", "--n", "2", "--m", "x..y", "--d", "2"], 1, "",
+        "error: bad range 'x..y'; use M, LO..HI, or A,B,C\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_output(name, tmp_path, monkeypatch, capsys):
+    argv, code, out, err = CASES[name]
+    _inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == err
+
+
+def test_golden_cases_cover_every_verb():
+    from vcn.cli import build_parser
+
+    verbs = set(build_parser()._subparsers._group_actions[0].choices)
+    assert {argv[0] for argv, *_ in CASES.values()} == verbs

@@ -5,7 +5,12 @@ from itertools import product
 
 import pytest
 
-from instance_gen import ref_extension_ok
+from instance_gen import (
+    random_v_instance,
+    ref_dichotomy,
+    ref_extension_ok,
+    ref_v_adjacent,
+)
 from vcn import (
     ExtensionHypergraph,
     GenerationError,
@@ -143,6 +148,21 @@ def test_v_adjacency_validation():
         is_v_adjacent(h, [(0, 0), (1, 0), (0, 2)], [(0, 1), (1, 0), (0, 1)], [(0, 2)])
     with pytest.raises(InputError):
         is_v_adjacent(h, [(1, 0), (0, 0)], [(1, 0), (0, 1)], [])  # parts out of order
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_v_adjacency_matches_reference(n):
+    verdicts = []
+    for seed in range(300):
+        h, v, g, gp = random_v_instance(seed, n)
+        w = [(p, i) for p, i in enumerate(g)] + v
+        wp = [(p, i) for p, i in enumerate(gp)] + v
+        want = ref_dichotomy(h, v, g, gp)
+        assert dichotomy_verdict(h, v, g, gp) == want, seed
+        assert is_v_adjacent(h, w, wp, v) == ref_v_adjacent(h, w, wp, v), seed
+        verdicts.append(want)
+    for verdict in (None, "iso", "adjacent"):
+        assert verdicts.count(verdict) >= 20
 
 
 # --- walks ---------------------------------------------------------------------
