@@ -23,6 +23,7 @@ from .errors import (
     InputError,
     SelectionStuckError,
     WalkStuckError,
+    _decode,
 )
 from .hyperrand import ExtensionHypergraph, adjacency_walk, gen_extension_hypergraph
 from .ramsey import (
@@ -128,7 +129,8 @@ def cmd_zar_table(args) -> str:
     return _table(["n", "m", "d", "z", "status", "erdos_bound"], rows, args.format)
 
 
-def cmd_shatter(args) -> str:
+def _bound_rows(args, refusal: str) -> list[list[int]]:
+    """(m, pi, bound) per m, the binomial bound taken at the exact z(n, m, d + 1)."""
     system = _load_system(args.path)
     n = system.universe.n
     d = args.d if args.d is not None else vc_n_dim(system)
@@ -136,13 +138,14 @@ def cmd_shatter(args) -> str:
     for m in _parse_range(args.m):
         res = zarankiewicz(n, m, d + 1, args.budget)
         if res.status != "exact":
-            raise BudgetExceededError(
-                f"threshold for m={m} is only a lower bound; "
-                "the binomial bound would be unreliable"
-            )
-        pi = shatter_fn(system, m)
-        bound = sauer_binomial_bound(n, m, res.z)
-        rows.append([m, pi, bound, pi == bound])
+            raise BudgetExceededError(f"threshold for m={m} is only a lower bound; {refusal}")
+        rows.append([m, shatter_fn(system, m), sauer_binomial_bound(n, m, res.z)])
+    return rows
+
+
+def cmd_shatter(args) -> str:
+    rows = _bound_rows(args, "the binomial bound would be unreliable")
+    rows = [[m, pi, bound, pi == bound] for m, pi, bound in rows]
     return _table(["m", "pi", "bound", "tight"], rows, args.format)
 
 
@@ -199,17 +202,16 @@ def cmd_gen_random(args) -> str:
 
 def cmd_walk(args) -> str:
     h = _load_hypergraph(args.hypergraph)
-    try:
-        doc = json.loads(_read_text(args.pair))
+
+    def pair(doc):
         w = [tuple(map(int, v)) for v in doc["w"]]
         wp = [tuple(map(int, v)) for v in doc["w_prime"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad pair document: {exc}") from exc
-    for v in w + wp:
-        if len(v) != 2:
-            raise InputError(
-                f"bad pair document: vertex {list(v)} is not a [part, index] pair"
-            )
+        for v in w + wp:
+            if len(v) != 2:
+                raise ValueError(f"vertex {list(v)} is not a [part, index] pair")
+        return w, wp
+
+    w, wp = _decode(_read_text(args.pair), "pair", pair, {"w": list, "w_prime": list})
     steps = adjacency_walk(h, w, wp)
     out = {
         "length": len(steps) - 1,
@@ -219,19 +221,8 @@ def cmd_walk(args) -> str:
 
 
 def cmd_verify_bounds(args) -> str:
-    system = _load_system(args.path)
-    n = system.universe.n
-    d = args.d if args.d is not None else vc_n_dim(system)
-    rows = []
-    for m in _parse_range(args.m):
-        res = zarankiewicz(n, m, d + 1, args.budget)
-        if res.status != "exact":
-            raise BudgetExceededError(
-                f"threshold for m={m} is only a lower bound; cannot certify"
-            )
-        pi = shatter_fn(system, m)
-        bound = sauer_binomial_bound(n, m, res.z)
-        rows.append([m, pi, bound, pi <= bound])
+    rows = _bound_rows(args, "cannot certify")
+    rows = [[m, pi, bound, pi <= bound] for m, pi, bound in rows]
     return _table(["m", "pi", "bound", "ok"], rows, args.format)
 
 

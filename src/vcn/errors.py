@@ -1,10 +1,15 @@
-"""Exception types shared by all vcn modules.
+"""Exception types shared by all vcn modules, and the one JSON decode path.
 
 Refusals are always explicit: an operation that cannot honestly finish
 raises instead of degrading to a sampled or truncated answer.
 """
 
 from __future__ import annotations
+
+import json
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class InputError(ValueError):
@@ -46,3 +51,26 @@ class SelectionStuckError(RuntimeError):
     def __init__(self, message: str, constraints=None):
         super().__init__(message)
         self.constraints = constraints
+
+
+_JSON_KINDS = {list: "array", dict: "object"}
+
+
+def _decode(text: str, what: str, build: Callable[[dict], _T], fields: dict[str, type]) -> _T:
+    """build(doc) for a JSON object doc whose present fields have the given types.
+
+    Any other failure to read the document becomes InputError("bad <what>
+    document: ..."); an InputError from build passes through unchanged.
+    """
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("expected a JSON object")
+        for key, kind in fields.items():
+            if key in doc and not isinstance(doc[key], kind):
+                raise TypeError(f"{key!r} must be a JSON {_JSON_KINDS[kind]}")
+        return build(doc)
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} document: {exc}") from exc

@@ -21,12 +21,11 @@ component suffix ("x.2" is component 2 of block 0).
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, _decode
 from .setsys import ProductUniverse, SetSystem, vc_n_dim
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,15 +84,14 @@ class FiniteStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteStructure":
-        try:
-            doc = json.loads(text)
+        def build(doc):
             rels = {
                 name: Relation(int(spec["arity"]), frozenset(map(tuple, spec["tuples"])))
                 for name, spec in doc["relations"].items()
             }
             return cls(int(doc["domain"]), rels)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad structure document: {exc}") from exc
+
+        return _decode(text, "structure", build, {"relations": dict})
 
 
 # Formula AST nodes are nested tuples:
@@ -149,13 +147,9 @@ def _validate_node(node, lengths):
     if not isinstance(node, tuple) or not node:
         raise InputError(f"bad formula node {node!r}")
     op = node[0]
-    if op == "atom":
-        _, _name, vars_ = node
+    if op in ("atom", "eq"):
+        _, _name, vars_ = node if op == "atom" else (None, None, node[1:])
         for block, comp in vars_:
-            if block >= len(lengths) or not 0 <= comp < lengths[block]:
-                raise InputError(f"variable ({block},{comp}) leaves the declared blocks")
-    elif op == "eq":
-        for block, comp in node[1:]:
             if block >= len(lengths) or not 0 <= comp < lengths[block]:
                 raise InputError(f"variable ({block},{comp}) leaves the declared blocks")
     elif op == "not":
@@ -343,6 +337,25 @@ def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...
     return list(product(range(structure.domain_size), repeat=length))
 
 
+def _patterns(
+    structure: FiniteStructure, fns: Sequence[Callable], lists: Sequence, object_length: int
+) -> Iterator[int]:
+    """Truth pattern of each object tuple, in row-major order, as an int.
+
+    Bit f * cells + g holds formula f on cell g of the row-major product
+    of the parameter lists.
+    """
+    cells = list(product(*lists))
+    for b in product(range(structure.domain_size), repeat=object_length):
+        pattern, bit = 0, 1
+        for fn in fns:
+            for cell in cells:
+                if fn((b, *cell)):
+                    pattern |= bit
+                bit <<= 1
+        yield pattern
+
+
 def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
     """Set system of phi's definable sets, one member per object tuple.
 
@@ -352,13 +365,7 @@ def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
     fn = _compile(structure, phi)
     spaces = [block_tuples(structure, l) for l in phi.block_lengths[1:]]
     universe = ProductUniverse(tuple(len(s) for s in spaces))
-    members = set()
-    for b in product(range(structure.domain_size), repeat=phi.block_lengths[0]):
-        mask = 0
-        for g, cell in enumerate(product(*spaces)):
-            if fn((b, *cell)):
-                mask |= 1 << g
-        members.add(mask)
+    members = set(_patterns(structure, [fn], spaces, phi.block_lengths[0]))
     return SetSystem(universe, tuple(sorted(members)))
 
 
@@ -378,6 +385,27 @@ def _check_delta(delta: Sequence[QfFormula]) -> tuple[int, ...]:
     return shape
 
 
+def _param_lists(
+    structure: FiniteStructure, lists: Sequence, lengths: Sequence[int], kind: str,
+    nonempty: bool = False,
+) -> list[tuple[tuple[int, ...], ...]]:
+    """One checked tuple list per parameter block; kind names them in errors."""
+    norm = []
+    for lst, length in zip(lists, lengths):
+        lst = tuple(tuple(int(v) for v in t) for t in lst)
+        if nonempty and not lst:
+            raise InputError(f"{kind} lists must be nonempty")
+        for t in lst:
+            if len(t) != length:
+                raise InputError(f"{kind} tuple {t} does not match block length {length}")
+            if any(not 0 <= v < structure.domain_size for v in t):
+                raise InputError(f"{kind} tuple {t} leaves the domain")
+        if len(set(lst)) != len(lst):
+            raise InputError(f"{kind} tuples must be distinct")
+        norm.append(lst)
+    return norm
+
+
 def count_types(
     structure: FiniteStructure,
     delta: Sequence[QfFormula],
@@ -387,54 +415,22 @@ def count_types(
     shape = _check_delta(delta)
     if len(boxes) != len(shape) - 1:
         raise InputError("one parameter box per parameter block required")
-    norm = []
-    for box, length in zip(boxes, shape[1:]):
-        box = tuple(tuple(int(v) for v in t) for t in box)
-        for t in box:
-            if len(t) != length:
-                raise InputError(f"box tuple {t} does not match block length {length}")
-            if any(not 0 <= v < structure.domain_size for v in t):
-                raise InputError(f"box tuple {t} leaves the domain")
-        if len(set(box)) != len(box):
-            raise InputError("box tuples must be distinct")
-        norm.append(box)
+    norm = _param_lists(structure, boxes, shape[1:], "box")
     fns = [_compile(structure, phi) for phi in delta]
-    cells = list(product(*norm))
-    patterns = set()
-    for b in product(range(structure.domain_size), repeat=shape[0]):
-        patterns.add(tuple(fn((b, *cell)) for fn in fns for cell in cells))
+    patterns = set(_patterns(structure, fns, norm, shape[0]))
     return TypeCount(tuple(norm), len(patterns))
 
 
-def pi_phi(
-    structure: FiniteStructure,
-    delta: Sequence[QfFormula],
-    m: int,
-    samples: int | None = None,
-    seed: int = 0,
-) -> int:
-    """Maximum type count over parameter boxes of size m per block.
-
-    Exhaustive by default.  With samples set, only that many random boxes
-    are inspected and the result is a lower bound; the exhaustive mode is
-    the one every verification in this package relies on.
-    """
+def pi_phi(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> int:
+    """Maximum type count over all parameter boxes of size m per block."""
     shape = _check_delta(delta)
     if m < 0:
         raise InputError("box size must be nonnegative")
     spaces = [block_tuples(structure, l) for l in shape[1:]]
     if any(m > len(s) for s in spaces):
         raise InputError(f"box size {m} exceeds a parameter tuple space")
-    if samples is None:
-        pools = [combinations(space, m) for space in spaces]
-        candidates = product(*pools)
-    else:
-        rng = random.Random(seed)
-        candidates = (
-            tuple(tuple(rng.sample(space, m)) for space in spaces) for _ in range(samples)
-        )
     best = 0
-    for boxes in candidates:
+    for boxes in product(*(combinations(space, m) for space in spaces)):
         best = max(best, count_types(structure, delta, boxes).count)
     return best
 
@@ -459,22 +455,9 @@ def verify_ipn_witness(
     the cells in s.  Refuses (never samples) when the pattern count
     exceeds the budget.
     """
-    shape = phi.block_lengths
     if len(params) != phi.n:
         raise InputError("one parameter list per parameter block required")
-    norm = []
-    for lst, length in zip(params, shape[1:]):
-        lst = tuple(tuple(int(v) for v in t) for t in lst)
-        if not lst:
-            raise InputError("parameter lists must be nonempty")
-        for t in lst:
-            if len(t) != length:
-                raise InputError(f"parameter tuple {t} does not match length {length}")
-            if any(not 0 <= v < structure.domain_size for v in t):
-                raise InputError(f"parameter tuple {t} leaves the domain")
-        if len(set(lst)) != len(lst):
-            raise InputError("parameter tuples must be distinct")
-        norm.append(lst)
+    norm = _param_lists(structure, params, phi.block_lengths[1:], "parameter", True)
     grid = 1
     for lst in norm:
         grid *= len(lst)
@@ -485,11 +468,7 @@ def verify_ipn_witness(
         )
     fn = _compile(structure, phi)
     seen = set()
-    for b in product(range(structure.domain_size), repeat=shape[0]):
-        pattern = 0
-        for g, cell in enumerate(product(*norm)):
-            if fn((b, *cell)):
-                pattern |= 1 << g
+    for pattern in _patterns(structure, [fn], norm, phi.block_lengths[0]):
         seen.add(pattern)
         if len(seen) == total:
             return True

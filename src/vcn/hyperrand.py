@@ -15,6 +15,14 @@ agrees, and exactly the full cross edge differs.  Adjacency walks repair
 one edge discrepancy per step by moving a single vertex, and the greedy
 subgraph selector picks part subsets whose cross tuples are each either
 isomorphic or V-adjacent to a reference edge.
+
+Deciding adjacency, taking a walk step and admitting a selected vertex
+all rest on one agreement check: for every nonempty set S of the parts
+that may draw from V (short of all parts), every choice of V vertices on
+S and every pick of candidate values off S, the edge read before the
+move equals the edge read after it.  Adjacency lets every part draw from
+V; a walk step or a selected vertex keeps its own part off V, since the
+full cross edge through it is the one allowed to change.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .errors import (
     InputError,
     SelectionStuckError,
     WalkStuckError,
+    _decode,
 )
 from .ramsey import RelStructure
 from .zar import PartiteHypergraph
@@ -46,27 +55,16 @@ class ExtensionHypergraph:
     seed: int
 
     def to_json(self) -> str:
-        doc = {
-            "n": self.base.n,
-            "part_sizes": list(self.base.part_sizes),
-            "edges": sorted(list(e) for e in self.base.edges),
-            "t": self.t,
-            "seed": self.seed,
-        }
+        doc = {**self.base._doc(), "t": self.t, "seed": self.seed}
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExtensionHypergraph":
-        try:
-            doc = json.loads(text)
-            base = PartiteHypergraph(
-                int(doc["n"]),
-                tuple(doc["part_sizes"]),
-                frozenset(map(tuple, doc["edges"])),
-            )
+        def build(doc):
+            base = PartiteHypergraph._from_doc(doc)
             return cls(base, int(doc["t"]), int(doc["seed"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad hypergraph document: {exc}") from exc
+
+        return _decode(text, "hypergraph", build, PartiteHypergraph._FIELDS)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ def _check_vertex(h: PartiteHypergraph, v: Vertex) -> Vertex:
     return (p, i)
 
 
-def _edge_by_part(h: PartiteHypergraph, fillers: dict[int, int]) -> bool:
+def _edge_by_part(h: PartiteHypergraph, fillers: Sequence[int] | dict[int, int]) -> bool:
     return tuple(fillers[p] for p in range(h.n)) in h.edges
 
 
@@ -193,15 +191,23 @@ def gen_extension_hypergraph(
     )
 
 
+def _by_part(v: Iterable[Vertex]) -> dict[int, list[int]]:
+    """The second entries of (part, index) pairs, grouped by part."""
+    by_part: dict[int, list[int]] = {}
+    for p, i in v:
+        by_part.setdefault(p, []).append(i)
+    return by_part
+
+
 def _order_match(
     h: PartiteHypergraph,
-    g: Sequence[Vertex],
-    gp: Sequence[Vertex],
+    g: Sequence[int],
+    gp: Sequence[int],
     v: Sequence[Vertex],
 ) -> bool:
-    """Does g_i -> g'_i, fixing v, preserve order within every part?"""
+    """Does g_p -> g'_p, fixing v, preserve order within every part?"""
     for p in range(h.n):
-        pairs = [(g[p][1], gp[p][1])] + [(x[1], x[1]) for x in v if x[0] == p]
+        pairs = [(g[p], gp[p])] + [(x[1], x[1]) for x in v if x[0] == p]
         pairs.sort()
         images = [img for _, img in pairs]
         if any(images[i] >= images[i + 1] for i in range(len(images) - 1)):
@@ -209,33 +215,40 @@ def _order_match(
     return True
 
 
-def _mixed_match(
+def _mixed_agree(
     h: PartiteHypergraph,
-    g: Sequence[Vertex],
-    gp: Sequence[Vertex],
-    v: Sequence[Vertex],
+    v_by_part: dict[int, list[int]],
+    left: Sequence[Sequence[int]],
+    right: Sequence[int],
+    free: Sequence[int],
 ) -> bool:
-    """Do all edges mixing the moved tuple with V agree between g and g'?"""
-    by_part: dict[int, list[int]] = {}
-    for p, i in v:
-        by_part.setdefault(p, []).append(i)
+    """Do all edges mixing V with the left values agree with the right ones?
+
+    For every nonempty set S of free parts short of all parts, every
+    choice of V vertices on S and every pick of one left value per part
+    off S, the edge filled from the left pick must equal the edge filled
+    from the right values (one per part) off S.
+    """
     parts = range(h.n)
-    for take_v in product((False, True), repeat=h.n):
-        if not any(take_v) or all(take_v):
-            continue
-        pools = [
-            by_part.get(p, []) if take_v[p] else [None] for p in parts
-        ]
-        for choice in product(*pools):
-            left = {
-                p: (choice[p] if take_v[p] else g[p][1]) for p in parts
-            }
-            right = {
-                p: (choice[p] if take_v[p] else gp[p][1]) for p in parts
-            }
-            if _edge_by_part(h, left) != _edge_by_part(h, right):
-                return False
+    for k in range(1, min(len(free), h.n - 1) + 1):
+        for on_v in combinations(free, k):
+            pools = [v_by_part.get(p, ()) if p in on_v else left[p] for p in parts]
+            for fill in product(*pools):
+                other = tuple(fill[p] if p in on_v else right[p] for p in parts)
+                if (fill in h.edges) != (other in h.edges):
+                    return False
     return True
+
+
+def _verdict(
+    h: PartiteHypergraph, v: Sequence[Vertex], g: Sequence[int], gp: Sequence[int]
+) -> str | None:
+    """iso / adjacent / None for the edge values g -> g' around V."""
+    if not _order_match(h, g, gp, v):
+        return None
+    if not _mixed_agree(h, _by_part(v), [[i] for i in g], gp, range(h.n)):
+        return None
+    return "iso" if _edge_by_part(h, g) == _edge_by_part(h, gp) else "adjacent"
 
 
 def is_v_adjacent(
@@ -263,20 +276,12 @@ def is_v_adjacent(
             raise InputError("the leading vertices must cover the parts in order")
     if len(set(w)) != len(w) or len(set(w_prime)) != len(w_prime):
         return False
-    if not _order_match(h, g, gp, v):
-        return False
-    if not _mixed_match(h, g, gp, v):
-        return False
-    left = {p: g[p][1] for p in range(h.n)}
-    right = {p: gp[p][1] for p in range(h.n)}
-    return _edge_by_part(h, left) != _edge_by_part(h, right)
+    return _verdict(h, v, [x[1] for x in g], [x[1] for x in gp]) == "adjacent"
 
 
 def _positional_edges(h: PartiteHypergraph, w: Sequence[Vertex]) -> list[tuple[int, ...]]:
     """Position tuples of w covering every part exactly once, sorted."""
-    by_part: dict[int, list[int]] = {}
-    for pos, (p, _) in enumerate(w):
-        by_part.setdefault(p, []).append(pos)
+    by_part = _by_part((p, pos) for pos, (p, _) in enumerate(w))
     if set(by_part) != set(range(h.n)):
         return []
     out = [
@@ -350,54 +355,30 @@ def adjacency_walk(
 
 def _walk_step(h, cur, positions):
     """Try to flip the edge at the given positions by moving one vertex."""
-    edge_parts = [cur[i][0] for i in positions]
-    v_set = [cur[i] for i in range(len(cur)) if i not in positions]
-    for slot, pos in enumerate(positions):
-        p = edge_parts[slot]
-        old = cur[pos]
-        same_part = sorted(i for q, i in v_set if q == p)
-        lo = max((i for i in same_part if i < old[1]), default=-1)
-        hi = min((i for i in same_part if i > old[1]), default=h.part_sizes[p])
-        g = [cur[i] for i in positions]
-        gp_template = list(g)
+    v_by_part = _by_part(cur[i] for i in range(len(cur)) if i not in positions)
+    g = [0] * h.n
+    for i in positions:
+        g[cur[i][0]] = cur[i][1]
+    left = [[i] for i in g]
+    edge = _edge_by_part(h, g)
+    for pos in positions:
+        p, old = cur[pos]
+        same_part = sorted(v_by_part.get(p, []))
+        lo = max((i for i in same_part if i < old), default=-1)
+        hi = min((i for i in same_part if i > old), default=h.part_sizes[p])
+        free = [q for q in range(h.n) if q != p]
+        gp = list(g)
         for b in range(lo + 1, hi):
-            cand = (p, b)
-            if cand in cur:
+            if (p, b) in cur:
                 continue
-            gp_template[slot] = cand
-            if not _mixed_match_single(h, g, gp_template, v_set, slot):
+            gp[p] = b
+            if _edge_by_part(h, gp) == edge:
                 continue
-            left = {q: x[1] for q, x in zip(edge_parts, g)}
-            right = {q: x[1] for q, x in zip(edge_parts, gp_template)}
-            if _edge_by_part(h, left) == _edge_by_part(h, right):
+            if not _mixed_agree(h, v_by_part, left, gp, free):
                 continue
-            cur[pos] = cand
+            cur[pos] = (p, b)
             return pos
     return None
-
-
-def _mixed_match_single(h, g, gp, v_set, slot):
-    """Mixed-edge agreement when only the slot-th vertex moved."""
-    p_moved = g[slot][0]
-    by_part: dict[int, list[int]] = {}
-    for q, i in v_set:
-        by_part.setdefault(q, []).append(i)
-    other_parts = [q for q in range(h.n) if q != p_moved]
-    part_index = {x[0]: k for k, x in enumerate(g)}
-    for take_v in product((False, True), repeat=len(other_parts)):
-        if not any(take_v):
-            continue  # the pure cross edge is the one allowed to flip
-        pools = []
-        for q, from_v in zip(other_parts, take_v):
-            pools.append(by_part.get(q, []) if from_v else [g[part_index[q]][1]])
-        for choice in product(*pools):
-            fillers = dict(zip(other_parts, choice))
-            fillers[p_moved] = g[slot][1]
-            before = _edge_by_part(h, fillers)
-            fillers[p_moved] = gp[slot][1]
-            if _edge_by_part(h, fillers) != before:
-                return False
-    return True
 
 
 def step_certificate(
@@ -415,14 +396,7 @@ def step_certificate(
     moved = [i for i in range(len(wa)) if wa[i] != wb[i]]
     if len(moved) != 1:
         raise InputError("a step must move exactly one vertex")
-    flips = []
-    for positions in _positional_edges(h, wa):
-        if moved[0] not in positions:
-            continue
-        if _edge_value(h, [wa[i] for i in positions]) != _edge_value(
-            h, [wb[i] for i in positions]
-        ):
-            flips.append(positions)
+    flips = walk_discrepancies(h, wa, wb)  # each one holds the moved position
     if len(flips) != 1:
         raise InputError("a step must flip exactly one cross edge")
     positions = flips[0]
@@ -441,15 +415,7 @@ def dichotomy_verdict(
     cross: Sequence[int],
 ) -> str | None:
     """Classify a cross tuple against the reference edge: iso, adjacent, or None."""
-    gv = [(p, i) for p, i in enumerate(g)]
-    cv = [(p, i) for p, i in enumerate(cross)]
-    v = [_check_vertex(h, x) for x in v]
-    if not _order_match(h, gv, cv, v) or not _mixed_match(h, gv, cv, v):
-        return None
-    same = _edge_by_part(h, dict(enumerate(g))) == _edge_by_part(
-        h, dict(enumerate(cross))
-    )
-    return "iso" if same else "adjacent"
+    return _verdict(h, [_check_vertex(h, x) for x in v], g, cross)
 
 
 def random_subgraph(
@@ -479,10 +445,10 @@ def random_subgraph(
     if any((p, i) in v for p, i in enumerate(g)):
         raise InputError("V must avoid the reference edge")
     chosen: list[list[int]] = [[g[p]] for p in range(h.n)]
-    by_part: dict[int, list[int]] = {}
-    for q, i in v:
-        by_part.setdefault(q, []).append(i)
+    by_part = _by_part(v)
     for p in range(h.n):
+        free = [q for q in range(h.n) if q != p]
+        left = list(chosen)
         same_part = sorted(by_part.get(p, []))
         lo = max((i for i in same_part if i < g[p]), default=-1)
         hi = min((i for i in same_part if i > g[p]), default=h.part_sizes[p])
@@ -491,7 +457,8 @@ def random_subgraph(
                 break
             if b == g[p]:
                 continue
-            if _candidate_fits(h, chosen, by_part, g, p, b):
+            left[p] = [b]
+            if _mixed_agree(h, by_part, left, g, free):
                 chosen[p].append(b)
         if len(chosen[p]) < s:
             raise SelectionStuckError(
@@ -519,28 +486,6 @@ def random_subgraph(
             best_t=achieved_extension_level(sub, t_prime - 1) if t_prime else -1,
         )
     return [sorted(part) for part in chosen]
-
-
-def _candidate_fits(h, chosen, by_part, g, p, b) -> bool:
-    """Mixed-edge agreement of candidate b with the part-p reference vertex."""
-    other_parts = [q for q in range(h.n) if q != p]
-    for take_v in product((False, True), repeat=len(other_parts)):
-        if not any(take_v):
-            continue
-        pools = []
-        for q, from_v in zip(other_parts, take_v):
-            pools.append(by_part.get(q, []) if from_v else chosen[q])
-        for choice in product(*pools):
-            fillers = dict(zip(other_parts, choice))
-            reference = {
-                q: (g[q] if not from_v else fillers[q])
-                for q, from_v in zip(other_parts, take_v)
-            }
-            fillers[p] = b
-            reference[p] = g[p]
-            if _edge_by_part(h, fillers) != _edge_by_part(h, reference):
-                return False
-    return True
 
 
 def diagonal_hypergraph(h: PartiteHypergraph) -> RelStructure:

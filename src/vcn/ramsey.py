@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, _decode
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ class RelStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "RelStructure":
-        try:
-            doc = json.loads(text)
+        def build(doc):
             size = int(doc["domain"])
             order = [int(v) for v in doc.get("order", range(size))]
             if sorted(order) != list(range(size)):
@@ -135,11 +134,10 @@ class RelStructure:
                 edges = frozenset(
                     frozenset(vertex(v) for v in t) for t in rels["R"]["tuples"]
                 )
-        except InputError:
-            raise  # already says what is wrong; it is a ValueError too
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad structure document: {exc}") from exc
-        return cls(size, part_sizes, arity, edges)
+            return cls(size, part_sizes, arity, edges)
+
+        fields = {"order": list, "parts": list, "relations": dict}
+        return _decode(text, "structure", build, fields)
 
 
 def points(k: int) -> RelStructure:

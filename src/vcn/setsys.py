@@ -22,7 +22,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, _decode
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,16 @@ class ProductUniverse:
         return product(*(range(s) for s in self.part_sizes))
 
 
+def _members(members: Iterable[int], width: int, too_wide: str) -> tuple[int, ...]:
+    """Sorted distinct bit masks, each within width bits."""
+    members = tuple(sorted(int(m) for m in members))
+    if any(m < 0 or m.bit_length() > width for m in members):
+        raise InputError(too_wide)
+    if len(set(members)) != len(members):
+        raise InputError("members must be distinct")
+    return members
+
+
 @dataclass(frozen=True)
 class SetSystem:
     """Distinct subsets of a product universe, each a bit vector over tuples."""
@@ -84,13 +94,8 @@ class SetSystem:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(int(m) for m in self.members))
-        count = self.universe.tuple_count
-        for m in members:
-            if m < 0 or m.bit_length() > count:
-                raise InputError("member bit vector exceeds the tuple space")
-        if len(set(members)) != len(members):
-            raise InputError("members must be distinct")
+        too_wide = "member bit vector exceeds the tuple space"
+        members = _members(self.members, self.universe.tuple_count, too_wide)
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -118,13 +123,11 @@ class SetSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "SetSystem":
-        try:
-            doc = json.loads(text)
+        def build(doc):
             universe = ProductUniverse(tuple(doc["part_sizes"]))
-            members = tuple(int(h, 16) for h in doc["members"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad set-system document: {exc}") from exc
-        return cls(universe, members)
+            return cls(universe, tuple(int(h, 16) for h in doc["members"]))
+
+        return _decode(text, "set-system", build, {"part_sizes": list, "members": list})
 
 
 @dataclass(frozen=True)
@@ -173,12 +176,7 @@ class GroundFamily:
     def __post_init__(self):
         if self.ground_size < 0:
             raise InputError("ground size must be nonnegative")
-        members = tuple(sorted(int(m) for m in self.members))
-        for m in members:
-            if m < 0 or m.bit_length() > self.ground_size:
-                raise InputError("member exceeds the ground set")
-        if len(set(members)) != len(members):
-            raise InputError("members must be distinct")
+        members = _members(self.members, self.ground_size, "member exceeds the ground set")
         object.__setattr__(self, "members", members)
 
     def to_json(self) -> str:
@@ -190,11 +188,10 @@ class GroundFamily:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundFamily":
-        try:
-            doc = json.loads(text)
+        def build(doc):
             return cls(int(doc["ground_size"]), tuple(int(h, 16) for h in doc["members"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad family document: {exc}") from exc
+
+        return _decode(text, "family", build, {"members": list})
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -214,16 +211,20 @@ def iter_boxes(universe: ProductUniverse, m: int) -> Iterator[BoxSpec]:
     return (BoxSpec(sels) for sels in product(*pools))
 
 
-def trace(system: SetSystem, box: BoxSpec) -> GroundFamily:
-    """Restrict every member to the box, re-indexed over the box grid."""
-    cells = box.cell_indices(system.universe)
-    seen = set()
+def _member_traces(system: SetSystem, cells: list[int]) -> Iterator[int]:
+    """Each member restricted to the cells, bit i standing for cells[i]."""
     for member in system.members:
         t = 0
         for i, cell in enumerate(cells):
             if member >> cell & 1:
                 t |= 1 << i
-        seen.add(t)
+        yield t
+
+
+def trace(system: SetSystem, box: BoxSpec) -> GroundFamily:
+    """Restrict every member to the box, re-indexed over the box grid."""
+    cells = box.cell_indices(system.universe)
+    seen = set(_member_traces(system, cells))
     return GroundFamily(len(cells), tuple(sorted(seen)))
 
 
@@ -234,11 +235,7 @@ def is_shattered(system: SetSystem, box: BoxSpec) -> bool:
     if len(system.members) < full:
         return False
     seen = set()
-    for member in system.members:
-        t = 0
-        for i, cell in enumerate(cells):
-            if member >> cell & 1:
-                t |= 1 << i
+    for t in _member_traces(system, cells):
         seen.add(t)
         if len(seen) == full:
             return True

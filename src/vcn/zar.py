@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, _decode
 from .fmodel import FiniteStructure, Relation
 from .setsys import ProductUniverse, SetSystem
 
@@ -35,7 +35,6 @@ class PartiteHypergraph:
     n: int
     part_sizes: tuple[int, ...]
     edges: frozenset[tuple[int, ...]]
-    ordered: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,25 +51,27 @@ class PartiteHypergraph:
         object.__setattr__(self, "part_sizes", sizes)
         object.__setattr__(self, "edges", edges)
 
-    def to_json(self) -> str:
-        doc = {
+    # shapes of the document's list fields, shared with documents that extend it
+    _FIELDS = {"part_sizes": list, "edges": list}
+
+    def _doc(self) -> dict:
+        return {
             "n": self.n,
             "part_sizes": list(self.part_sizes),
             "edges": sorted(list(e) for e in self.edges),
         }
-        return json.dumps(doc, sort_keys=True)
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "PartiteHypergraph":
+        n, sizes = int(doc["n"]), tuple(doc["part_sizes"])
+        return cls(n, sizes, frozenset(map(tuple, doc["edges"])))
+
+    def to_json(self) -> str:
+        return json.dumps(self._doc(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PartiteHypergraph":
-        try:
-            doc = json.loads(text)
-            return cls(
-                int(doc["n"]),
-                tuple(doc["part_sizes"]),
-                frozenset(map(tuple, doc["edges"])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad hypergraph document: {exc}") from exc
+        return _decode(text, "hypergraph", cls._from_doc, cls._FIELDS)
 
 
 @dataclass(frozen=True)
@@ -354,13 +355,8 @@ def build_counterexample_structure(
     count = len(fam.members)
     tuples = set()
     for idx, member in enumerate(fam.members):
-        rest = member
-        while rest:
-            low = rest & -rest
-            cell = low.bit_length() - 1
-            a0, a1 = fam.universe.index_tuple(cell)
+        for a0, a1 in fam.member_tuples(member):
             tuples.add((idx, count + a0, count + a1))
-            rest ^= low
     return FiniteStructure(
         count + ground, {"R": Relation(3, frozenset(tuples))}
     )

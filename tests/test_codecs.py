@@ -1,0 +1,94 @@
+"""The JSON codecs: one decode path, malformed documents end in InputError."""
+
+import json
+
+import pytest
+
+from vcn import (
+    ExtensionHypergraph,
+    FiniteStructure,
+    GroundFamily,
+    InputError,
+    PartiteHypergraph,
+    RelStructure,
+    SetSystem,
+    gen_extension_hypergraph,
+)
+
+CODECS = [
+    SetSystem, GroundFamily, FiniteStructure, RelStructure, PartiteHypergraph, ExtensionHypergraph
+]
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("text", ["[1]", "3", '"x"', "null", "{", ""])
+def test_document_must_be_a_json_object(codec, text):
+    with pytest.raises(InputError, match="^bad .* document: "):
+        codec.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "codec, doc",
+    [
+        (FiniteStructure, {"domain": 2, "relations": [1]}),
+        (FiniteStructure, {"domain": 2, "relations": {"R": [1]}}),
+        (SetSystem, {"part_sizes": [2], "members": "3"}),
+        (SetSystem, {"part_sizes": "2", "members": ["3"]}),
+        (GroundFamily, {"ground_size": 2, "members": "3"}),
+        (PartiteHypergraph, {"n": 2, "part_sizes": "22", "edges": []}),
+        (PartiteHypergraph, {"n": 1, "part_sizes": [2], "edges": "1"}),
+        (ExtensionHypergraph, {"n": 2, "part_sizes": "22", "edges": [], "t": 0, "seed": 0}),
+        (RelStructure, {"domain": 2, "parts": "01"}),
+        (RelStructure, {"domain": 3, "order": "012"}),
+        (RelStructure, {"domain": 2, "relations": [["R"]]}),
+    ],
+)
+def test_wrong_shapes_are_input_errors(codec, doc):
+    # each of these used to be accepted by iterating a string, or to
+    # escape as a bare AttributeError
+    with pytest.raises(InputError, match="^bad .* document: "):
+        codec.from_json(json.dumps(doc))
+
+
+def test_wrong_shape_names_the_field():
+    with pytest.raises(InputError) as exc:
+        SetSystem.from_json('{"part_sizes": [2], "members": "3"}')
+    assert str(exc.value) == "bad set-system document: 'members' must be a JSON array"
+    with pytest.raises(InputError) as exc:
+        FiniteStructure.from_json('{"domain": 2, "relations": [1]}')
+    assert str(exc.value) == "bad structure document: 'relations' must be a JSON object"
+
+
+@pytest.mark.parametrize(
+    "codec, doc, message",
+    [
+        (GroundFamily, {"ground_size": 2, "members": ["f"]}, "member exceeds the ground set"),
+        (SetSystem, {"part_sizes": [0], "members": []}, "part sizes must be positive"),
+        (PartiteHypergraph, {"n": 1, "part_sizes": [2], "edges": [[5]]},
+         "edge (5,) leaves its parts"),
+        (FiniteStructure, {"domain": 2, "relations": {"R": {"arity": 0, "tuples": []}}},
+         "relation arity must be positive"),
+        (RelStructure, {"domain": 2, "parts": [[0], [3]]}, "vertex 3 is not in the domain"),
+    ],
+)
+def test_input_errors_pass_through_unchanged(codec, doc, message):
+    with pytest.raises(InputError) as exc:
+        codec.from_json(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_missing_key_and_bad_value_are_input_errors():
+    with pytest.raises(InputError, match="^bad set-system document: 'members'$"):
+        SetSystem.from_json('{"part_sizes": [2]}')
+    with pytest.raises(InputError, match="^bad family document: invalid literal"):
+        GroundFamily.from_json('{"ground_size": 2, "members": ["z"]}')
+
+
+def test_extension_document_extends_the_hypergraph_document():
+    eh = gen_extension_hypergraph(2, 4, 0, seed=3)
+    doc = json.loads(eh.to_json())
+    assert {k: doc[k] for k in ("n", "part_sizes", "edges")} == json.loads(eh.base.to_json())
+    assert (doc["t"], doc["seed"]) == (0, 3)
+    assert ExtensionHypergraph.from_json(eh.to_json()) == eh
+    # a plain hypergraph document reads back as the base of an extended one
+    assert PartiteHypergraph.from_json(eh.to_json()) == eh.base
