@@ -195,6 +195,24 @@ def test_walk_verb(tmp_path, capsys):
     assert doc["steps"][0] == pair["w"]
 
 
+def test_walk_reads_a_plain_hypergraph_document(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen-random", "--n", "2", "--m", "12", "--t", "1", "--seed", "9")
+    doc = json.loads(out)
+    p_path = tmp_path / "pair.json"
+    p_path.write_text(json.dumps({"w": [[0, 2], [1, 3]], "w_prime": [[0, 3], [1, 3]]}))
+    plain = {k: doc[k] for k in ("n", "part_sizes", "edges")}
+    outputs = []
+    for name, text in (("ext.json", out), ("plain.json", json.dumps(plain))):
+        (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "walk", str(tmp_path / name), str(p_path))
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    (tmp_path / "bad.json").write_text(json.dumps({**doc, "t": "x"}))
+    code, out, err = run(capsys, "walk", str(tmp_path / "bad.json"), str(p_path))
+    assert code == 1 and not out and err.startswith("error: bad hypergraph document: ")
+
+
 def test_walk_bad_pair_is_input_error(tmp_path, capsys):
     code, out, _ = run(capsys, "gen-random", "--n", "2", "--m", "6", "--t", "0", "--seed", "1")
     h_path = tmp_path / "h.json"

@@ -19,6 +19,7 @@ from vcn import (
     PartiteHypergraph,
     QfFormula,
     Relation,
+    RelStructure,
     check_encodes,
     check_indiscernible,
     conjoin,
@@ -284,3 +285,36 @@ def test_check_indiscernible_validation():
         check_indiscernible(fam, {"order"}, s, delta, 0)
     with pytest.raises(InputError):
         check_indiscernible(fam, {"order"}, s, [parse_formula("(R x.1 y0)", (2, 2))], 1)
+
+
+def test_check_indiscernible_on_ordered_structure_with_parts():
+    # the tuple of an index vertex is its part: parts decide the delta type
+    index = RelStructure(4, (2, 2), 2, frozenset({frozenset({0, 2}), frozenset({1, 3})}))
+    fam = IndexedFamily(index, {0: (0,), 1: (0,), 2: (1,), 3: (1,)})
+    s = FiniteStructure(2, {"R": Relation(2, frozenset({(0, 0)}))})
+    delta = [parse_formula("(R x y0)", (1, 1))]
+    assert check_indiscernible(fam, {"parts"}, s, delta, 2) is True
+    assert check_indiscernible(fam, {"order", "parts", "edge"}, s, delta, 2) is True
+    # order alone cannot tell vertex 0 (part 0) from vertex 2 (part 1)
+    assert check_indiscernible(fam, {"order"}, s, delta, 1) == ((0,), (2,))
+
+
+def test_check_indiscernible_on_ordered_graph_without_parts():
+    # every vertex indexes itself and E copies the index edges: the edge
+    # pattern decides the delta type
+    pairs = [(0, 1), (1, 2)]
+    index = RelStructure(4, None, 2, frozenset(map(frozenset, pairs)))
+    fam = IndexedFamily(index, {v: (v,) for v in range(4)})
+    e = frozenset(pairs) | frozenset((b, a) for a, b in pairs)
+    s = FiniteStructure(4, {"E": Relation(2, e)})
+    delta = [parse_formula("(E x y0)", (1, 1))]
+    assert check_indiscernible(fam, {"edge"}, s, delta, 3) is True
+    # order alone puts the edge (0, 1) and the non-edge (0, 2) together
+    assert check_indiscernible(fam, {"order"}, s, delta, 2) == ((0, 1), (0, 2))
+
+
+def test_check_indiscernible_rejects_other_index_types():
+    s = FiniteStructure(2, {"R": Relation(2, frozenset())})
+    fam = IndexedFamily(s, {0: (0,), 1: (1,)})
+    with pytest.raises(InputError, match="unsupported index structure"):
+        check_indiscernible(fam, {"order"}, s, [parse_formula("(R x y0)", (1, 1))], 1)
