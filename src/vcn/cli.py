@@ -25,6 +25,7 @@ from .errors import (
     WalkStuckError,
     _decode,
 )
+from .fmodel import build_counterexample_structure
 from .hyperrand import ExtensionHypergraph, adjacency_walk, gen_extension_hypergraph
 from .ramsey import (
     ColoringProblem,
@@ -42,13 +43,7 @@ from .setsys import (
     shift,
     vc_n_dim,
 )
-from .zar import (
-    PartiteHypergraph,
-    build_counterexample_structure,
-    build_extremal_family,
-    erdos_bound,
-    zarankiewicz,
-)
+from .zar import PartiteHypergraph, build_extremal_family, erdos_bound, zarankiewicz
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,14 +105,12 @@ def _load_structure(path: str) -> RelStructure:
 
 
 def _load_hypergraph(path: str) -> PartiteHypergraph:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise InputError(f"bad JSON in {path}: {exc}") from exc
-    if isinstance(doc, dict) and "t" in doc:
-        return ExtensionHypergraph.from_json(text).base
-    return PartiteHypergraph.from_json(text)
+    """A hypergraph document, with or without the "t" and "seed" of gen-random."""
+
+    def build(doc):
+        return (ExtensionHypergraph if "t" in doc else PartiteHypergraph)._from_doc(doc)
+
+    return _decode(_read_text(path), "hypergraph", build, ExtensionHypergraph._SHAPE)
 
 
 def cmd_zar_table(args) -> str:
@@ -204,14 +197,13 @@ def cmd_walk(args) -> str:
     h = _load_hypergraph(args.hypergraph)
 
     def pair(doc):
-        w = [tuple(map(int, v)) for v in doc["w"]]
-        wp = [tuple(map(int, v)) for v in doc["w_prime"]]
+        w, wp = doc["w"], doc["w_prime"]
         for v in w + wp:
             if len(v) != 2:
-                raise ValueError(f"vertex {list(v)} is not a [part, index] pair")
+                raise InputError(f"vertex {v} is not a [part, index] pair")
         return w, wp
 
-    w, wp = _decode(_read_text(args.pair), "pair", pair, {"w": list, "w_prime": list})
+    w, wp = _decode(_read_text(args.pair), "pair", pair, {"w": [[int]], "w_prime": [[int]]})
     steps = adjacency_walk(h, w, wp)
     out = {
         "length": len(steps) - 1,

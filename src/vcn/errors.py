@@ -53,22 +53,45 @@ class SelectionStuckError(RuntimeError):
         self.constraints = constraints
 
 
-_JSON_KINDS = {list: "array", dict: "object"}
+_JSON_KINDS = {int: "integer", str: "string", list: "array", dict: "object"}
 
 
-def _decode(text: str, what: str, build: Callable[[dict], _T], fields: dict[str, type]) -> _T:
-    """build(doc) for a JSON object doc whose present fields have the given types.
+def _check_shape(value, shape, path: tuple = ()) -> None:
+    """Raise TypeError naming the path to the first value off the shape.
+
+    A shape is int or str for a JSON integer or string, [shape] for an
+    array of such values, {key: shape} for an object whose listed keys,
+    where present, hold such values, and {str: shape} for an object whose
+    every value does.
+    """
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    if type(value) is not kind:  # exact: a JSON true is no integer
+        if not path:
+            raise TypeError("expected a JSON object")
+        where = repr(path[0]) + "".join(f"[{key!r}]" for key in path[1:])
+        raise TypeError(f"{where} must be a JSON {_JSON_KINDS[kind]}")
+    if kind is list:
+        sub = shape[0]
+        # an array of integers or strings takes one pass, unless one is off
+        if sub not in (int, str) or not all(type(item) is sub for item in value):
+            for i, item in enumerate(value):
+                _check_shape(item, sub, (*path, i))
+    elif kind is dict:
+        for key, item in value.items():
+            sub = shape.get(key, shape.get(str))
+            if sub is not None:
+                _check_shape(item, sub, (*path, key))
+
+
+def _decode(text: str, what: str, build: Callable[[dict], _T], shape: dict) -> _T:
+    """build(doc) for a JSON object doc of the given shape (see _check_shape).
 
     Any other failure to read the document becomes InputError("bad <what>
     document: ..."); an InputError from build passes through unchanged.
     """
     try:
         doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise TypeError("expected a JSON object")
-        for key, kind in fields.items():
-            if key in doc and not isinstance(doc[key], kind):
-                raise TypeError(f"{key!r} must be a JSON {_JSON_KINDS[kind]}")
+        _check_shape(doc, shape)
         return build(doc)
     except InputError:
         raise

@@ -23,13 +23,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, _decode
+from .ramsey import RelStructure
 from .setsys import ProductUniverse, SetSystem, vc_n_dim
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .zar import PartiteHypergraph
+from .zar import PartiteHypergraph, build_extremal_family
 
 
 @dataclass(frozen=True)
@@ -86,12 +85,35 @@ class FiniteStructure:
     def from_json(cls, text: str) -> "FiniteStructure":
         def build(doc):
             rels = {
-                name: Relation(int(spec["arity"]), frozenset(map(tuple, spec["tuples"])))
+                name: Relation(spec["arity"], frozenset(map(tuple, spec["tuples"])))
                 for name, spec in doc["relations"].items()
             }
-            return cls(int(doc["domain"]), rels)
+            return cls(doc["domain"], rels)
 
-        return _decode(text, "structure", build, {"relations": dict})
+        return _decode(text, "structure", build, RelStructure._SHAPE)
+
+
+def build_counterexample_structure(
+    m_range: Sequence[int], node_budget: int | None = None
+) -> FiniteStructure:
+    """Ternary structure whose definable family is the n=2, d=1 extremal system.
+
+    The domain lists one element per family member (in sorted member
+    order) followed by the shared ground part; R(b, a0, a1) holds exactly
+    when the pair (a0, a1) lies in the member named b.  The formula
+    R(x, y0, y1) then defines the family, with every ground element
+    contributing the empty member.
+    """
+    fam = build_extremal_family(2, 1, m_range, node_budget)
+    ground = fam.universe.part_sizes[0]
+    count = len(fam.members)
+    tuples = set()
+    for idx, member in enumerate(fam.members):
+        for a0, a1 in fam.member_tuples(member):
+            tuples.add((idx, count + a0, count + a1))
+    return FiniteStructure(
+        count + ground, {"R": Relation(3, frozenset(tuples))}
+    )
 
 
 # Formula AST nodes are nested tuples:
@@ -477,9 +499,10 @@ def verify_ipn_witness(
 
 @dataclass(frozen=True)
 class IndexedFamily:
-    """Equal-length element tuples indexed by the vertices of a hypergraph."""
+    """Equal-length element tuples indexed by the vertices of a partite
+    hypergraph or an ordered structure."""
 
-    index: object
+    index: PartiteHypergraph | RelStructure
     tuples: Mapping[object, tuple[int, ...]]
 
     def __post_init__(self):
@@ -494,55 +517,33 @@ class IndexedFamily:
         return len(next(iter(self.tuples.values()))) if self.tuples else 0
 
 
-def _index_view(index):
-    """Uniform view of an index structure: vertices, parts, order, edges."""
-    if hasattr(index, "part_sizes") and hasattr(index, "edges") and hasattr(index, "n"):
-        # partite hypergraph: vertices are (part, position) pairs
-        vertices = [
-            (p, i) for p in range(index.n) for i in range(index.part_sizes[p])
-        ]
-        part_of = {v: v[0] for v in vertices}
-        edge_set = index.edges
+def _index_view(index: PartiteHypergraph | RelStructure):
+    """Vertices in order, the part of each, edge arity and edges of an index.
 
-        def edge_holds(vs):
-            if len(vs) != index.n:
-                return False
-            by_part = {}
-            for p, i in vs:
-                if p in by_part:
-                    return False
-                by_part[p] = i
-            if len(by_part) != index.n:
-                return False
-            return tuple(by_part[p] for p in range(index.n)) in edge_set
-
-        return vertices, part_of, index.n, edge_holds
-    if hasattr(index, "size") and hasattr(index, "edges"):
+    A partite hypergraph reads as the ordered structure it stands for: its
+    (part, position) vertices in part-major order, its parts convex, and
+    each edge as the set of vertices it picks.  A structure without parts
+    has a single part.
+    """
+    if isinstance(index, PartiteHypergraph):
+        vertices = [(p, i) for p in range(index.n) for i in range(index.part_sizes[p])]
+        part_sizes, arity = index.part_sizes, index.n
+        edges = {frozenset(enumerate(e)) for e in index.edges}
+    elif isinstance(index, RelStructure):
         vertices = list(range(index.size))
-        if index.part_sizes is not None:
-            part_of, start = {}, 0
-            for p, s in enumerate(index.part_sizes):
-                for v in range(start, start + s):
-                    part_of[v] = p
-                start += s
-        else:
-            part_of = {v: 0 for v in vertices}
-        arity = index.edge_arity or 0
-
-        def edge_holds(vs):
-            if index.edges is None or len(vs) != arity or len(set(vs)) != arity:
-                return False
-            return frozenset(vs) in index.edges
-
-        return vertices, part_of, arity, edge_holds
-    raise InputError("unsupported index structure")
+        part_sizes, arity = index.part_sizes or (index.size,), index.edge_arity or 0
+        edges = index.edges or frozenset()
+    else:
+        raise InputError("unsupported index structure")
+    parts = [p for p, s in enumerate(part_sizes) for _ in range(s)]
+    return vertices, dict(zip(vertices, parts)), arity, edges
 
 
 def check_encodes(
     structure: FiniteStructure,
     phi: QfFormula,
     fam: IndexedFamily,
-    hypergraph: "PartiteHypergraph",
+    hypergraph: PartiteHypergraph,
 ) -> bool:
     """True when phi on the indexed tuples reproduces the hypergraph's edges.
 
@@ -587,7 +588,7 @@ def check_indiscernible(
     shape = _check_delta(delta)
     if any(l != fam.tuple_length for l in shape):
         raise InputError("delta block lengths must match the indexed tuple length")
-    vertices, part_of, edge_arity, edge_holds = _index_view(fam.index)
+    vertices, part_of, edge_arity, edge_set = _index_view(fam.index)
     for v in vertices:
         if v not in fam.tuples:
             raise InputError(f"index vertex {v} has no tuple")
@@ -607,8 +608,9 @@ def check_indiscernible(
         parts = tuple(part_of[v] for v in w) if "parts" in reduct else None
         edges = None
         if "edge" in reduct and edge_arity:
+            # with a repeated vertex the set is smaller than every edge
             edges = tuple(
-                edge_holds([w[i] for i in idx])
+                frozenset(w[i] for i in idx) in edge_set
                 for idx in combinations(range(len(w)), edge_arity)
             ) if len(w) >= edge_arity else ()
         return (tuple(sign), parts, edges)

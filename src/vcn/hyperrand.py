@@ -6,7 +6,10 @@ extension check is run and the sample is retried until it passes.  The
 level-t check demands, for every part j, a realizer for every
 positive/negative adjacency pattern combined with an order window, where
 the pattern tuples and the finite window endpoints together cost at most
-t; a window only obliges when some vertex lies strictly inside it.
+t; a window only obliges when some vertex lies strictly inside it.  The
+sample that passes is an ExtensionHypergraph: a PartiteHypergraph that
+also records the level it passed and its seed, so it goes wherever a
+PartiteHypergraph goes.
 
 Vertices are (part, position) pairs ordered part-major.  Two equal-length
 vertex sets sharing a tail V are V-adjacent when the natural map is an
@@ -27,7 +30,6 @@ full cross edge through it is the one allowed to change.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -38,7 +40,6 @@ from .errors import (
     InputError,
     SelectionStuckError,
     WalkStuckError,
-    _decode,
 )
 from .ramsey import RelStructure
 from .zar import PartiteHypergraph
@@ -47,24 +48,21 @@ Vertex = tuple[int, int]  # (part, position)
 
 
 @dataclass(frozen=True)
-class ExtensionHypergraph:
-    """A sampled hypergraph together with its verified extension level."""
+class ExtensionHypergraph(PartiteHypergraph):
+    """A sampled PartiteHypergraph with its verified extension level t and seed.
 
-    base: PartiteHypergraph
+    Its document is the hypergraph document plus "t" and "seed".
+    """
+
     t: int
     seed: int
 
-    def to_json(self) -> str:
-        doc = {**self.base._doc(), "t": self.t, "seed": self.seed}
-        return json.dumps(doc, sort_keys=True)
+    _SHAPE = {**PartiteHypergraph._SHAPE, "t": int, "seed": int}
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExtensionHypergraph":
-        def build(doc):
-            base = PartiteHypergraph._from_doc(doc)
-            return cls(base, int(doc["t"]), int(doc["seed"]))
-
-        return _decode(text, "hypergraph", build, PartiteHypergraph._FIELDS)
+    @property
+    def base(self) -> PartiteHypergraph:
+        """The hypergraph alone, as a plain PartiteHypergraph."""
+        return PartiteHypergraph(self.n, self.part_sizes, self.edges)
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,6 @@ def find_extension_violation(h: PartiteHypergraph, t: int):
         ]
         for lo, hi, wcost in windows:
             inside = range(0 if lo is None else lo + 1, size if hi is None else hi)
-            if not inside:
-                continue
             for total in range(t - wcost + 1):
                 for s0 in range(total + 1):
                     for a0 in combinations(others, s0):
@@ -182,9 +178,11 @@ def gen_extension_hypergraph(
             for tup in product(*(range(part_size) for _ in range(n)))
             if rng.getrandbits(1)
         )
-        h = PartiteHypergraph(n, (part_size,) * n, edges)
+        # built with its label up front, so a passing sample is not copied;
+        # only a sample that passes level t is returned
+        h = ExtensionHypergraph(n, (part_size,) * n, edges, t, seed)
         if check_extension_level(h, t):
-            return ExtensionHypergraph(h, t, seed)
+            return h
         best = max(best, achieved_extension_level(h, t - 1))
     raise GenerationError(
         f"no sample passed level {t} within {retries} attempts", best_t=best
@@ -240,10 +238,22 @@ def _mixed_agree(
     return True
 
 
-def _verdict(
-    h: PartiteHypergraph, v: Sequence[Vertex], g: Sequence[int], gp: Sequence[int]
+def dichotomy_verdict(
+    h: PartiteHypergraph,
+    v: Sequence[Vertex],
+    g: Sequence[int],
+    cross: Sequence[int],
 ) -> str | None:
-    """iso / adjacent / None for the edge values g -> g' around V."""
+    """Classify a cross tuple against the reference edge: iso, adjacent, or None.
+
+    Both ends must pick one vertex per part; an end that meets V gives None.
+    """
+    v = [_check_vertex(h, x) for x in v]
+    if len(g) != h.n or len(cross) != h.n:
+        raise InputError("an end must pick one vertex per part")
+    g, gp = ([_check_vertex(h, x)[1] for x in enumerate(end)] for end in (g, cross))
+    if any((p, i) in v for end in (g, gp) for p, i in enumerate(end)):
+        return None
     if not _order_match(h, g, gp, v):
         return None
     if not _mixed_agree(h, _by_part(v), [[i] for i in g], gp, range(h.n)):
@@ -274,9 +284,8 @@ def is_v_adjacent(
     for p in range(h.n):
         if g[p][0] != p or gp[p][0] != p:
             raise InputError("the leading vertices must cover the parts in order")
-    if len(set(w)) != len(w) or len(set(w_prime)) != len(w_prime):
-        return False
-    return _verdict(h, v, [x[1] for x in g], [x[1] for x in gp]) == "adjacent"
+    # a repeat in V breaks the order match, and one through an end gives None
+    return dichotomy_verdict(h, v, [x[1] for x in g], [x[1] for x in gp]) == "adjacent"
 
 
 def _positional_edges(h: PartiteHypergraph, w: Sequence[Vertex]) -> list[tuple[int, ...]]:
@@ -309,7 +318,7 @@ def walk_discrepancies(
 
 
 def adjacency_walk(
-    eh: ExtensionHypergraph | PartiteHypergraph,
+    h: PartiteHypergraph,
     w: Sequence[Vertex],
     w_prime: Sequence[Vertex],
 ) -> list[list[Vertex]]:
@@ -321,7 +330,6 @@ def adjacency_walk(
     sets are V-adjacent for V the untouched remainder.  Raises when no
     replacement vertex exists for a discrepancy.
     """
-    h = eh.base if isinstance(eh, ExtensionHypergraph) else eh
     w = [_check_vertex(h, x) for x in w]
     w_prime = [_check_vertex(h, x) for x in w_prime]
     if len(w) != len(w_prime):
@@ -353,6 +361,14 @@ def adjacency_walk(
     return walk
 
 
+def _window(h: PartiteHypergraph, v_by_part: dict[int, list[int]], p: int, i: int):
+    """(lo, hi): the V positions in part p nearest to i, else the part's ends."""
+    same_part = v_by_part.get(p, [])
+    lo = max((x for x in same_part if x < i), default=-1)
+    hi = min((x for x in same_part if x > i), default=h.part_sizes[p])
+    return lo, hi
+
+
 def _walk_step(h, cur, positions):
     """Try to flip the edge at the given positions by moving one vertex."""
     v_by_part = _by_part(cur[i] for i in range(len(cur)) if i not in positions)
@@ -363,9 +379,7 @@ def _walk_step(h, cur, positions):
     edge = _edge_by_part(h, g)
     for pos in positions:
         p, old = cur[pos]
-        same_part = sorted(v_by_part.get(p, []))
-        lo = max((i for i in same_part if i < old), default=-1)
-        hi = min((i for i in same_part if i > old), default=h.part_sizes[p])
+        lo, hi = _window(h, v_by_part, p, old)
         free = [q for q in range(h.n) if q != p]
         gp = list(g)
         for b in range(lo + 1, hi):
@@ -382,13 +396,11 @@ def _walk_step(h, cur, positions):
 
 
 def step_certificate(
-    h: PartiteHypergraph | ExtensionHypergraph,
+    h: PartiteHypergraph,
     wa: Sequence[Vertex],
     wb: Sequence[Vertex],
 ) -> VAdjacencyWitness:
     """Recover (V, flipped edge) for one walk step and verify V-adjacency."""
-    if isinstance(h, ExtensionHypergraph):
-        h = h.base
     wa = [_check_vertex(h, x) for x in wa]
     wb = [_check_vertex(h, x) for x in wb]
     if len(wa) != len(wb):
@@ -408,18 +420,8 @@ def step_certificate(
     return VAdjacencyWitness(tuple(wa), tuple(wb), v, tuple(gp))
 
 
-def dichotomy_verdict(
-    h: PartiteHypergraph,
-    v: Sequence[Vertex],
-    g: Sequence[int],
-    cross: Sequence[int],
-) -> str | None:
-    """Classify a cross tuple against the reference edge: iso, adjacent, or None."""
-    return _verdict(h, [_check_vertex(h, x) for x in v], g, cross)
-
-
 def random_subgraph(
-    eh: ExtensionHypergraph | PartiteHypergraph,
+    h: PartiteHypergraph,
     v: Sequence[Vertex],
     g: Sequence[int],
     s: int,
@@ -433,7 +435,6 @@ def random_subgraph(
     selection is either isomorphic or V-adjacent to the reference edge,
     and the induced subgraph must pass the level-t' extension check.
     """
-    h = eh.base if isinstance(eh, ExtensionHypergraph) else eh
     if s < 1:
         raise InputError("per-part size must be positive")
     v = [_check_vertex(h, x) for x in v]
@@ -449,9 +450,7 @@ def random_subgraph(
     for p in range(h.n):
         free = [q for q in range(h.n) if q != p]
         left = list(chosen)
-        same_part = sorted(by_part.get(p, []))
-        lo = max((i for i in same_part if i < g[p]), default=-1)
-        hi = min((i for i in same_part if i > g[p]), default=h.part_sizes[p])
+        lo, hi = _window(h, by_part, p, g[p])
         for b in range(lo + 1, hi):
             if len(chosen[p]) == s:
                 break

@@ -102,17 +102,24 @@ class RelStructure:
             doc["parts"] = parts
         return json.dumps(doc, sort_keys=True)
 
+    # the shared "structure" document, which FiniteStructure reads too
+    _SHAPE = {
+        "domain": int,
+        "order": [int],
+        "parts": [[int]],
+        "relations": {str: {"arity": int, "tuples": [[int]]}},
+    }
+
     @classmethod
     def from_json(cls, text: str) -> "RelStructure":
         def build(doc):
-            size = int(doc["domain"])
-            order = [int(v) for v in doc.get("order", range(size))]
+            size = doc["domain"]
+            order = doc.get("order", list(range(size)))
             if sorted(order) != list(range(size)):
                 raise InputError("order must enumerate the whole domain")
             relabel = {v: i for i, v in enumerate(order)}
 
-            def vertex(v) -> int:
-                v = int(v)
+            def vertex(v: int) -> int:
                 if v not in relabel:
                     raise InputError(f"vertex {v} is not in the domain")
                 return relabel[v]
@@ -130,14 +137,13 @@ class RelStructure:
             arity, edges = None, None
             rels = doc.get("relations", {})
             if "R" in rels:
-                arity = int(rels["R"]["arity"])
+                arity = rels["R"]["arity"]
                 edges = frozenset(
                     frozenset(vertex(v) for v in t) for t in rels["R"]["tuples"]
                 )
             return cls(size, part_sizes, arity, edges)
 
-        fields = {"order": list, "parts": list, "relations": dict}
-        return _decode(text, "structure", build, fields)
+        return _decode(text, "structure", build, cls._SHAPE)
 
 
 def points(k: int) -> RelStructure:

@@ -127,7 +127,7 @@ class SetSystem:
             universe = ProductUniverse(tuple(doc["part_sizes"]))
             return cls(universe, tuple(int(h, 16) for h in doc["members"]))
 
-        return _decode(text, "set-system", build, {"part_sizes": list, "members": list})
+        return _decode(text, "set-system", build, {"part_sizes": [int], "members": [str]})
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,9 @@ class GroundFamily:
     @classmethod
     def from_json(cls, text: str) -> "GroundFamily":
         def build(doc):
-            return cls(int(doc["ground_size"]), tuple(int(h, 16) for h in doc["members"]))
+            return cls(doc["ground_size"], tuple(int(h, 16) for h in doc["members"]))
 
-        return _decode(text, "family", build, {"members": list})
+        return _decode(text, "family", build, {"ground_size": int, "members": [str]})
 
 
 def bit_indices(mask: int) -> Iterator[int]:

@@ -6,22 +6,21 @@ d-per-part sub-hypergraph.  It is computed exactly by maximizing the edge
 count of a d-box-free subgraph with a branch-and-bound over per-vertex
 edge layers; the threshold is that maximum plus one.
 
-The extremal witnesses feed two constructions: a set system made of the
-power sets of box-free witnesses placed on disjoint blocks (its box
-dimension collapses to d while its shatter function stays exponential),
-and a ternary structure whose definable family reproduces such a system.
+The extremal witnesses feed a set system made of the power sets of
+box-free witnesses placed on disjoint blocks: its box dimension collapses
+to d while its shatter function stays exponential.  fmodel turns that
+system into a ternary structure whose definable family reproduces it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError, _decode
-from .fmodel import FiniteStructure, Relation
 from .setsys import ProductUniverse, SetSystem
 
 _EXACT = "exact"
@@ -51,27 +50,23 @@ class PartiteHypergraph:
         object.__setattr__(self, "part_sizes", sizes)
         object.__setattr__(self, "edges", edges)
 
-    # shapes of the document's list fields, shared with documents that extend it
-    _FIELDS = {"part_sizes": list, "edges": list}
+    # the shape of the document, which a subclass extends with its own fields
+    _SHAPE = {"n": int, "part_sizes": [int], "edges": [[int]]}
 
     def _doc(self) -> dict:
-        return {
-            "n": self.n,
-            "part_sizes": list(self.part_sizes),
-            "edges": sorted(list(e) for e in self.edges),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "edges": sorted(self.edges)}
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "PartiteHypergraph":
-        n, sizes = int(doc["n"]), tuple(doc["part_sizes"])
-        return cls(n, sizes, frozenset(map(tuple, doc["edges"])))
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     def to_json(self) -> str:
         return json.dumps(self._doc(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PartiteHypergraph":
-        return _decode(text, "hypergraph", cls._from_doc, cls._FIELDS)
+        return _decode(text, "hypergraph", cls._from_doc, cls._SHAPE)
 
 
 @dataclass(frozen=True)
@@ -337,26 +332,3 @@ def build_extremal_family(
                 members.add(mask)
         offset += m
     return SetSystem(universe, tuple(sorted(members)))
-
-
-def build_counterexample_structure(
-    m_range: Sequence[int], node_budget: int | None = None
-) -> FiniteStructure:
-    """Ternary structure whose definable family is the n=2, d=1 extremal system.
-
-    The domain lists one element per family member (in sorted member
-    order) followed by the shared ground part; R(b, a0, a1) holds exactly
-    when the pair (a0, a1) lies in the member named b.  The formula
-    R(x, y0, y1) then defines the family, with every ground element
-    contributing the empty member.
-    """
-    fam = build_extremal_family(2, 1, m_range, node_budget)
-    ground = fam.universe.part_sizes[0]
-    count = len(fam.members)
-    tuples = set()
-    for idx, member in enumerate(fam.members):
-        for a0, a1 in fam.member_tuples(member):
-            tuples.add((idx, count + a0, count + a1))
-    return FiniteStructure(
-        count + ground, {"R": Relation(3, frozenset(tuples))}
-    )

@@ -221,7 +221,7 @@ def ref_dichotomy(h, v, g, cross) -> str | None:
 
 
 def random_v_instance(seed: int, n: int):
-    """(h, v, g, g') with V avoiding g and g'; g' often moves one vertex."""
+    """(h, v, g, g'), g' often moving one vertex; V mostly avoids g and g'."""
     rng = random.Random(seed)
     sizes = tuple(rng.randint(3, 5) for _ in range(n))
     density = rng.choice([0.2, 0.5, 0.8])
@@ -233,8 +233,12 @@ def random_v_instance(seed: int, n: int):
     gp = list(g)
     for p in rng.sample(range(n), 1 if rng.random() < 0.6 else rng.randint(1, n)):
         gp[p] = rng.randrange(sizes[p])
+    through_ends = rng.random() < 0.15
     free = [
-        (p, i) for p in range(n) for i in range(sizes[p]) if i not in (g[p], gp[p])
+        (p, i)
+        for p in range(n)
+        for i in range(sizes[p])
+        if through_ends or i not in (g[p], gp[p])
     ]
     v = sorted(rng.sample(free, min(len(free), rng.randint(1, 4))))
     return h, v, g, gp

@@ -235,6 +235,18 @@ def test_walk_vertex_not_a_pair_is_input_error(tmp_path, capsys, vertex):
     assert err.startswith("error:") and "[part, index] pair" in err
 
 
+def test_walk_vertex_must_hold_integers(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen-random", "--n", "2", "--m", "6", "--t", "0", "--seed", "1")
+    h_path = tmp_path / "h.json"
+    h_path.write_text(out.strip())
+    p_path = tmp_path / "pair.json"
+    # 0.5 used to be read as part 0
+    p_path.write_text(json.dumps({"w": [[0.5, 1]], "w_prime": [[0, 1]]}))
+    code, out, err = run(capsys, "walk", str(h_path), str(p_path))
+    assert (code, out) == (1, "")
+    assert err == "error: bad pair document: 'w'[0][0] must be a JSON integer\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "dim", "/nonexistent/system.json")
     assert code == 1 and "error:" in err

@@ -77,6 +77,32 @@ def test_input_errors_pass_through_unchanged(codec, doc, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "codec, text, message",
+    [
+        # both used to be read as the edge set {(0, 1)}
+        (PartiteHypergraph, '{"n": 2, "part_sizes": [2, 2], "edges": ["01", [0.7, 1]]}',
+         "'edges'[0] must be a JSON array"),
+        (PartiteHypergraph, '{"n": 2, "part_sizes": [2, 2], "edges": [[0.7, 1]]}',
+         "'edges'[0][0] must be a JSON integer"),
+        (PartiteHypergraph, '{"n": true, "part_sizes": [2], "edges": []}',
+         "'n' must be a JSON integer"),
+        (ExtensionHypergraph, '{"n": 1, "part_sizes": [2], "edges": [], "t": "1", "seed": 0}',
+         "'t' must be a JSON integer"),
+        (FiniteStructure, '{"domain": 2, "relations": {"R": {"arity": 2, "tuples": ["01"]}}}',
+         "'relations'['R']['tuples'][0] must be a JSON array"),
+        (RelStructure, '{"domain": 2, "relations": {"R": {"arity": 2, "tuples": ["01"]}}}',
+         "'relations'['R']['tuples'][0] must be a JSON array"),
+        (RelStructure, '{"domain": 2, "parts": [[0, 1.0]]}', "'parts'[0][1] must be a JSON integer"),
+        (SetSystem, '{"part_sizes": [2], "members": [3]}', "'members'[0] must be a JSON string"),
+    ],
+)
+def test_nested_values_must_have_their_shape(codec, text, message):
+    with pytest.raises(InputError) as exc:
+        codec.from_json(text)
+    assert str(exc.value).split(" document: ")[1] == message
+
+
 def test_missing_key_and_bad_value_are_input_errors():
     with pytest.raises(InputError, match="^bad set-system document: 'members'$"):
         SetSystem.from_json('{"part_sizes": [2]}')
@@ -86,6 +112,7 @@ def test_missing_key_and_bad_value_are_input_errors():
 
 def test_extension_document_extends_the_hypergraph_document():
     eh = gen_extension_hypergraph(2, 4, 0, seed=3)
+    assert isinstance(eh, PartiteHypergraph) and type(eh.base) is PartiteHypergraph
     doc = json.loads(eh.to_json())
     assert {k: doc[k] for k in ("n", "part_sizes", "edges")} == json.loads(eh.base.to_json())
     assert (doc["t"], doc["seed"]) == (0, 3)

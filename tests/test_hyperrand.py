@@ -152,7 +152,7 @@ def test_v_adjacency_validation():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_v_adjacency_matches_reference(n):
-    verdicts = []
+    verdicts, meets = [], 0
     for seed in range(300):
         h, v, g, gp = random_v_instance(seed, n)
         w = [(p, i) for p, i in enumerate(g)] + v
@@ -161,8 +161,20 @@ def test_v_adjacency_matches_reference(n):
         assert dichotomy_verdict(h, v, g, gp) == want, seed
         assert is_v_adjacent(h, w, wp, v) == ref_v_adjacent(h, w, wp, v), seed
         verdicts.append(want)
+        meets += any(x in v for x in enumerate(g)) or any(x in v for x in enumerate(gp))
     for verdict in (None, "iso", "adjacent"):
         assert verdicts.count(verdict) >= 20
+    assert meets >= 10
+
+
+def test_dichotomy_verdict_checks_both_ends():
+    h = PartiteHypergraph(2, (3, 3), frozenset({(1, 0)}))
+    # V holds the reference edge's part-0 vertex: no verdict, as in is_v_adjacent
+    assert dichotomy_verdict(h, [(0, 1)], (1, 0), (2, 0)) is None
+    assert not is_v_adjacent(h, [(0, 1), (1, 0), (0, 1)], [(0, 2), (1, 0), (0, 1)], [(0, 1)])
+    for g, cross in [((1, 0), (2,)), ((1,), (2, 0)), ((1, 0), (2, 3)), ((-1, 0), (2, 0))]:
+        with pytest.raises(InputError):
+            dichotomy_verdict(h, [(0, 2)], g, cross)
 
 
 # --- walks ---------------------------------------------------------------------
