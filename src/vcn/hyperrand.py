@@ -74,7 +74,11 @@ class VAdjacencyWitness:
 
 
 def _check_vertex(h: PartiteHypergraph, v: Vertex) -> Vertex:
-    p, i = int(v[0]), int(v[1])
+    try:
+        p, i = v
+    except (TypeError, ValueError):
+        raise InputError(f"vertex {v} is not a [part, index] pair") from None
+    p, i = int(p), int(i)
     if not 0 <= p < h.n or not 0 <= i < h.part_sizes[p]:
         raise InputError(f"vertex {v} leaves the hypergraph")
     return (p, i)

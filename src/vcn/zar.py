@@ -4,7 +4,9 @@ For the complete n-partite n-uniform hypergraph with m vertices per part,
 z(n, m, d) is the least edge count that forces a copy of the complete
 d-per-part sub-hypergraph.  It is computed exactly by maximizing the edge
 count of a d-box-free subgraph with a branch-and-bound over per-vertex
-edge layers; the threshold is that maximum plus one.
+edge layers; the threshold is that maximum plus one.  The symmetry of the
+other parts is broken by one lex-leader rule (Crawford, Ginsberg, Luks &
+Roy 1996, in the row and column form of Flener et al. 2002).
 
 The extremal witnesses feed a set system made of the power sets of
 box-free witnesses placed on disjoint blocks: its box dimension collapses
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from itertools import combinations, permutations, product
-from math import factorial, prod
-from typing import Callable, Iterator, Sequence
+from itertools import combinations, product
+from math import prod
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError, _decode
 from .setsys import ProductUniverse, SetSystem
@@ -152,33 +154,19 @@ def _masks_from(start: int, width: int) -> Iterator[tuple[int, int]]:
             return
 
 
-def _root_leader_test(m: int, n: int, width: int) -> Callable[[int], bool] | None:
-    """Predicate for masks maximal in their orbit under coordinate permutations.
+def _adjacent_swaps(grid: list[tuple[int, ...]], m: int) -> list[tuple[int, int, int]]:
+    """The swap j <-> j+1 of each coordinate, as (low, high, shift) on cell masks.
 
-    Only used to prune the root of the layer search; None means no pruning.
+    low holds the cells with that coordinate at j and high = low << shift
+    the cells at j+1, so the swap exchanges the bits of low and high.
     """
-    if n == 2:
-        # one symmetric coordinate: the orbit max packs bits at the top
-        def packed_at_top(mask: int) -> bool:
-            k = mask.bit_count()
-            return mask == ((1 << k) - 1) << (m - k)
-
-        return packed_at_top
-    group_size = factorial(m) ** (n - 1)
-    if group_size > 10_000 or width > 16:
-        return None
-    grid = list(product(range(m), repeat=n - 1))
-    index = {t: i for i, t in enumerate(grid)}
-    images = [
-        [1 << index[tuple(perms[c][t[c]] for c in range(n - 1))] for t in grid]
-        for perms in product(permutations(range(m)), repeat=n - 1)
-    ]
-
-    def is_leader(mask: int) -> bool:
-        bits = [i for i in range(width) if mask >> i & 1]
-        return all(sum(img[i] for i in bits) <= mask for img in images)
-
-    return is_leader
+    swaps = []
+    for c in range(len(grid[0])):
+        shift = m ** (len(grid[0]) - 1 - c)
+        for j in range(m - 1):
+            low = sum(1 << i for i, t in enumerate(grid) if t[c] == j)
+            swaps.append((low, low << shift, shift))
+    return swaps
 
 
 def zarankiewicz(
@@ -190,9 +178,13 @@ def zarankiewicz(
     maximizing the edge count among d-box-free subgraphs; the threshold is
     that maximum plus one.  Layers are tried by popcount, then mask,
     descending, each child resuming at its parent's mask, so the search
-    keeps O(depth) state.  Every layer the search expands counts as one
-    node against the budget.  When the node budget runs out the best edge
-    count found so far still yields a valid lower bound on the threshold,
+    keeps O(depth) state.  A layer is skipped when an adjacent swap of
+    one coordinate's values fixes every earlier layer and raises it; the
+    lexicographically largest optimum is maximal in its orbit, so it is
+    never cut and is the one found first.  Every candidate that passes
+    the popcount bound counts as one node against the budget.  When the
+    node budget runs out the best edge count found so far, partial layer
+    lists included, still yields a valid lower bound on the threshold,
     flagged by status, never silently reported as exact.
     """
     if n < 1 or m < 1 or d < 1:
@@ -205,11 +197,7 @@ def zarankiewicz(
 
     width = m ** (n - 1)
     grid = list(product(range(m), repeat=n - 1))
-    root_ok = _root_leader_test(m, n, width)
     sub_d_size = d ** (n - 1)
-
-    def mask_tuples(mask: int) -> list[tuple[int, ...]]:
-        return [grid[i] for i in range(width) if mask >> i & 1]
 
     def violates(layers: list[int], new: int) -> bool:
         if d == 1:
@@ -227,42 +215,48 @@ def zarankiewicz(
         return False
 
     best_total = 0
-    best_layers: list[int] = [0] * m  # the empty subgraph is always box-free
+    best_layers: list[int] = []  # the empty subgraph is always box-free
     nodes = 0
     exhausted = False
 
-    def dfs(layers: list[int], total: int, start: int):
+    def dfs(layers: list[int], total: int, start: int, tied: list[tuple[int, int, int]]):
         nonlocal best_total, best_layers, nodes, exhausted
+        if total > best_total:
+            # the layers not yet chosen may stay empty: a prefix is a witness
+            best_total = total
+            best_layers = list(layers)
         if len(layers) == m:
-            if total > best_total:
-                best_total = total
-                best_layers = list(layers)
             return
         remaining = m - len(layers)
         for count, mask in _masks_from(start, width):
             if total + remaining * count <= best_total:
                 break  # masks come by popcount: no later mask can help
-            if not layers and root_ok is not None and not root_ok(mask):
-                continue
             if exhausted:
                 return
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 exhausted = True
                 return
+            # a swap that fixes every earlier layer and raises this one maps
+            # the sequence to a larger one in its orbit: skip it
+            if any((mask & low) << shift > mask & high for low, high, shift in tied):
+                continue
             if violates(layers, mask):
                 continue
             layers.append(mask)
-            dfs(layers, total + count, mask)
+            fixed = [s for s in tied if (mask & s[0]) << s[2] == mask & s[1]]
+            dfs(layers, total + count, mask, fixed)
             layers.pop()
 
-    dfs([], 0, (1 << width) - 1)
+    dfs([], 0, (1 << width) - 1, _adjacent_swaps(grid, m))
 
-    edges = set()
-    for v, mask in enumerate(best_layers):
-        for t in mask_tuples(mask):
-            edges.add((v, *t))
-    witness = PartiteHypergraph(n, (m,) * n, frozenset(edges))
+    edges = frozenset(
+        (v, *grid[i])
+        for v, mask in enumerate(best_layers)
+        for i in range(width)
+        if mask >> i & 1
+    )
+    witness = PartiteHypergraph(n, (m,) * n, edges)
     status = _LOWER if exhausted else _EXACT
     return ZarResult(best_total + 1, best_total, witness, status)
 

@@ -177,6 +177,25 @@ def test_dichotomy_verdict_checks_both_ends():
             dichotomy_verdict(h, [(0, 2)], g, cross)
 
 
+VERTEX_CALLS = {
+    "adjacency_walk": lambda h, x: adjacency_walk(h, [x, (1, 0)], [(0, 1), (1, 0)]),
+    "dichotomy_verdict": lambda h, x: dichotomy_verdict(h, [x], (1, 0), (2, 0)),
+    "is_v_adjacent": lambda h, x: is_v_adjacent(
+        h, [(0, 0), (1, 0), x], [(0, 1), (1, 0), x], [x]
+    ),
+    "random_subgraph": lambda h, x: random_subgraph(h, [x], (1, 0), 1),
+    "step_certificate": lambda h, x: step_certificate(h, [x, (1, 0)], [(0, 1), (1, 0)]),
+}
+
+
+@pytest.mark.parametrize("vertex", [(0,), (), (0, 1, 2), 0])
+@pytest.mark.parametrize("entry", sorted(VERTEX_CALLS))
+def test_vertex_not_a_pair_is_input_error(entry, vertex):
+    h = PartiteHypergraph(2, (3, 3), frozenset({(1, 0)}))
+    with pytest.raises(InputError, match=r"is not a \[part, index\] pair"):
+        VERTEX_CALLS[entry](h, vertex)
+
+
 # --- walks ---------------------------------------------------------------------
 
 

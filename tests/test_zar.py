@@ -8,8 +8,9 @@ published small values.
 
 import math
 import random
+import time
 import tracemalloc
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
@@ -27,7 +28,7 @@ from vcn import (
     z22_lower_bound,
     zarankiewicz,
 )
-from vcn.zar import _masks_from, _root_leader_test
+from vcn.zar import _adjacent_swaps, _masks_from
 
 # (n, m, d) -> threshold, from the exhaustive reference
 FROZEN = {
@@ -63,8 +64,15 @@ def test_zarankiewicz_matches_reference(key):
         (2, 7, 2, 22),
         (2, 8, 2, 25),
         (2, 9, 2, 30),
+        (2, 10, 2, 35),
+        (2, 11, 2, 40),
+        (2, 12, 2, 46),
+        # the 3 x 3 box (Guy 1969; OEIS A001198)
         (2, 4, 3, 14),
         (2, 5, 3, 21),
+        (2, 8, 3, 43),
+        (2, 9, 3, 50),
+        (2, 10, 3, 61),
         (2, 4, 4, 16),  # only the full grid contains the full box
     ],
 )
@@ -72,6 +80,10 @@ def test_published_bipartite_values(n, m, d, want):
     res = zarankiewicz(n, m, d)
     assert res.status == "exact"
     assert res.z == want
+    h = res.extremal_witness
+    assert len(h.edges) == want - 1
+    assert not contains_complete_partite(h, d)
+    assert not ref_has_box(set(h.edges), n, m, d)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -95,24 +107,30 @@ def test_mask_order_matches_sorted_reference(width):
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
-def test_root_leaders_are_orbit_maxima(m, n):
+def test_adjacent_swaps_are_coordinate_transpositions(m, n):
     width = m ** (n - 1)
     grid = list(product(range(m), repeat=n - 1))
-    maps = [
-        [grid.index(tuple(p[c][t[c]] for c in range(n - 1))) for t in grid]
-        for p in product(permutations(range(m)), repeat=n - 1)
-    ]
-    leaders = {
-        max(sum(1 << mp[i] for i in range(width) if mask >> i & 1) for mp in maps)
-        for mask in range(1 << width)
-    }
-    is_leader = _root_leader_test(m, n, width)
-    assert {mask for mask in range(1 << width) if is_leader(mask)} == leaders
+    swaps = _adjacent_swaps(grid, m)
+    assert len(swaps) == (n - 1) * (m - 1)
+    transpositions = [(c, j) for c in range(n - 1) for j in range(m - 1)]
+    for (low, high, shift), (c, j) in zip(swaps, transpositions):
+        swap = {j: j + 1, j + 1: j}
+        image = [
+            grid.index(tuple(swap.get(x, x) if i == c else x for i, x in enumerate(t)))
+            for t in grid
+        ]
+        for mask in range(1 << width):
+            want = sum(1 << image[i] for i in range(width) if mask >> i & 1)
+            got = (mask & low) << shift | (mask & high) >> shift | mask & ~(low | high)
+            assert got == want
+            assert ((mask & low) << shift > mask & high) == (want > mask)
+            assert ((mask & low) << shift == mask & high) == (want == mask)
 
 
 # (n, m, d, node_budget) -> (z, status, witness): one string per vertex of
-# the first part, listing its edges' remaining coordinates digit by digit.
-# The search order decides which extremal witness comes out first, and the
+# the first part, listing its edges' remaining coordinates digit by digit
+# in base 36 (a = 10, b = 11).
+# The search order decides which extremal witness comes out first, and a
 # capped row's answer depends on the node count the budget reads.
 FROZEN_WITNESSES = {
     (2, 5, 2, None): (13, "exact", ["1 2 3 4", "0 4", "0 3", "0 2", "0 1"]),
@@ -141,9 +159,20 @@ FROZEN_WITNESSES = {
         ["1 2 3 4 5 6", "0 3 4 5 6", "0 1 2 5 6", "0 1 2 3 4", "0 2 4 6", "0 1 3 6", "0 1 4 5"],
     ),
     (2, 10, 2, 100_000): (
-        31,
+        35,
+        "exact",
+        [
+            "6 7 8 9", "3 4 5 9", "1 2 5 8", "0 2 4 7", "0 1 9",
+            "0 3 8", "1 3 7", "0 5 6", "1 4 6", "2 3 6",
+        ],
+    ),
+    (2, 12, 2, 100_000): (
+        39,
         "lower_bound_only",
-        ["4 5 6 7 8 9", "2 3 9", "0 1 9", "1 3 8", "0 2 8", "0 3 7", "1 2 7", "3 6", "2 6", "1 6"],
+        [
+            "5 6 7 8 9 a b", "2 3 4 b", "0 1 b", "1 4 a", "0 3 a", "0 4 9",
+            "1 3 9", "1 2 8", "0 2 7", "2 a", "2 9", "4 8",
+        ],
     ),
 }
 
@@ -154,7 +183,9 @@ def test_search_order_is_frozen(key):
     res = zarankiewicz(*key)
     assert (res.z, res.status) == (z, status)
     want = {
-        (v, *map(int, cell)) for v, row in enumerate(rows) for cell in row.split()
+        (v, *(int(c, 36) for c in cell))
+        for v, row in enumerate(rows)
+        for cell in row.split()
     }
     assert sorted(res.extremal_witness.edges) == sorted(want)
 
@@ -169,11 +200,22 @@ def test_reiman_bound(m):
 
 
 def test_three_partite_m4_is_exact():
-    # the orbit-leader test at the root must not enumerate every mask
+    # 2**16 candidate layers per vertex: the symmetry rule must prune them
     res = zarankiewicz(3, 4, 2)
     assert res.status == "exact"
     assert res.z == 50
     assert not contains_complete_partite(res.extremal_witness, 2)
+
+
+def test_four_partite_m3_is_exact():
+    # 2**27 candidate layers per vertex
+    res = zarankiewicz(4, 3, 2)
+    assert res.status == "exact"
+    assert res.z == 74
+    h = res.extremal_witness
+    assert len(h.edges) == 73
+    assert not contains_complete_partite(h, 2)
+    assert not ref_has_box(set(h.edges), 4, 3, 2)
 
 
 def test_capped_search_memory_stays_small():
@@ -199,9 +241,24 @@ def test_witness_is_extremal_and_box_free():
 
 
 def test_budget_exhaustion_reports_lower_bound():
+    # the first layer alone, padded with empty layers, is box-free, so the
+    # bound counts its 4 edges although no search path reached full depth
     res = zarankiewicz(2, 4, 2, node_budget=3)
     assert res.status == "lower_bound_only"
-    assert 1 <= res.z <= 10
+    assert res.z == 5
+    assert len(res.extremal_witness.edges) == res.extremal_edge_count == 4
+    assert not contains_complete_partite(res.extremal_witness, 2)
+
+
+def test_budget_bounds_time():
+    # the budget counts skipped candidates too, so a capped search over
+    # 2**25 layers per vertex stops quickly, with a partial incumbent
+    start = time.perf_counter()
+    res = zarankiewicz(3, 5, 2, node_budget=100_000)
+    assert time.perf_counter() - start < 5
+    assert res.status == "lower_bound_only"
+    assert res.z == 26
+    assert len(res.extremal_witness.edges) == res.extremal_edge_count == 25
     assert not contains_complete_partite(res.extremal_witness, 2)
 
 
