@@ -153,10 +153,13 @@ def _block_name(index: int) -> str:
 
 def _parse_var(token: str, lengths: tuple[int, ...]):
     name, _, comp = token.partition(".")
-    comp_idx = int(comp) if comp else 0
+    try:
+        comp_idx = int(comp) if comp else 0
+    except ValueError:
+        raise InputError(f"unknown variable {token!r}") from None
     if name == "x":
         block = 0
-    elif name.startswith("y") and name[1:].isdigit():
+    elif name.startswith("y") and name[1:].isdecimal():
         block = 1 + int(name[1:])
     else:
         raise InputError(f"unknown variable {token!r}")
@@ -170,9 +173,13 @@ def _validate_node(node, lengths):
         raise InputError(f"bad formula node {node!r}")
     op = node[0]
     if op in ("atom", "eq"):
-        _, _name, vars_ = node if op == "atom" else (None, None, node[1:])
-        for block, comp in vars_:
-            if block >= len(lengths) or not 0 <= comp < lengths[block]:
+        if len(node) != 3 or op == "atom" and not isinstance(node[2], tuple):
+            raise InputError(f"bad formula node {node!r}")
+        for var in node[2] if op == "atom" else node[1:]:
+            block, comp = var if isinstance(var, tuple) and len(var) == 2 else (None, None)
+            if not isinstance(block, int) or not isinstance(comp, int):
+                raise InputError(f"variable {var!r} is not a (block, component) pair")
+            if not 0 <= block < len(lengths) or not 0 <= comp < lengths[block]:
                 raise InputError(f"variable ({block},{comp}) leaves the declared blocks")
     elif op == "not":
         if len(node) != 2:

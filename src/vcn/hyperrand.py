@@ -7,9 +7,12 @@ level-t check demands, for every part j, a realizer for every
 positive/negative adjacency pattern combined with an order window, where
 the pattern tuples and the finite window endpoints together cost at most
 t; a window only obliges when some vertex lies strictly inside it.  The
-sample that passes is an ExtensionHypergraph: a PartiteHypergraph that
-also records the level it passed and its seed, so it goes wherever a
-PartiteHypergraph goes.
+check reads each part's adjacency as bitmasks: an instance's realizers
+are the window's vertices that close each positive tuple into an edge
+and no negative one, an AND of one mask per tuple.  The sample that
+passes is an ExtensionHypergraph: a PartiteHypergraph that also records
+the level it passed and its seed, so it goes wherever a PartiteHypergraph
+goes.
 
 Vertices are (part, position) pairs ordered part-major.  Two equal-length
 vertex sets sharing a tail V are V-adjacent when the natural map is an
@@ -77,38 +80,12 @@ def _check_vertex(h: PartiteHypergraph, v: Vertex) -> Vertex:
     try:
         p, i = v
     except (TypeError, ValueError):
-        raise InputError(f"vertex {v} is not a [part, index] pair") from None
-    p, i = int(p), int(i)
+        p = i = None
+    if not isinstance(p, int) or not isinstance(i, int):
+        raise InputError(f"vertex {v} is not a [part, index] pair")
     if not 0 <= p < h.n or not 0 <= i < h.part_sizes[p]:
         raise InputError(f"vertex {v} leaves the hypergraph")
     return (p, i)
-
-
-def _edge_by_part(h: PartiteHypergraph, fillers: Sequence[int] | dict[int, int]) -> bool:
-    return tuple(fillers[p] for p in range(h.n)) in h.edges
-
-
-def _other_tuples(h: PartiteHypergraph, j: int) -> list[tuple[int, ...]]:
-    """All index tuples over the parts other than j, in part order."""
-    ranges = [range(h.part_sizes[p]) for p in range(h.n) if p != j]
-    return list(product(*ranges))
-
-
-def _realizes(
-    h: PartiteHypergraph,
-    j: int,
-    b: int,
-    pos: Iterable[tuple[int, ...]],
-    neg: Iterable[tuple[int, ...]],
-) -> bool:
-    parts_other = [p for p in range(h.n) if p != j]
-    for want, group in ((True, pos), (False, neg)):
-        for tup in group:
-            fillers = dict(zip(parts_other, tup))
-            fillers[j] = b
-            if _edge_by_part(h, fillers) != want:
-                return False
-    return True
 
 
 def find_extension_violation(h: PartiteHypergraph, t: int):
@@ -124,7 +101,13 @@ def find_extension_violation(h: PartiteHypergraph, t: int):
         raise InputError("extension level must be nonnegative")
     for j in range(h.n):
         size = h.part_sizes[j]
-        others = _other_tuples(h, j)
+        # adj[x]: the part-j vertices that close the other-part tuple x into an edge
+        adj = dict.fromkeys(
+            product(*(range(h.part_sizes[p]) for p in range(h.n) if p != j)), 0
+        )
+        for e in h.edges:
+            adj[e[:j] + e[j + 1 :]] |= 1 << e[j]
+        others = list(adj)
         windows: list[tuple[int | None, int | None, int]] = [(None, None, 0)]
         windows += [(None, hi, 1) for hi in range(1, size)]
         windows += [(lo, None, 1) for lo in range(size - 1)]
@@ -134,15 +117,22 @@ def find_extension_violation(h: PartiteHypergraph, t: int):
             for hi in range(lo + 2, size)
         ]
         for lo, hi, wcost in windows:
-            inside = range(0 if lo is None else lo + 1, size if hi is None else hi)
+            if wcost > t:
+                continue
+            start = 0 if lo is None else lo + 1
+            inside = (1 << (size if hi is None else hi)) - (1 << start)
             for total in range(t - wcost + 1):
                 for s0 in range(total + 1):
                     for a0 in combinations(others, s0):
-                        rest = [x for x in others if x not in a0]
+                        pos = inside
+                        for x in a0:
+                            pos &= adj[x]
+                        rest = [x for x in others if x not in a0] if s0 < total else []
                         for a1 in combinations(rest, total - s0):
-                            if not any(
-                                _realizes(h, j, b, a0, a1) for b in inside
-                            ):
+                            realizers = pos
+                            for x in a1:
+                                realizers &= ~adj[x]
+                            if not realizers:
                                 return (j, a0, a1, (lo, hi))
     return None
 
@@ -262,7 +252,7 @@ def dichotomy_verdict(
         return None
     if not _mixed_agree(h, _by_part(v), [[i] for i in g], gp, range(h.n)):
         return None
-    return "iso" if _edge_by_part(h, g) == _edge_by_part(h, gp) else "adjacent"
+    return "iso" if (tuple(g) in h.edges) == (tuple(gp) in h.edges) else "adjacent"
 
 
 def is_v_adjacent(
@@ -292,33 +282,32 @@ def is_v_adjacent(
     return dichotomy_verdict(h, v, [x[1] for x in g], [x[1] for x in gp]) == "adjacent"
 
 
-def _positional_edges(h: PartiteHypergraph, w: Sequence[Vertex]) -> list[tuple[int, ...]]:
-    """Position tuples of w covering every part exactly once, sorted."""
-    by_part = _by_part((p, pos) for pos, (p, _) in enumerate(w))
-    if set(by_part) != set(range(h.n)):
-        return []
-    out = [
-        tuple(sorted(combo))
-        for combo in product(*(by_part[p] for p in range(h.n)))
-    ]
-    return sorted(set(out))
-
-
-def _edge_value(h: PartiteHypergraph, verts: Iterable[Vertex]) -> bool:
-    return _edge_by_part(h, {p: i for p, i in verts})
+def _check_lists(
+    h: PartiteHypergraph, w: Sequence[Vertex], w_prime: Sequence[Vertex]
+) -> tuple[list[Vertex], list[Vertex]]:
+    """Checked vertices of two lists of one length, with the same part at each position."""
+    w = [_check_vertex(h, x) for x in w]
+    w_prime = [_check_vertex(h, x) for x in w_prime]
+    if len(w) != len(w_prime):
+        raise InputError("vertex lists must share one length")
+    if any(a[0] != b[0] for a, b in zip(w, w_prime)):
+        raise InputError("positions must agree on parts")
+    return w, w_prime
 
 
 def walk_discrepancies(
     h: PartiteHypergraph, w: Sequence[Vertex], w_prime: Sequence[Vertex]
 ) -> list[tuple[int, ...]]:
-    """Position tuples whose edge values differ between the two sets."""
+    """Sorted position tuples, one position per part, whose edges differ."""
+    w, w_prime = _check_lists(h, w, w_prime)
+    by_part = _by_part((p, pos) for pos, (p, _) in enumerate(w))
     out = []
-    for positions in _positional_edges(h, w):
-        left = _edge_value(h, [w[i] for i in positions])
-        right = _edge_value(h, [w_prime[i] for i in positions])
-        if left != right:
-            out.append(positions)
-    return out
+    for positions in product(*(by_part.get(p, ()) for p in range(h.n))):
+        left = tuple(w[i][1] for i in positions)
+        right = tuple(w_prime[i][1] for i in positions)
+        if (left in h.edges) != (right in h.edges):
+            out.append(tuple(sorted(positions)))
+    return sorted(out)
 
 
 def adjacency_walk(
@@ -334,15 +323,9 @@ def adjacency_walk(
     sets are V-adjacent for V the untouched remainder.  Raises when no
     replacement vertex exists for a discrepancy.
     """
-    w = [_check_vertex(h, x) for x in w]
-    w_prime = [_check_vertex(h, x) for x in w_prime]
-    if len(w) != len(w_prime):
-        raise InputError("vertex lists must share one length")
+    w, w_prime = _check_lists(h, w, w_prime)
     if len(set(w)) != len(w) or len(set(w_prime)) != len(w_prime):
         raise InputError("vertex lists must be duplicate-free")
-    for a, b in zip(w, w_prime):
-        if a[0] != b[0]:
-            raise InputError("positions must agree on parts")
     for i, j in combinations(range(len(w)), 2):
         if w[i][0] == w[j][0]:
             if (w[i][1] < w[j][1]) != (w_prime[i][1] < w_prime[j][1]):
@@ -380,7 +363,7 @@ def _walk_step(h, cur, positions):
     for i in positions:
         g[cur[i][0]] = cur[i][1]
     left = [[i] for i in g]
-    edge = _edge_by_part(h, g)
+    edge = tuple(g) in h.edges
     for pos in positions:
         p, old = cur[pos]
         lo, hi = _window(h, v_by_part, p, old)
@@ -390,7 +373,7 @@ def _walk_step(h, cur, positions):
             if (p, b) in cur:
                 continue
             gp[p] = b
-            if _edge_by_part(h, gp) == edge:
+            if (tuple(gp) in h.edges) == edge:
                 continue
             if not _mixed_agree(h, v_by_part, left, gp, free):
                 continue
@@ -405,10 +388,7 @@ def step_certificate(
     wb: Sequence[Vertex],
 ) -> VAdjacencyWitness:
     """Recover (V, flipped edge) for one walk step and verify V-adjacency."""
-    wa = [_check_vertex(h, x) for x in wa]
-    wb = [_check_vertex(h, x) for x in wb]
-    if len(wa) != len(wb):
-        raise InputError("steps must share one length")
+    wa, wb = _check_lists(h, wa, wb)
     moved = [i for i in range(len(wa)) if wa[i] != wb[i]]
     if len(moved) != 1:
         raise InputError("a step must move exactly one vertex")

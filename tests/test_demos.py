@@ -1,4 +1,7 @@
-"""Every narrative demo runs to completion against the library in src."""
+"""Every narrative demo runs against the library in src and prints its pinned text.
+
+The expected stdout of each demo lives in tests/demo_output/<demo>.txt.
+"""
 
 import os
 import subprocess
@@ -28,4 +31,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (ROOT / "tests" / "demo_output" / f"{demo.stem}.txt").read_text()

@@ -59,18 +59,42 @@ def test_parse_component_suffixes():
 
 
 def test_parse_rejects_malformed():
-    for text, lengths in [
-        ("(R x y0", (1, 1)),  # unbalanced
-        ("(R x y1)", (1, 1)),  # undeclared block
-        ("(= x.1 y0)", (1, 1)),  # component out of range
-        ("(frob x)", (1, 1)),  # arity-one atom is fine, but...
+    for text in [
+        "(R x y0",  # unbalanced
+        "(R x",
+        "(R x y1)",  # undeclared block
+        "(= x.1 y0)",  # component out of range
+        "(R x.a y0)",  # component not a number
+        "(R x y0) y0",  # trailing tokens
+        "",
+        ")",
+        "(R z)",  # unknown variable
+        "(R x y\u00b2)",  # a superscript is not a block number
+        "(not (R x y0) (R x y0))",
+        "(and)",
     ]:
-        if text == "(frob x)":
-            continue
         with pytest.raises(InputError):
-            parse_formula(text, lengths)
+            parse_formula(text, (1, 1))
     with pytest.raises(InputError):
         QfFormula((1,), ("atom", "R", ((0, 0),)))  # no parameter block
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        ("eq", (0, 0)),
+        ("eq", (0, 0), (1, 0), (1, 0)),
+        ("eq", (0, 0), (-1, 0)),
+        ("eq", (0, 0), (1, "0")),
+        ("atom", "R"),
+        ("atom", "R", 5),
+        ("atom", "R", ((0,),)),
+        ("not", ("atom", "R", ((0, 0), [1, 0]))),
+    ],
+)
+def test_malformed_ast_is_input_error(body):
+    with pytest.raises(InputError):
+        QfFormula((1, 1), body)
 
 
 def test_eval_formula_on_known_structure():
@@ -141,6 +165,16 @@ def test_pi_phi_equals_shatter_fn(seed):
     assert dim_phi(s, phi) == vc_n_dim(system)
 
 
+def test_dim_phi_size_cap():
+    s = random_structure(1, domain=4, signature=(("R", 2),))
+    phi = edge_formula(1)
+    assert dim_phi(s, phi) == 2
+    for cap in range(4):
+        assert dim_phi(s, phi, cap) == min(2, cap)
+    with pytest.raises(InputError):
+        dim_phi(s, phi, -1)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_negation_preserves_pi(seed):
     s = random_structure(seed, domain=3, signature=(("R", 3),))
@@ -169,6 +203,13 @@ def test_parameter_block_permutation_invariance(seed):
     assert dim_phi(s, phi) == dim_phi(s, swapped)
     for m in (1, 2):
         assert pi_phi(s, [phi], m) == pi_phi(s, [swapped], m)
+
+
+def test_permute_blocks_remaps_every_node():
+    phi = parse_formula("(or (not (R x y0 y1)) (= y0.1 y1))", (1, 2, 1))
+    swapped = permute_blocks(phi, (0, 2, 1))
+    assert swapped.block_lengths == (1, 1, 2)
+    assert format_formula(swapped) == "(or (not (R x y1 y0)) (= y1.1 y0))"
 
 
 def test_permute_blocks_validation():

@@ -188,7 +188,7 @@ VERTEX_CALLS = {
 }
 
 
-@pytest.mark.parametrize("vertex", [(0,), (), (0, 1, 2), 0])
+@pytest.mark.parametrize("vertex", [(0,), (), (0, 1, 2), 0, "01", (0.5, 1)])
 @pytest.mark.parametrize("entry", sorted(VERTEX_CALLS))
 def test_vertex_not_a_pair_is_input_error(entry, vertex):
     h = PartiteHypergraph(2, (3, 3), frozenset({(1, 0)}))
@@ -253,6 +253,25 @@ def test_step_certificate_validation():
         step_certificate(h, [(0, 0), (1, 0)], [(0, 1), (1, 1)])  # two moves
     with pytest.raises(InputError):
         step_certificate(h, [(0, 0), (1, 0)], [(0, 0), (1, 0)])  # no move
+    with pytest.raises(InputError, match="share one length"):
+        step_certificate(h, [(0, 0), (1, 0)], [(0, 0)])
+    with pytest.raises(InputError, match="agree on parts"):
+        step_certificate(h, [(0, 0), (1, 0)], [(1, 1), (1, 0)])  # the move leaves part 0
+
+
+@pytest.mark.parametrize(
+    "w, w_prime, message",
+    [
+        ([(0, 0), (1, 0)], [(0, 0)], "share one length"),
+        ([(0, 0), (1, 0)], [(1, 0), (1, 1)], "agree on parts"),
+        ([(0, 7), (1, 0)], [(0, 1), (1, 0)], "leaves the hypergraph"),
+    ],
+    ids=["length", "parts", "range"],
+)
+def test_walk_discrepancies_checks_its_lists(w, w_prime, message):
+    h = PartiteHypergraph(2, (3, 3), frozenset({(1, 0)}))
+    with pytest.raises(InputError, match=message):
+        walk_discrepancies(h, w, w_prime)
 
 
 # --- subgraph selection ---------------------------------------------------------

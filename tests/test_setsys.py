@@ -112,6 +112,8 @@ def test_is_shattered_matches_reference(seed):
 def test_dim_and_shatter_match_reference(seed):
     s = random_system(seed, n=2, max_part=3, max_members=25)
     assert vc_n_dim(s) == ref_dim(s)
+    for cap in range(3):
+        assert vc_n_dim(s, cap) == min(ref_dim(s), cap)
     for m in range(min(s.universe.part_sizes) + 1):
         assert shatter_fn(s, m) == ref_shatter(s, m)
 
@@ -128,6 +130,8 @@ def test_dim_of_empty_system_is_refused():
     u = ProductUniverse((2, 2))
     with pytest.raises(InputError):
         vc_n_dim(SetSystem(u, ()))
+    with pytest.raises(InputError):
+        vc_n_dim(SetSystem(u, (0,)), size_cap=-1)
 
 
 def test_single_member_system_has_dim_zero():
