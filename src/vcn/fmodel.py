@@ -8,7 +8,9 @@ object tuples against a fixed structure yields a set system over the
 product of the parameter tuple spaces; counting distinct truth patterns of
 object tuples against finite parameter boxes counts realized types.  The
 two views agree cell by cell, and the test suite checks that agreement
-directly.
+directly.  Both read one evaluator, which turns each formula into one
+bitmask over the assignment space, so type counting over all boxes is the
+shatter function of the delta-type system.
 
 Formulas are exchanged as s-expressions, e.g.::
 
@@ -22,12 +24,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from math import prod
+from operator import and_, or_
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, _decode
 from .ramsey import RelStructure
-from .setsys import ProductUniverse, SetSystem, vc_n_dim
+from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
 from .zar import PartiteHypergraph, build_extremal_family
 
 
@@ -366,23 +371,94 @@ def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...
     return list(product(range(structure.domain_size), repeat=length))
 
 
-def _patterns(
-    structure: FiniteStructure, fns: Sequence[Callable], lists: Sequence, object_length: int
-) -> Iterator[int]:
-    """Truth pattern of each object tuple, in row-major order, as an int.
+def _formula_masks(
+    structure: FiniteStructure, delta: Sequence[QfFormula], lists: Sequence[Sequence]
+) -> list[int]:
+    """One bitmask per formula over an assignment space.
+
+    The space is the row-major product of lists, one list of tuples per
+    block, object block first: bit i holds the formula at assignment i.
+    """
+    sizes = [len(lst) for lst in lists]
+    strides = [prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    space = prod(sizes)
+    full = (1 << space) - 1
+    diagonal = frozenset((v, v) for v in range(structure.domain_size))
+
+    def cylinder(vars_, tuples) -> int:
+        """The assignments whose values at vars_ form a tuple in tuples."""
+        if not space:
+            return 0
+        # comps[b]: the components of block b that vars_ reads, for each block it reads
+        blocks = sorted({b for b, _ in vars_})
+        comps = {b: sorted({c for bb, c in vars_ if bb == b}) for b in blocks}
+        # offsets[b][key]: bit offsets of the block-b tuples whose values at comps[b] are key
+        offsets = {}
+        for b, cs in comps.items():
+            groups = offsets[b] = {}
+            for p, t in enumerate(lists[b]):
+                groups.setdefault(tuple(t[c] for c in cs), []).append(p * strides[b])
+        keys = []  # one key per mentioned block, for each satisfying assignment of vars_
+        if len(tuples) < prod(map(len, offsets.values())):
+            for t in tuples:
+                value = {}
+                if all(value.setdefault(var, v) == v for var, v in zip(vars_, t)):
+                    key = [tuple(value[b, c] for c in cs) for b, cs in comps.items()]
+                    if all(k in offsets[b] for k, b in zip(key, comps)):
+                        keys.append(key)
+        else:
+            slots = [(list(comps).index(b), comps[b].index(c)) for b, c in vars_]
+            for key in product(*offsets.values()):
+                if tuple(key[i][j] for i, j in slots) in tuples:
+                    keys.append(key)
+        buf = bytearray(space // 8 + 1)
+        for key in keys:
+            for o in map(sum, product(*(offsets[b][k] for b, k in zip(comps, key)))):
+                buf[o >> 3] |= 1 << (o & 7)
+        mask = int.from_bytes(buf, "little")
+        # the blocks vars_ leaves free: every position, by one carry-free product
+        for b, size in enumerate(sizes):
+            if b not in comps:
+                mask *= ((1 << size * strides[b]) - 1) // ((1 << strides[b]) - 1)
+        return mask
+
+    def build(node) -> int:
+        op = node[0]
+        if op == "atom":
+            name, vars_ = node[1], node[2]
+            rel = structure.relations.get(name)
+            if rel is None:
+                raise InputError(f"unknown relation {name}")
+            if rel.arity != len(vars_):
+                raise InputError(
+                    f"relation {name} expects arity {rel.arity}, got {len(vars_)}"
+                )
+            return cylinder(vars_, rel.tuples)
+        if op == "eq":
+            return cylinder(node[1:], diagonal)
+        if op == "not":
+            return full ^ build(node[1])
+        masks = [build(child) for child in node[1:]]
+        return reduce(and_ if op == "and" else or_, masks)
+
+    return [build(phi.body) for phi in delta]
+
+
+def _types(
+    structure: FiniteStructure, delta: Sequence[QfFormula], lists: Sequence[Sequence]
+) -> list[int]:
+    """Truth pattern of each object tuple of lists[0], in list order, as an int.
 
     Bit f * cells + g holds formula f on cell g of the row-major product
     of the parameter lists.
     """
-    cells = list(product(*lists))
-    for b in product(range(structure.domain_size), repeat=object_length):
-        pattern, bit = 0, 1
-        for fn in fns:
-            for cell in cells:
-                if fn((b, *cell)):
-                    pattern |= bit
-                bit <<= 1
-        yield pattern
+    masks = _formula_masks(structure, delta, lists)
+    cells = prod(len(lst) for lst in lists[1:])
+    low = (1 << cells) - 1
+    return [
+        sum((mask >> p * cells & low) << f * cells for f, mask in enumerate(masks))
+        for p in range(len(lists[0]))
+    ]
 
 
 def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
@@ -391,10 +467,9 @@ def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
     The universe has one part per parameter block, of size
     domain ** block_length, with parameter tuples indexed row-major.
     """
-    fn = _compile(structure, phi)
-    spaces = [block_tuples(structure, l) for l in phi.block_lengths[1:]]
-    universe = ProductUniverse(tuple(len(s) for s in spaces))
-    members = set(_patterns(structure, [fn], spaces, phi.block_lengths[0]))
+    spaces = [block_tuples(structure, l) for l in phi.block_lengths]
+    universe = ProductUniverse(tuple(len(s) for s in spaces[1:]))
+    members = set(_types(structure, [phi], spaces))
     return SetSystem(universe, tuple(sorted(members)))
 
 
@@ -445,23 +520,30 @@ def count_types(
     if len(boxes) != len(shape) - 1:
         raise InputError("one parameter box per parameter block required")
     norm = _param_lists(structure, boxes, shape[1:], "box")
-    fns = [_compile(structure, phi) for phi in delta]
-    patterns = set(_patterns(structure, fns, norm, shape[0]))
+    patterns = set(_types(structure, delta, [block_tuples(structure, shape[0]), *norm]))
     return TypeCount(tuple(norm), len(patterns))
 
 
 def pi_phi(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> int:
-    """Maximum type count over all parameter boxes of size m per block."""
+    """Maximum type count over all parameter boxes of size m per block.
+
+    This is a shatter function of the delta-type system: one member per
+    object tuple over the universe (formula, parameter tuple of each
+    block), where every box takes the formula coordinate whole.
+    """
     shape = _check_delta(delta)
     if m < 0:
         raise InputError("box size must be nonnegative")
-    spaces = [block_tuples(structure, l) for l in shape[1:]]
-    if any(m > len(s) for s in spaces):
+    spaces = [block_tuples(structure, l) for l in shape]
+    if any(m > len(s) for s in spaces[1:]):
         raise InputError(f"box size {m} exceeds a parameter tuple space")
-    best = 0
-    for boxes in product(*(combinations(space, m) for space in spaces)):
-        best = max(best, count_types(structure, delta, boxes).count)
-    return best
+    types = list(set(_types(structure, delta, spaces)))
+    if m == 0:
+        return 1  # every object tuple has the one empty pattern
+    sizes = (len(delta), *(len(s) for s in spaces[1:]))
+    pools = [[tuple(range(len(delta)))], *(combinations(range(s), m) for s in sizes[1:])]
+    cap = min(len(types), 1 << len(delta) * m ** (len(sizes) - 1))
+    return _max_trace(types, sizes, pools, 0, cap)
 
 
 def dim_phi(
@@ -495,13 +577,8 @@ def verify_ipn_witness(
         raise BudgetExceededError(
             f"{total} patterns exceed the budget of {budget}; refusing to sample"
         )
-    fn = _compile(structure, phi)
-    seen = set()
-    for pattern in _patterns(structure, [fn], norm, phi.block_lengths[0]):
-        seen.add(pattern)
-        if len(seen) == total:
-            return True
-    return False
+    objects = block_tuples(structure, phi.block_lengths[0])
+    return len(set(_types(structure, [phi], [objects, *norm]))) == total
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def _check_vertex(h: PartiteHypergraph, v: Vertex) -> Vertex:
         p, i = v
     except (TypeError, ValueError):
         p = i = None
-    if not isinstance(p, int) or not isinstance(i, int):
+    if type(p) is not int or type(i) is not int:  # exact: True is no index
         raise InputError(f"vertex {v} is not a [part, index] pair")
     if not 0 <= p < h.n or not 0 <= i < h.part_sizes[p]:
         raise InputError(f"vertex {v} leaves the hypergraph")
@@ -422,9 +422,9 @@ def random_subgraph(
     if s < 1:
         raise InputError("per-part size must be positive")
     v = [_check_vertex(h, x) for x in v]
-    g = tuple(int(x) for x in g)
     if len(g) != h.n:
         raise InputError("reference edge must pick one vertex per part")
+    g = tuple(_check_vertex(h, x)[1] for x in enumerate(g))
     if g not in h.edges:
         raise InputError("reference tuple must be an edge")
     if any((p, i) in v for p, i in enumerate(g)):

@@ -7,7 +7,9 @@ equally sized selections A_i, one per part; the system shatters the box
 when its trace on the box realizes every subset of the box's tuple grid.
 The box dimension of a system is the largest selection size m for which
 some box of size m is shattered, and the shatter function records, for
-each m, the largest trace a size-m box attains.
+each m, the largest trace a size-m box attains.  Traces are gathered from
+row words: the bits of a member over the last part, one word per index
+tuple of the other parts.
 
 Ground families (plain families over an unstructured ground set) support
 the element-wise down-shift used to compress a family without increasing
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from functools import reduce
+from itertools import chain, combinations, product
 from math import comb, prod
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, _decode
@@ -201,45 +205,118 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _box_pools(universe: ProductUniverse, m: int) -> list[Iterator[tuple[int, ...]]]:
+    """Each part's size-m selections, in lexicographic order."""
+    return [combinations(range(s), m) for s in universe.part_sizes]
+
+
 def iter_boxes(universe: ProductUniverse, m: int) -> Iterator[BoxSpec]:
     """All boxes of size m, selections in lexicographic order per part."""
     if m < 0:
         raise InputError("box size must be nonnegative")
     if any(m > s for s in universe.part_sizes):
         return iter(())
-    pools = [combinations(range(s), m) for s in universe.part_sizes]
-    return (BoxSpec(sels) for sels in product(*pools))
+    return (BoxSpec(sels) for sels in product(*_box_pools(universe, m)))
 
 
-def _member_traces(system: SetSystem, cells: list[int]) -> Iterator[int]:
-    """Each member restricted to the cells, bit i standing for cells[i]."""
-    for member in system.members:
-        t = 0
-        for i, cell in enumerate(cells):
-            if member >> cell & 1:
-                t |= 1 << i
-        yield t
+def _row_words(members: Sequence[int], width: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """Each member split into its words at the given rows.
+
+    Row r holds the tuples whose first n-1 coordinates have row-major
+    index r; its word is their bits over the last part, width bits long.
+    """
+    low = (1 << width) - 1
+    by_row = [[member >> r * width & low for member in members] for r in rows]
+    return list(zip(*by_row)) or [()] * len(members)
+
+
+def _rows(sizes: Sequence[int], selections: Sequence[Sequence[int]]) -> list[int]:
+    """Rows, in box order, of the index tuples picked from the first n-1 parts."""
+    rows = [0]
+    for size, sel in zip(sizes, selections):
+        rows = [r * size + v for r in rows for v in sel]
+    return rows
+
+
+def _gather(words: Iterable[int], cols: Sequence[int]) -> dict[int, int]:
+    """Each word mapped to its bits at cols, bit j standing for cols[j]."""
+    return {w: sum((w >> c & 1) << j for j, c in enumerate(cols)) for w in words}
+
+
+def _box_vectors(system: SetSystem, box: BoxSpec) -> set[tuple[int, ...]]:
+    """Distinct member traces on a checked box, each a tuple of gathered row words."""
+    *row_sels, cols = box.selections
+    sizes = system.universe.part_sizes
+    words = _row_words(system.members, sizes[-1], _rows(sizes, row_sels))
+    table = _gather(set(chain.from_iterable(words)), cols)
+    return {tuple(map(table.__getitem__, ws)) for ws in words}
 
 
 def trace(system: SetSystem, box: BoxSpec) -> GroundFamily:
-    """Restrict every member to the box, re-indexed over the box grid."""
-    cells = box.cell_indices(system.universe)
-    seen = set(_member_traces(system, cells))
-    return GroundFamily(len(cells), tuple(sorted(seen)))
+    """Restrict every member to the box, re-indexed over the box grid.
+
+    Bit i of a trace stands for the i-th cell of the box grid taken
+    row-major in the box's own selection order.
+    """
+    box.validate(system.universe)
+    m = box.m
+    masks = (sum(w << (i * m) for i, w in enumerate(vec)) for vec in _box_vectors(system, box))
+    return GroundFamily(m ** system.universe.n, tuple(sorted(masks)))
 
 
 def is_shattered(system: SetSystem, box: BoxSpec) -> bool:
     """True when the trace on the box realizes every subset of its grid."""
-    cells = box.cell_indices(system.universe)
-    full = 1 << len(cells)
-    if len(system.members) < full:
-        return False
-    seen = set()
-    for t in _member_traces(system, cells):
-        seen.add(t)
-        if len(seen) == full:
-            return True
-    return False
+    box.validate(system.universe)
+    full = 1 << box.m ** system.universe.n
+    return len(system.members) >= full and len(_box_vectors(system, box)) == full
+
+
+def _max_trace(
+    members: Sequence[int], sizes: Sequence[int], pools: Sequence[Iterable], best: int, cap: int
+) -> int:
+    """Largest trace over the boxes taking one selection from each part's pool.
+
+    Returns best when no trace is larger, and stops as soon as one reaches
+    cap.  Members are split into row words once.  Rows on which all
+    members agree, and columns on which all row words agree, tell no
+    members apart, so selections are read at their other rows and
+    columns only, each distinct one once.  For each column selection,
+    every member becomes the tuple of its gathered row words; the
+    distinct tuples bound every trace that uses those columns, so the
+    columns are skipped when they cannot beat best.  A row selection's
+    trace is then the set of those tuples read at its rows.
+    """
+    *row_pools, col_pool = pools
+    rows = range(prod(sizes[:-1]))
+    words = _row_words(members, sizes[-1], rows)
+    live = [r for r, col in zip(rows, zip(*words)) if len(set(col)) > 1]
+    if len(live) < len(rows):
+        words = _row_words(members, sizes[-1], live)
+    position = {r: i for i, r in enumerate(live)}
+    row_keys = {
+        tuple(sorted(position[r] for r in _rows(sizes, sels) if r in position))
+        for sels in product(*row_pools)
+    }
+    if words and () in row_keys:
+        best = max(best, 1)  # a box on shared rows only has one trace
+        if best >= cap:
+            return best
+    getters = [itemgetter(*key) for key in row_keys if key]
+    distinct = set(chain.from_iterable(words))
+    varying = reduce(or_, distinct, 0) ^ reduce(and_, distinct, -1)
+    col_keys = {tuple(c for c in cols if varying >> c & 1) for cols in col_pool}
+    for cols in col_keys:
+        table = _gather(distinct, cols)
+        vecs = {tuple(map(table.__getitem__, ws)) for ws in words}
+        for getter in getters:
+            if len(vecs) <= best:
+                break
+            size = len(set(map(getter, vecs)))
+            if size > best:
+                best = size
+                if best >= cap:
+                    return best
+    return best
 
 
 def vc_n_dim(system: SetSystem, size_cap: int | None = None) -> int:
@@ -257,11 +334,12 @@ def vc_n_dim(system: SetSystem, size_cap: int | None = None) -> int:
         limit = min(limit, size_cap)
     best = 0
     for m in range(1, limit + 1):
+        full = 1 << m ** system.universe.n
         # A trace can't outnumber the members, and the threshold only grows.
-        if len(system.members) < (1 << m ** system.universe.n):
+        if len(system.members) < full:
             break
-        found = any(is_shattered(system, box) for box in iter_boxes(system.universe, m))
-        if not found:
+        pools = _box_pools(system.universe, m)
+        if _max_trace(system.members, system.universe.part_sizes, pools, full - 1, full) < full:
             break  # shattering a bigger box would shatter one of its sub-boxes
         best = m
     return best
@@ -275,15 +353,9 @@ def shatter_fn(system: SetSystem, m: int) -> int:
         raise InputError(f"box size {m} exceeds a part size")
     if m == 0:
         return 1 if system.members else 0
-    best = 0
     cap = min(len(system.members), 1 << m ** system.universe.n)
-    for box in iter_boxes(system.universe, m):
-        size = len(trace(system, box).members)
-        if size > best:
-            best = size
-            if best == cap:
-                break
-    return best
+    pools = _box_pools(system.universe, m)
+    return _max_trace(system.members, system.universe.part_sizes, pools, 0, cap)
 
 
 def shift(family: GroundFamily) -> GroundFamily:

@@ -11,16 +11,19 @@ import random
 from itertools import combinations, product
 
 from vcn import (
+    BoxSpec,
     BudgetExceededError,
     ColoringProblem,
     FiniteStructure,
     GroundFamily,
     PartiteHypergraph,
     ProductUniverse,
+    QfFormula,
     Relation,
     RelStructure,
     SetSystem,
     copies,
+    eval_formula,
     induced,
 )
 
@@ -105,6 +108,68 @@ def ref_dim(system: SetSystem) -> int:
         else:
             break
     return best
+
+
+def ref_gather(system: SetSystem, box: BoxSpec) -> list[int]:
+    """Each member restricted to the box cells, one shift per member and cell.
+
+    Bit i stands for the i-th cell of the box grid, row-major in the
+    box's own selection order.
+    """
+    cells = box.cell_indices(system.universe)
+    out = []
+    for member in system.members:
+        t = 0
+        for i, cell in enumerate(cells):
+            if member >> cell & 1:
+                t |= 1 << i
+        out.append(t)
+    return out
+
+
+# --- reference type counting -----------------------------------------------
+
+
+def ref_types(structure: FiniteStructure, delta, lists) -> set[tuple[bool, ...]]:
+    """Distinct truth patterns of the object tuples on the product of lists,
+    evaluated one assignment at a time."""
+    objects = product(range(structure.domain_size), repeat=delta[0].block_lengths[0])
+    cells = list(product(*lists))
+    return {
+        tuple(eval_formula(structure, phi, (b, *cell)) for phi in delta for cell in cells)
+        for b in objects
+    }
+
+
+def ref_pi_phi(structure: FiniteStructure, delta, m: int) -> int:
+    """Maximum type count over all parameter boxes of size m, box by box."""
+    spaces = [
+        list(product(range(structure.domain_size), repeat=length))
+        for length in delta[0].block_lengths[1:]
+    ]
+    return max(
+        len(ref_types(structure, delta, boxes))
+        for boxes in product(*(combinations(space, m) for space in spaces))
+    )
+
+
+def random_formula(rng: random.Random, lengths, signature, depth: int = 2) -> QfFormula:
+    """Random formula over the blocks: atoms (variables may repeat), equalities,
+    negations, conjunctions and disjunctions."""
+    variables = [(b, c) for b, length in enumerate(lengths) for c in range(length)]
+
+    def node(d):
+        kind = rng.choice(["atom", "atom", "eq"] if d == 0 else ["atom", "eq", "not", "and", "or"])
+        if kind == "atom":
+            name, arity = rng.choice(signature)
+            return ("atom", name, tuple(rng.choice(variables) for _ in range(arity)))
+        if kind == "eq":
+            return ("eq", rng.choice(variables), rng.choice(variables))
+        if kind == "not":
+            return ("not", node(d - 1))
+        return (kind, *(node(d - 1) for _ in range(rng.randint(1, 3))))
+
+    return QfFormula(tuple(lengths), node(depth))
 
 
 # --- reference box-free threshold ------------------------------------------

@@ -3,14 +3,15 @@
 Each case pins stdout and the exit code byte for byte (and stderr for the
 refusal and the error), so any change to what a verb prints shows here.
 The inputs follow the README examples; set systems and hypergraphs are
-the pinned outputs of the extremal and gen-random cases themselves.
+the pinned outputs of the extremal and gen-random cases themselves, and
+the larger extremal family is built by the library.
 """
 
 import json
 
 import pytest
 
-from vcn import GroundFamily, RelStructure, points
+from vcn import GroundFamily, RelStructure, build_extremal_family, points
 from vcn.cli import main
 
 EXTREMAL = '{"members": ["0", "1", "2", "3", "8", "9", "a", "b"], "part_sizes": [2, 2]}\n'
@@ -25,6 +26,8 @@ ARROW_HEADER = "a_size,b_size,c_size,k,result,colorings_checked\n"
 def _inputs(tmp_path):
     files = {f"p{k}.json": points(k).to_json() for k in (1, 2, 3, 5, 6)}
     files["fam.json"] = EXTREMAL
+    # the family of `extremal --n 2 --d 1 --m 2,3,4`: 582 members on 9 x 9
+    files["fam234.json"] = build_extremal_family(2, 1, (2, 3, 4)).to_json()
     files["family.json"] = GroundFamily(4, (0b0101, 0b0011, 0b0111, 0b1100, 0b1010)).to_json()
     graph = RelStructure(4, None, 2, frozenset(map(frozenset, [(0, 1), (1, 3), (2, 3)])))
     files["graph.json"] = graph.to_json()
@@ -47,6 +50,11 @@ CASES = {
         ["shatter", "fam.json", "--m", "1..2"], 0,
         "m,pi,bound,tight\n1,2,2,true\n2,8,15,false\n", "",
     ),
+    "shatter-extremal-m3": (
+        ["shatter", "fam234.json", "--m", "3", "--d", "1"], 0,
+        "m,pi,bound,tight\n3,64,466,false\n", "",
+    ),
+    "dim-extremal": (["dim", "fam234.json"], 0, "1\n", ""),
     "verify-bounds": (
         ["verify-bounds", "fam.json", "--m", "2"], 0, "m,pi,bound,ok\n2,8,15,true\n", "",
     ),

@@ -10,7 +10,14 @@ from itertools import combinations, product
 
 import pytest
 
-from instance_gen import random_structure, ref_trace
+from instance_gen import (
+    member_sets,
+    random_formula,
+    random_structure,
+    ref_pi_phi,
+    ref_trace,
+    ref_types,
+)
 from vcn import (
     BudgetExceededError,
     FiniteStructure,
@@ -20,6 +27,7 @@ from vcn import (
     QfFormula,
     Relation,
     RelStructure,
+    build_counterexample_structure,
     check_encodes,
     check_indiscernible,
     conjoin,
@@ -35,6 +43,7 @@ from vcn import (
     shatter_fn,
     vc_n_dim,
     verify_ipn_witness,
+    zarankiewicz,
 )
 
 
@@ -163,6 +172,98 @@ def test_pi_phi_equals_shatter_fn(seed):
     for m in range(1, domain + 1):
         assert pi_phi(s, [phi], m) == shatter_fn(system, m)
     assert dim_phi(s, phi) == vc_n_dim(system)
+
+
+# Block shapes, from one object and one parameter block to pair blocks.
+SHAPES = [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
+SIGNATURE = (("R", 3), ("S", 2))
+
+
+def random_instance(seed: int):
+    """A seeded structure and a delta of one or two random formulas."""
+    rng = random.Random(seed)
+    lengths = SHAPES[seed % len(SHAPES)]
+    domain = 2 if sum(lengths) > 3 else rng.randint(2, 3)
+    structure = random_structure(seed, domain=domain, signature=SIGNATURE)
+    delta = [random_formula(rng, lengths, SIGNATURE) for _ in range(1 + seed % 2)]
+    return rng, structure, delta
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_type_counting_matches_pointwise_evaluation(seed):
+    rng, structure, delta = random_instance(seed)
+    lengths = delta[0].block_lengths
+    spaces = [list(product(range(structure.domain_size), repeat=l)) for l in lengths[1:]]
+    for m in range(3):
+        if m <= min(map(len, spaces)):
+            assert pi_phi(structure, delta, m) == ref_pi_phi(structure, delta, m)
+    for _ in range(3):
+        boxes = [rng.sample(space, rng.randint(0, min(3, len(space)))) for space in spaces]
+        assert count_types(structure, delta, boxes).count == len(ref_types(structure, delta, boxes))
+        grid = [rng.sample(space, rng.randint(1, min(2, len(space)))) for space in spaces]
+        cells = len(list(product(*grid)))
+        want = len(ref_types(structure, delta[:1], grid)) == 1 << cells
+        assert verify_ipn_witness(structure, delta[0], grid) == want
+    # phi_class: one member per object tuple, the cells where phi holds
+    objects = product(range(structure.domain_size), repeat=lengths[0])
+    want = {
+        frozenset(
+            tuple(space.index(t) for space, t in zip(spaces, cell))
+            for cell in product(*spaces)
+            if eval_formula(structure, delta[0], (b, *cell))
+        )
+        for b in objects
+    }
+    assert set(member_sets(phi_class(structure, delta[0]))) == want
+
+
+def test_random_formulas_cover_every_node():
+    bodies = [str(phi) for seed in range(48) for phi in random_instance(seed)[2]]
+    assert any("(not" in f for f in bodies)
+    assert any("(=" in f for f in bodies)
+    assert any("(and" in f for f in bodies) and any("(or" in f for f in bodies)
+    # an atom repeating a variable, such as (R x y0 y0)
+    assert any(
+        len(set(atom.split()[1:])) < len(atom.split()[1:])
+        for f in bodies
+        for atom in f.replace(")", "").split("(")
+        if atom.startswith(("R ", "S "))
+    )
+    assert any(len(random_instance(seed)[2]) == 2 for seed in range(48))
+
+
+def test_type_counting_errors_keep_their_messages():
+    s = random_structure(0, domain=3, signature=SIGNATURE)
+    phi = parse_formula("(S x y0)", (1, 1))
+    with pytest.raises(InputError, match="box size 4 exceeds a parameter tuple space"):
+        pi_phi(s, [phi], 4)
+    with pytest.raises(InputError, match="box size must be nonnegative"):
+        pi_phi(s, [phi], -1)
+    with pytest.raises(InputError, match="delta must contain at least one formula"):
+        pi_phi(s, [], 1)
+    with pytest.raises(InputError, match="all formulas in delta must share block lengths"):
+        pi_phi(s, [phi, parse_formula("(S x y0)", (1, 2))], 1)
+    unknown = parse_formula("(and (S x y0) (Q x y0))", (1, 1))
+    wrong_arity = parse_formula("(R x y0)", (1, 1))
+    for bad, message in ((unknown, "unknown relation Q"), (wrong_arity, "expects arity 3, got 2")):
+        for call in (
+            lambda: pi_phi(s, [phi, bad], 0),
+            lambda: phi_class(s, bad),
+            lambda: count_types(s, [bad], [[]]),
+            lambda: verify_ipn_witness(s, bad, [[(0,)]]),
+            lambda: dim_phi(s, bad),
+        ):
+            with pytest.raises(InputError, match=message):
+                call()
+
+
+def test_counterexample_dimension_and_shatter_value():
+    """The definable family of the (2, 3) counterexample: dimension 1
+    uncapped, and a 2 x 2 box realizes 2**(z(2,2,2) - 1) = 8 types."""
+    structure = build_counterexample_structure((2, 3))
+    phi = parse_formula("(R x y0 y1)", (1, 1, 1))
+    assert dim_phi(structure, phi) == 1
+    assert pi_phi(structure, [phi], 2) == 8 == 1 << (zarankiewicz(2, 2, 2).z - 1)
 
 
 def test_dim_phi_size_cap():

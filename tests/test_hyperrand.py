@@ -188,12 +188,29 @@ VERTEX_CALLS = {
 }
 
 
-@pytest.mark.parametrize("vertex", [(0,), (), (0, 1, 2), 0, "01", (0.5, 1)])
+@pytest.mark.parametrize("vertex", [(0,), (), (0, 1, 2), 0, "01", (0.5, 1), (True, 0)])
 @pytest.mark.parametrize("entry", sorted(VERTEX_CALLS))
 def test_vertex_not_a_pair_is_input_error(entry, vertex):
     h = PartiteHypergraph(2, (3, 3), frozenset({(1, 0)}))
     with pytest.raises(InputError, match=r"is not a \[part, index\] pair"):
         VERTEX_CALLS[entry](h, vertex)
+
+
+@pytest.mark.parametrize("g", [("1", 0.0), ("1", 0), (1.0, 0), (1, 0.0), (True, 0), (1, False)])
+def test_reference_edge_coordinates_are_checked(g):
+    # int() read ("1", 0.0) as the edge (1, 0) and answered [[1], [0]]
+    h = PartiteHypergraph(2, (3, 3), frozenset({(1, 0)}))
+    assert random_subgraph(h, [], (1, 0), 1) == [[1], [0]]
+    with pytest.raises(InputError, match=r"is not a \[part, index\] pair"):
+        random_subgraph(h, [], g, 1)
+
+
+def test_reference_edge_coordinates_in_range():
+    h = PartiteHypergraph(2, (3, 3), frozenset({(1, 0)}))
+    with pytest.raises(InputError, match="leaves the hypergraph"):
+        random_subgraph(h, [], (1, 3), 1)
+    with pytest.raises(InputError, match="one vertex per part"):
+        random_subgraph(h, [], (1,), 1)
 
 
 # --- walks ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Set system primitives against naive frozenset references."""
 
+import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from instance_gen import (
     random_family,
     random_system,
     ref_dim,
+    ref_gather,
     ref_is_shattered,
     ref_shatter,
     ref_trace,
@@ -90,6 +93,26 @@ def test_range_check_allocates_nothing_per_tuple():
     assert peak < 2**20
 
 
+def trace_sets(fam: GroundFamily, selections) -> set[frozenset]:
+    """Trace members as sets of box cells; bit i is the i-th cell of the
+    product of the selections, taken in their own order."""
+    cells = list(product(*selections))
+    assert fam.ground_size == len(cells)
+    return {frozenset(c for i, c in enumerate(cells) if mask >> i & 1) for mask in fam.members}
+
+
+def shaped_system(seed: int) -> SetSystem:
+    """Seeded system over n = 1..3 parts of sizes 1..5, 1..3 or 1..2; every
+    fourth one has a single member, the others up to 40."""
+    rng = random.Random(seed)
+    n = 1 + seed % 3
+    sizes = tuple(rng.randint(1, (5, 3, 2)[n - 1]) for _ in range(n))
+    universe = ProductUniverse(sizes)
+    count = 1 if seed % 4 == 0 else rng.randint(2, 40)
+    members = {rng.getrandbits(universe.tuple_count) for _ in range(count)}
+    return SetSystem(universe, tuple(members))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_trace_matches_reference(seed):
     s = random_system(seed, n=2, max_part=3)
@@ -97,7 +120,54 @@ def test_trace_matches_reference(seed):
     for box in iter_boxes(s.universe, m):
         got = trace(s, box)
         want = ref_trace(s, box.selections)
-        assert len(got.members) == len(want)
+        assert trace_sets(got, box.selections) == want
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_kernel_matches_reference_on_every_shape(seed):
+    s = shaped_system(seed)
+    sizes = s.universe.part_sizes
+    for m in range(min(sizes) + 1):
+        for box in iter_boxes(s.universe, m):
+            assert trace_sets(trace(s, box), box.selections) == ref_trace(s, box.selections)
+            assert is_shattered(s, box) == ref_is_shattered(s, box.selections)
+        assert shatter_fn(s, m) == ref_shatter(s, m)
+    dim = ref_dim(s)
+    assert vc_n_dim(s) == dim
+    for cap in range(3):
+        assert vc_n_dim(s, cap) == min(dim, cap)
+
+
+def test_shaped_systems_cover_the_edge_cases():
+    systems = [shaped_system(seed) for seed in range(60)]
+    assert {s.universe.n for s in systems} == {1, 2, 3}
+    assert any(len(s.members) == 1 for s in systems)
+    for n in (1, 2, 3):
+        assert any(s.universe.n == n and 1 in s.universe.part_sizes for s in systems)
+    # some n = 1 system has dimension 2, and some n = 2 system dimension 1
+    assert any(s.universe.n == 1 and ref_dim(s) >= 2 for s in systems)
+    assert any(s.universe.n == 2 and ref_dim(s) >= 1 for s in systems)
+
+
+def test_trace_bits_follow_the_box_order():
+    # the box grid in its own order: (2,1), (2,0), (0,1), (0,0)
+    u = ProductUniverse((3, 3))
+    s = SetSystem.from_sets(u, [{(2, 1), (0, 0)}, {(2, 0), (1, 1)}])
+    box = BoxSpec(((2, 0), (1, 0)))
+    assert trace(s, box).members == (0b0010, 0b1001)
+    assert sorted(ref_gather(s, box)) == [0b0010, 0b1001]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_trace_on_unsorted_selections_matches_the_gather(seed):
+    rng = random.Random(seed)
+    s = shaped_system(seed)
+    m = min(s.universe.part_sizes)
+    for box in iter_boxes(s.universe, m):
+        shuffled = BoxSpec(tuple(tuple(rng.sample(sel, len(sel))) for sel in box.selections))
+        got = trace(s, shuffled)
+        assert got.members == tuple(sorted(set(ref_gather(s, shuffled))))
+        assert trace_sets(got, shuffled.selections) == ref_trace(s, box.selections)
 
 
 @pytest.mark.parametrize("seed", range(40))
