@@ -5,164 +5,51 @@ thresholds and extremal families), fmodel (quantifier-free formulas and
 type counting over finite structures), ramsey (ordered substructure
 arrows and partite encodings), hyperrand (random hypergraphs with
 verified extension levels, adjacency walks), cli (the vcn command).
+
+``import vcn`` loads no submodule: each public name below is looked up in
+its home module on first use, which imports that module then.
 """
 
-from .errors import (
-    BudgetExceededError,
-    GenerationError,
-    InputError,
-    SelectionStuckError,
-    WalkStuckError,
-)
-from .fmodel import (
-    FiniteStructure,
-    IndexedFamily,
-    QfFormula,
-    Relation,
-    TypeCount,
-    build_counterexample_structure,
-    check_encodes,
-    check_indiscernible,
-    conjoin,
-    count_types,
-    dim_phi,
-    eval_formula,
-    format_formula,
-    negate,
-    parse_formula,
-    permute_blocks,
-    phi_class,
-    pi_phi,
-    verify_ipn_witness,
-)
-from .hyperrand import (
-    ExtensionHypergraph,
-    VAdjacencyWitness,
-    achieved_extension_level,
-    adjacency_walk,
-    check_extension_level,
-    diagonal_hypergraph,
-    dichotomy_verdict,
-    find_extension_violation,
-    gen_extension_hypergraph,
-    is_v_adjacent,
-    random_subgraph,
-    step_certificate,
-    walk_discrepancies,
-)
-from .ramsey import (
-    ColoringProblem,
-    EmbeddingSet,
-    RelStructure,
-    arrow_check,
-    arrow_scan,
-    bar_restrict,
-    build_direct_sum_witness,
-    copies,
-    direct_sum,
-    encode_tilde,
-    flatten,
-    hereditary_closure,
-    induced,
-    ordered_set_oracle,
-    points,
-)
-from .setsys import (
-    BoxSpec,
-    GroundFamily,
-    ProductUniverse,
-    SetSystem,
-    is_shattered,
-    iter_boxes,
-    sauer_binomial_bound,
-    shatter_fn,
-    shift,
-    trace,
-    vc_n_dim,
-)
-from .zar import (
-    ErdosBound,
-    PartiteHypergraph,
-    ZarResult,
-    build_extremal_family,
-    contains_complete_partite,
-    erdos_bound,
-    z22_lower_bound,
-    zarankiewicz,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxSpec",
-    "BudgetExceededError",
-    "ColoringProblem",
-    "EmbeddingSet",
-    "ErdosBound",
-    "ExtensionHypergraph",
-    "FiniteStructure",
-    "GenerationError",
-    "GroundFamily",
-    "IndexedFamily",
-    "InputError",
-    "PartiteHypergraph",
-    "ProductUniverse",
-    "QfFormula",
-    "Relation",
-    "RelStructure",
-    "SelectionStuckError",
-    "SetSystem",
-    "TypeCount",
-    "VAdjacencyWitness",
-    "WalkStuckError",
-    "ZarResult",
-    "achieved_extension_level",
-    "adjacency_walk",
-    "arrow_check",
-    "arrow_scan",
-    "bar_restrict",
-    "build_counterexample_structure",
-    "build_direct_sum_witness",
-    "build_extremal_family",
-    "check_encodes",
-    "check_extension_level",
-    "check_indiscernible",
-    "conjoin",
-    "contains_complete_partite",
-    "copies",
-    "count_types",
-    "diagonal_hypergraph",
-    "dichotomy_verdict",
-    "dim_phi",
-    "direct_sum",
-    "encode_tilde",
-    "erdos_bound",
-    "eval_formula",
-    "find_extension_violation",
-    "flatten",
-    "format_formula",
-    "gen_extension_hypergraph",
-    "hereditary_closure",
-    "induced",
-    "is_shattered",
-    "is_v_adjacent",
-    "iter_boxes",
-    "negate",
-    "ordered_set_oracle",
-    "parse_formula",
-    "permute_blocks",
-    "phi_class",
-    "pi_phi",
-    "points",
-    "random_subgraph",
-    "sauer_binomial_bound",
-    "shatter_fn",
-    "shift",
-    "step_certificate",
-    "trace",
-    "vc_n_dim",
-    "verify_ipn_witness",
-    "walk_discrepancies",
-    "z22_lower_bound",
-    "zarankiewicz",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "errors": """BudgetExceededError GenerationError InputError
+        SelectionStuckError WalkStuckError""",
+    "setsys": """BoxSpec GroundFamily ProductUniverse SetSystem is_shattered
+        iter_boxes sauer_binomial_bound shatter_fn shift trace vc_n_dim""",
+    "zar": """ErdosBound PartiteHypergraph ZarResult build_extremal_family
+        contains_complete_partite erdos_bound z22_lower_bound zarankiewicz""",
+    "fmodel": """FiniteStructure IndexedFamily QfFormula Relation TypeCount
+        build_counterexample_structure check_encodes check_indiscernible
+        conjoin count_types dim_phi eval_formula format_formula negate
+        parse_formula permute_blocks phi_class pi_phi verify_ipn_witness""",
+    "ramsey": """ColoringProblem EmbeddingSet RelStructure arrow_check
+        arrow_scan bar_restrict build_direct_sum_witness copies direct_sum
+        encode_tilde flatten hereditary_closure induced ordered_set_oracle
+        points""",
+    "hyperrand": """ExtensionHypergraph VAdjacencyWitness
+        achieved_extension_level adjacency_walk check_extension_level
+        diagonal_hypergraph dichotomy_verdict find_extension_violation
+        gen_extension_hypergraph is_v_adjacent random_subgraph
+        step_certificate walk_discrepancies""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # Not cached in the package globals: a name stays a view of its home
+    # module, so a function patched there is seen here too.
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

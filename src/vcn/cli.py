@@ -25,25 +25,8 @@ from .errors import (
     WalkStuckError,
     _decode,
 )
-from .fmodel import build_counterexample_structure
-from .hyperrand import ExtensionHypergraph, adjacency_walk, gen_extension_hypergraph
-from .ramsey import (
-    ColoringProblem,
-    RelStructure,
-    arrow_scan,
-    build_direct_sum_witness,
-    encode_tilde,
-    ordered_set_oracle,
-)
-from .setsys import (
-    GroundFamily,
-    SetSystem,
-    sauer_binomial_bound,
-    shatter_fn,
-    shift,
-    vc_n_dim,
-)
-from .zar import PartiteHypergraph, build_extremal_family, erdos_bound, zarankiewicz
+
+# Each verb imports the kernel modules it calls, so a process loads only those.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,16 +79,22 @@ def _table(header: list[str], rows: list[list], fmt: str) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _load_system(path: str) -> SetSystem:
+def _load_system(path: str):
+    from .setsys import SetSystem
+
     return SetSystem.from_json(_read_text(path))
 
 
-def _load_structure(path: str) -> RelStructure:
+def _load_structure(path: str):
+    from .ramsey import RelStructure
+
     return RelStructure.from_json(_read_text(path))
 
 
-def _load_hypergraph(path: str) -> PartiteHypergraph:
+def _load_hypergraph(path: str):
     """A hypergraph document, with or without the "t" and "seed" of gen-random."""
+    from .hyperrand import ExtensionHypergraph
+    from .zar import PartiteHypergraph
 
     def build(doc):
         return (ExtensionHypergraph if "t" in doc else PartiteHypergraph)._from_doc(doc)
@@ -114,6 +103,8 @@ def _load_hypergraph(path: str) -> PartiteHypergraph:
 
 
 def cmd_zar_table(args) -> str:
+    from .zar import erdos_bound, zarankiewicz
+
     rows = []
     for m in _parse_range(args.m):
         res = zarankiewicz(args.n, m, args.d, args.budget)
@@ -124,6 +115,9 @@ def cmd_zar_table(args) -> str:
 
 def _bound_rows(args, refusal: str) -> list[list[int]]:
     """(m, pi, bound) per m, the binomial bound taken at the exact z(n, m, d + 1)."""
+    from .setsys import sauer_binomial_bound, shatter_fn, vc_n_dim
+    from .zar import zarankiewicz
+
     system = _load_system(args.path)
     n = system.universe.n
     d = args.d if args.d is not None else vc_n_dim(system)
@@ -143,6 +137,8 @@ def cmd_shatter(args) -> str:
 
 
 def cmd_dim(args) -> str:
+    from .setsys import vc_n_dim
+
     value = vc_n_dim(_load_system(args.path))
     if args.format == "json":
         return json.dumps({"dim": value}, sort_keys=True)
@@ -150,20 +146,28 @@ def cmd_dim(args) -> str:
 
 
 def cmd_shift(args) -> str:
+    from .setsys import GroundFamily, shift
+
     family = GroundFamily.from_json(_read_text(args.path))
     return shift(family).to_json()
 
 
 def cmd_extremal(args) -> str:
+    from .zar import build_extremal_family
+
     fam = build_extremal_family(args.n, args.d, _parse_range(args.m), args.budget)
     return fam.to_json()
 
 
 def cmd_counterexample(args) -> str:
+    from .fmodel import build_counterexample_structure
+
     return build_counterexample_structure(_parse_range(args.m), args.budget).to_json()
 
 
 def cmd_arrow(args) -> str:
+    from .ramsey import ColoringProblem, arrow_scan
+
     a = _load_structure(args.a)
     b = _load_structure(args.b)
     c = _load_structure(args.c)
@@ -175,6 +179,8 @@ def cmd_arrow(args) -> str:
 
 
 def cmd_direct_sum(args) -> str:
+    from .ramsey import build_direct_sum_witness, ordered_set_oracle
+
     parts = [_load_structure(p) for p in (args.a0, args.b0, args.a1, args.b1)]
     oracle = None
     if args.budget is not None:
@@ -184,16 +190,22 @@ def cmd_direct_sum(args) -> str:
 
 
 def cmd_encode_partite(args) -> str:
+    from .ramsey import encode_tilde
+
     return encode_tilde(_load_structure(args.path)).to_json()
 
 
 def cmd_gen_random(args) -> str:
+    from .hyperrand import gen_extension_hypergraph
+
     retries = args.budget if args.budget is not None else 50
     eh = gen_extension_hypergraph(args.n, args.m, args.t, args.seed, retries)
     return eh.to_json()
 
 
 def cmd_walk(args) -> str:
+    from .hyperrand import adjacency_walk
+
     h = _load_hypergraph(args.hypergraph)
 
     def pair(doc):
@@ -218,6 +230,15 @@ def cmd_verify_bounds(args) -> str:
     return _table(["m", "pi", "bound", "ok"], rows, args.format)
 
 
+class _Budget(argparse.Action):
+    """--budget: a nonnegative integer, whatever the verb counts with it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be nonnegative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_common(sub, fmt_choices=None, fmt_default=None):
     sub.add_argument("--out", help="write the output here instead of stdout")
     if fmt_choices:
@@ -227,6 +248,7 @@ def _add_common(sub, fmt_choices=None, fmt_default=None):
     sub.add_argument(
         "--budget",
         type=int,
+        action=_Budget,
         help="search/enumeration budget; refusals exit with code 2",
     )
 

@@ -189,6 +189,8 @@ def zarankiewicz(
     """
     if n < 1 or m < 1 or d < 1:
         raise InputError("n, m, d must be positive")
+    if node_budget is not None and node_budget < 0:
+        raise InputError("node_budget must be nonnegative")
     if n == 1:
         # edges are single vertices: any d of them form the target
         k = m if m < d else d - 1

@@ -247,6 +247,38 @@ def test_walk_vertex_must_hold_integers(tmp_path, capsys):
     assert err == "error: bad pair document: 'w'[0][0] must be a JSON integer\n"
 
 
+NEGATIVE_BUDGET_ARGV = {
+    "zar-table": ["zar-table", "--n", "2", "--m", "2..4", "--d", "2"],
+    "shatter": ["shatter", "{fam}", "--m", "1..2"],
+    "dim": ["dim", "{fam}"],
+    "shift": ["shift", "{family}"],
+    "extremal": ["extremal", "--n", "2", "--d", "1", "--m", "2"],
+    "counterexample": ["counterexample", "--m", "2"],
+    "arrow": ["arrow", "{p2}", "{p3}", "{p5}", "--k", "2"],
+    "direct-sum": ["direct-sum", "{p1}", "{p2}", "{p1}", "{p2}", "--k", "2"],
+    "encode-partite": ["encode-partite", "{p3}"],
+    "gen-random": ["gen-random", "--n", "2", "--m", "6", "--t", "1", "--seed", "4"],
+    "walk": ["walk", "{h}", "{pair}"],
+    "verify-bounds": ["verify-bounds", "{fam}", "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", list(NEGATIVE_BUDGET_ARGV))
+def test_negative_budget_is_input_error(verb, tmp_path, capsys):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("fam", "family", "h", "pair")}
+    paths |= {f"p{k}": str(tmp_path / f"p{k}.json") for k in (1, 2, 3, 5)}
+    argv = [arg.format(**paths) for arg in NEGATIVE_BUDGET_ARGV[verb]]
+    code, _, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 1
+    assert err == "error: argument --budget: must be nonnegative, got -1\n"
+
+
+def test_zero_budget_keeps_its_meaning(capsys):
+    code, out, _ = run(capsys, "zar-table", "--n", "2", "--m", "2", "--d", "2", "--budget", "0")
+    assert code == 0
+    assert out.splitlines()[1] == "2,2,2,1,lower_bound_only,8"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "dim", "/nonexistent/system.json")
     assert code == 1 and "error:" in err

@@ -1,8 +1,14 @@
-"""The modules of the package import each other in layers, without cycles."""
+"""The modules of the package import each other in layers, without cycles,
+and each is loaded only when a name or a verb needs it."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vcn"
 
@@ -40,3 +46,55 @@ def test_no_import_hides_under_type_checking():
             if isinstance(node, ast.If) and _is_type_checking(node.test):
                 hidden = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
                 assert not hidden, f"{path.name}:{node.lineno} imports under TYPE_CHECKING"
+
+
+def _module_level_relative_imports(name: str) -> set[str]:
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    return {
+        node.module or ""
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+
+
+def test_package_and_cli_import_no_kernel_at_module_level():
+    assert _module_level_relative_imports("__init__") == set()
+    assert _module_level_relative_imports("cli") == {"errors"}
+
+
+# The vcn modules a fresh interpreter holds after each statement.
+ALL = {"cli", "errors", "setsys", "zar", "fmodel", "ramsey", "hyperrand"}
+LOADED = {
+    "import vcn": set(),
+    "zar-table": {"cli", "errors", "setsys", "zar"},
+    "arrow": {"cli", "errors", "ramsey"},
+    "gen-random": ALL - {"fmodel"},
+    "counterexample": ALL - {"hyperrand"},
+}
+ARGV = {
+    "zar-table": ["zar-table", "--n", "2", "--m", "2..3", "--d", "2"],
+    "arrow": ["arrow", "p1.json", "p2.json", "p3.json", "--k", "2"],
+    "gen-random": ["gen-random", "--n", "2", "--m", "6", "--t", "1", "--seed", "4"],
+    "counterexample": ["counterexample", "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("case", list(LOADED))
+def test_modules_load_on_first_use(case, tmp_path):
+    from vcn import points
+
+    for k in (1, 2, 3):
+        (tmp_path / f"p{k}.json").write_text(points(k).to_json())
+    run = "" if case == "import vcn" else f"import vcn.cli; assert vcn.cli.main({ARGV[case]!r}) == 0"
+    script = (
+        "import sys, vcn\n"
+        f"{run}\n"
+        "print(' '.join(sorted(m[4:] for m in sys.modules if m.startswith('vcn.'))))\n"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == LOADED[case]

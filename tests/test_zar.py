@@ -262,6 +262,17 @@ def test_budget_bounds_time():
     assert not contains_complete_partite(res.extremal_witness, 2)
 
 
+def test_negative_budget_is_input_error():
+    for n in (1, 2):
+        with pytest.raises(InputError, match="node_budget must be nonnegative"):
+            zarankiewicz(n, 3, 2, node_budget=-1)
+    with pytest.raises(InputError):
+        build_extremal_family(2, 1, [2], node_budget=-5)
+    # a budget of 0 still means "expand no node": the empty witness
+    res = zarankiewicz(2, 3, 2, node_budget=0)
+    assert (res.z, res.status) == (1, "lower_bound_only")
+
+
 def test_d_larger_than_part_never_boxes():
     # no d-box fits, so the threshold sits above the full grid
     res = zarankiewicz(2, 2, 3)
