@@ -1,12 +1,16 @@
-"""Exception types shared by all vcn modules, and the one JSON decode path.
+"""Exception types, the frozen-record base and the one JSON decode path.
 
+Every vcn module imports this one, and it imports no other vcn module.
 Refusals are always explicit: an operation that cannot honestly finish
-raises instead of degrading to a sampled or truncated answer.
+raises instead of degrading to a sampled or truncated answer.  The
+library's value types are Records: frozen, compared and hashed by their
+fields, without the import and class-creation cost of dataclasses.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
@@ -53,6 +57,65 @@ class SelectionStuckError(RuntimeError):
         self.constraints = constraints
 
 
+class Record:
+    """A frozen record of its annotated fields, base-class fields first.
+
+    Fields are given by position or keyword; a class attribute named like
+    a field is its default.  __post_init__ runs once every field is set,
+    and may check and normalise them through object.__setattr__.  A record
+    equals only a record of the same class with equal fields; hash and
+    repr follow the fields.  Assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = (*cls._fields, *cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments")
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args) :]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__}() is missing the argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected argument {next(iter(kwargs))!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 _JSON_KINDS = {int: "integer", str: "string", list: "array", dict: "object"}
 
 
@@ -72,8 +135,16 @@ def _check_shape(value, shape, path: tuple = ()) -> None:
         raise TypeError(f"{where} must be a JSON {_JSON_KINDS[kind]}")
     if kind is list:
         sub = shape[0]
-        # an array of integers or strings takes one pass, unless one is off
-        if sub not in (int, str) or not all(type(item) is sub for item in value):
+        # one pass over the scalars of an array of integers or strings, or
+        # of integer arrays; only an array holding a value off the shape is
+        # walked item by item, to name that value
+        if sub in (int, str):
+            flat = set(map(type, value)) <= {sub}
+        elif sub == [int] and set(map(type, value)) <= {list}:
+            flat = set(map(type, chain.from_iterable(value))) <= {int}
+        else:
+            flat = False
+        if not flat:
             for i, item in enumerate(value):
                 _check_shape(item, sub, (*path, i))
     elif kind is dict:
@@ -81,6 +152,15 @@ def _check_shape(value, shape, path: tuple = ()) -> None:
             sub = shape.get(key, shape.get(str))
             if sub is not None:
                 _check_shape(item, sub, (*path, key))
+
+
+# The "structure" document, read by ramsey.RelStructure and fmodel.FiniteStructure.
+_STRUCTURE_SHAPE = {
+    "domain": int,
+    "order": [int],
+    "parts": [[int]],
+    "relations": {str: {"arity": int, "tuples": [[int]]}},
+}
 
 
 def _decode(text: str, what: str, build: Callable[[dict], _T], shape: dict) -> _T:

@@ -23,21 +23,17 @@ component suffix ("x.2" is component 2 of block 0).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 from math import prod
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError, InputError, _decode
-from .ramsey import RelStructure
+from .errors import _STRUCTURE_SHAPE, BudgetExceededError, InputError, Record, _decode
 from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
-from .zar import PartiteHypergraph, build_extremal_family
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     arity: int
     tuples: frozenset[tuple[int, ...]]
 
@@ -51,8 +47,7 @@ class Relation:
         object.__setattr__(self, "tuples", tups)
 
 
-@dataclass(frozen=True)
-class FiniteStructure:
+class FiniteStructure(Record):
     """Finite relational structure on domain {0..domain_size-1}."""
 
     domain_size: int
@@ -95,7 +90,7 @@ class FiniteStructure:
             }
             return cls(doc["domain"], rels)
 
-        return _decode(text, "structure", build, RelStructure._SHAPE)
+        return _decode(text, "structure", build, _STRUCTURE_SHAPE)
 
 
 def build_counterexample_structure(
@@ -109,7 +104,12 @@ def build_counterexample_structure(
     R(x, y0, y1) then defines the family, with every ground element
     contributing the empty member.
     """
-    fam = build_extremal_family(2, 1, m_range, node_budget)
+    from .zar import build_extremal_family
+
+    sizes = [int(m) for m in m_range]
+    if any(m < 1 for m in sizes):
+        raise InputError("block sizes must be positive")
+    fam = build_extremal_family(2, 1, sizes, node_budget)
     ground = fam.universe.part_sizes[0]
     count = len(fam.members)
     tuples = set()
@@ -127,8 +127,7 @@ def build_counterexample_structure(
 #   ("not", node) / ("and", node, ...) / ("or", node, ...)
 
 
-@dataclass(frozen=True)
-class QfFormula:
+class QfFormula(Record):
     """Quantifier-free formula over positional variable blocks."""
 
     block_lengths: tuple[int, ...]
@@ -473,8 +472,7 @@ def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
     return SetSystem(universe, tuple(sorted(members)))
 
 
-@dataclass(frozen=True)
-class TypeCount:
+class TypeCount(Record):
     boxes: tuple[tuple[tuple[int, ...], ...], ...]
     count: int
 
@@ -581,8 +579,7 @@ def verify_ipn_witness(
     return len(set(_types(structure, [phi], [objects, *norm]))) == total
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(Record):
     """Equal-length element tuples indexed by the vertices of a partite
     hypergraph or an ordered structure."""
 
@@ -609,6 +606,9 @@ def _index_view(index: PartiteHypergraph | RelStructure):
     each edge as the set of vertices it picks.  A structure without parts
     has a single part.
     """
+    from .ramsey import RelStructure
+    from .zar import PartiteHypergraph
+
     if isinstance(index, PartiteHypergraph):
         vertices = [(p, i) for p in range(index.n) for i in range(index.part_sizes[p])]
         part_sizes, arity = index.part_sizes, index.n

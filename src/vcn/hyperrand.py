@@ -34,23 +34,21 @@ full cross edge through it is the one allowed to change.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import (
     GenerationError,
     InputError,
+    Record,
     SelectionStuckError,
     WalkStuckError,
 )
-from .ramsey import RelStructure
 from .zar import PartiteHypergraph
 
 Vertex = tuple[int, int]  # (part, position)
 
 
-@dataclass(frozen=True)
 class ExtensionHypergraph(PartiteHypergraph):
     """A sampled PartiteHypergraph with its verified extension level t and seed.
 
@@ -65,11 +63,13 @@ class ExtensionHypergraph(PartiteHypergraph):
     @property
     def base(self) -> PartiteHypergraph:
         """The hypergraph alone, as a plain PartiteHypergraph."""
-        return PartiteHypergraph(self.n, self.part_sizes, self.edges)
+        # its fields were checked when this one was built: copy them as they are
+        base = object.__new__(PartiteHypergraph)
+        base.__dict__.update(n=self.n, part_sizes=self.part_sizes, edges=self.edges)
+        return base
 
 
-@dataclass(frozen=True)
-class VAdjacencyWitness:
+class VAdjacencyWitness(Record):
     w: tuple[Vertex, ...]
     w_prime: tuple[Vertex, ...]
     v: tuple[Vertex, ...]
@@ -477,6 +477,8 @@ def diagonal_hypergraph(h: PartiteHypergraph) -> RelStructure:
     Parts must share one size s; an increasing index tuple is an edge of
     the output exactly when feeding position q_i to part i hits an edge.
     """
+    from .ramsey import RelStructure
+
     sizes = set(h.part_sizes)
     if len(sizes) != 1:
         raise InputError("parts must share one size")

@@ -24,15 +24,13 @@ tagged disjoint union.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceededError, InputError, _decode
+from .errors import _STRUCTURE_SHAPE, BudgetExceededError, InputError, Record, _decode
 
 
-@dataclass(frozen=True)
-class RelStructure:
+class RelStructure(Record):
     """Ordered structure: convex optional parts, optional uniform edges."""
 
     size: int
@@ -102,14 +100,6 @@ class RelStructure:
             doc["parts"] = parts
         return json.dumps(doc, sort_keys=True)
 
-    # the shared "structure" document, which FiniteStructure reads too
-    _SHAPE = {
-        "domain": int,
-        "order": [int],
-        "parts": [[int]],
-        "relations": {str: {"arity": int, "tuples": [[int]]}},
-    }
-
     @classmethod
     def from_json(cls, text: str) -> "RelStructure":
         def build(doc):
@@ -143,7 +133,7 @@ class RelStructure:
                 )
             return cls(size, part_sizes, arity, edges)
 
-        return _decode(text, "structure", build, cls._SHAPE)
+        return _decode(text, "structure", build, _STRUCTURE_SHAPE)
 
 
 def points(k: int) -> RelStructure:
@@ -172,8 +162,7 @@ def induced(structure: RelStructure, subset: Sequence[int]) -> RelStructure:
     return RelStructure(len(subset), part_sizes, structure.edge_arity, edges)
 
 
-@dataclass(frozen=True)
-class EmbeddingSet:
+class EmbeddingSet(Record):
     """Increasing vertex selections of the target realizing the source."""
 
     source: RelStructure
@@ -207,8 +196,7 @@ def copies(target: RelStructure, source: RelStructure) -> EmbeddingSet:
     return EmbeddingSet(source, target, tuple(found))
 
 
-@dataclass(frozen=True)
-class ColoringProblem:
+class ColoringProblem(Record):
     a: RelStructure
     b: RelStructure
     c: RelStructure

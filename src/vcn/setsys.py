@@ -19,18 +19,16 @@ its shatter behaviour.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, product
 from math import comb, prod
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, _decode
+from .errors import InputError, Record, _decode
 
 
-@dataclass(frozen=True)
-class ProductUniverse:
+class ProductUniverse(Record):
     """Product of n finite parts, with row-major tuple indexing."""
 
     part_sizes: tuple[int, ...]
@@ -90,8 +88,7 @@ def _members(members: Iterable[int], width: int, too_wide: str) -> tuple[int, ..
     return members
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(Record):
     """Distinct subsets of a product universe, each a bit vector over tuples."""
 
     universe: ProductUniverse
@@ -134,8 +131,7 @@ class SetSystem:
         return _decode(text, "set-system", build, {"part_sizes": [int], "members": [str]})
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(Record):
     """One selection of box indices per part; all selections share a size m."""
 
     selections: tuple[tuple[int, ...], ...]
@@ -170,12 +166,11 @@ class BoxSpec:
         return [universe.tuple_index(t) for t in product(*self.selections)]
 
 
-@dataclass(frozen=True)
-class GroundFamily:
+class GroundFamily(Record):
     """Distinct subsets of {0..ground_size-1}, stored as bit masks."""
 
     ground_size: int
-    members: tuple[int, ...] = field(default=())
+    members: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.ground_size < 0:

@@ -17,20 +17,17 @@ system into a ternary structure whose definable family reproduces it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from itertools import combinations, product
 from math import prod
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, InputError, _decode
-from .setsys import ProductUniverse, SetSystem
+from .errors import BudgetExceededError, InputError, Record, _decode
 
 _EXACT = "exact"
 _LOWER = "lower_bound_only"
 
 
-@dataclass(frozen=True)
-class PartiteHypergraph:
+class PartiteHypergraph(Record):
     """n-partite n-uniform hypergraph; an edge picks one vertex per part."""
 
     n: int
@@ -43,12 +40,17 @@ class PartiteHypergraph:
         sizes = tuple(int(s) for s in self.part_sizes)
         if len(sizes) != self.n or any(s < 1 for s in sizes):
             raise InputError("need one positive size per part")
-        edges = frozenset(tuple(int(v) for v in e) for e in self.edges)
-        for e in edges:
-            if len(e) != self.n:
-                raise InputError(f"edge {e} does not pick one vertex per part")
-            if any(not 0 <= v < s for v, s in zip(e, sizes)):
-                raise InputError(f"edge {e} leaves its parts")
+        edges = frozenset(tuple(map(int, e)) for e in self.edges)
+        # one pass per part; only a failing edge set is walked edge by edge,
+        # so the error names the same first bad edge
+        if set(map(len, edges)) - {self.n} or any(
+            min(col) < 0 or max(col) >= s for col, s in zip(zip(*edges), sizes)
+        ):
+            for e in edges:
+                if len(e) != self.n:
+                    raise InputError(f"edge {e} does not pick one vertex per part")
+                if any(not 0 <= v < s for v, s in zip(e, sizes)):
+                    raise InputError(f"edge {e} leaves its parts")
         object.__setattr__(self, "part_sizes", sizes)
         object.__setattr__(self, "edges", edges)
 
@@ -56,12 +58,12 @@ class PartiteHypergraph:
     _SHAPE = {"n": int, "part_sizes": [int], "edges": [[int]]}
 
     def _doc(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {name: getattr(self, name) for name in self._fields}
         return {**doc, "edges": sorted(self.edges)}
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "PartiteHypergraph":
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+        return cls(*(doc[name] for name in cls._fields))
 
     def to_json(self) -> str:
         return json.dumps(self._doc(), sort_keys=True)
@@ -71,16 +73,14 @@ class PartiteHypergraph:
         return _decode(text, "hypergraph", cls._from_doc, cls._SHAPE)
 
 
-@dataclass(frozen=True)
-class ZarResult:
+class ZarResult(Record):
     z: int
     extremal_edge_count: int
     extremal_witness: PartiteHypergraph
     status: str
 
 
-@dataclass(frozen=True)
-class ErdosBound:
+class ErdosBound(Record):
     ex_bound: float
     z_bound: float
     epsilon: float
@@ -298,6 +298,8 @@ def build_extremal_family(
     of each witness's edge set.  The result has box dimension exactly d
     while its shatter function at m stays at least 2**(z-1).
     """
+    from .setsys import ProductUniverse, SetSystem
+
     if n < 1 or d < 1:
         raise InputError("n and d must be positive")
     sizes = [int(m) for m in m_range]

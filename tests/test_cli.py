@@ -92,6 +92,12 @@ def test_counterexample_verb(capsys):
     assert s.domain_size == 10
 
 
+@pytest.mark.parametrize("m", ["0", "2,0"])
+def test_counterexample_block_sizes_must_be_positive(capsys, m):
+    code, out, err = run(capsys, "counterexample", "--m", m)
+    assert (code, out, err) == (1, "", "error: block sizes must be positive\n")
+
+
 def test_arrow_verb(tmp_path, capsys):
     for name, size in [("a", 2), ("b", 3), ("c6", 6), ("c5", 5)]:
         (tmp_path / f"{name}.json").write_text(points(size).to_json())

@@ -1,6 +1,7 @@
 """The JSON codecs: one decode path, malformed documents end in InputError."""
 
 import json
+import random
 
 import pytest
 
@@ -119,3 +120,81 @@ def test_extension_document_extends_the_hypergraph_document():
     assert ExtensionHypergraph.from_json(eh.to_json()) == eh
     # a plain hypergraph document reads back as the base of an extended one
     assert PartiteHypergraph.from_json(eh.to_json()) == eh.base
+
+
+def _first_bad_edge(n, sizes, edges):
+    """The error of the edge-by-edge check, in the edge set's own order."""
+    for e in frozenset(tuple(int(v) for v in e) for e in edges):
+        if len(e) != n:
+            return f"edge {e} does not pick one vertex per part"
+        if any(not 0 <= v < s for v, s in zip(e, sizes)):
+            return f"edge {e} leaves its parts"
+    return None
+
+
+def _edge_sets():
+    """Seeded edge sets over 1 to 3 parts, most with several bad edges."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        sizes = [rng.randint(1, 4) for _ in range(n)]
+        edges = {tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(0, 8))}
+        for _ in range(rng.choice([0, 1, 2, 3])):
+            e = [rng.randrange(s) for s in sizes]
+            kind = rng.choice(["short", "long", "negative", "at size", "past size"])
+            if kind == "short":
+                e.pop()
+            elif kind == "long":
+                e.append(0)
+            else:
+                p = rng.randrange(n)
+                e[p] = {"negative": -rng.randint(1, 3), "at size": sizes[p]}.get(
+                    kind, sizes[p] + rng.randint(1, 5)
+                )
+            edges.add(tuple(e))
+        yield n, sizes, sorted(edges)
+
+
+EDGE_SETS = list(_edge_sets())
+
+
+def test_edge_sets_cover_each_outcome():
+    outcomes = [(_first_bad_edge(*case) or "ok").split()[-1] for case in EDGE_SETS]
+    assert {outcomes.count(word) > 20 for word in ("ok", "part", "parts")} == {True}
+    assert {n for n, *_ in EDGE_SETS} == {1, 2, 3}
+
+
+def test_edge_check_names_the_first_bad_edge():
+    for n, sizes, edges in EDGE_SETS:
+        want = _first_bad_edge(n, sizes, edges)
+        doc = {"n": n, "part_sizes": sizes, "edges": [list(e) for e in edges], "t": 0, "seed": 1}
+        builds = [
+            lambda: PartiteHypergraph(n, sizes, edges),
+            lambda: PartiteHypergraph(n, sizes, [[str(v) for v in e] for e in edges]),
+            lambda: ExtensionHypergraph.from_json(json.dumps(doc)),
+        ]
+        for build in builds:
+            if want is None:
+                assert build().edges == frozenset(edges)
+            else:
+                with pytest.raises(InputError) as exc:
+                    build()
+                assert str(exc.value) == want, (n, sizes, edges)
+
+
+def test_edge_check_keeps_its_readings():
+    # coordinates go through int(); an empty edge set and a single part pass
+    assert PartiteHypergraph(2, (2, 2), [("1", 0.0), (True, 1)]).edges == {(1, 0), (1, 1)}
+    assert PartiteHypergraph(3, (1, 2, 3), ()).edges == frozenset()
+    assert PartiteHypergraph(1, [3], [[2], [0]]).edges == {(2,), (0,)}
+    for edges, message in [
+        ([(0, 1, 0)], "edge (0, 1, 0) does not pick one vertex per part"),
+        ([()], "edge () does not pick one vertex per part"),
+        ([(0, -1)], "edge (0, -1) leaves its parts"),
+        ([(2, 0)], "edge (2, 0) leaves its parts"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            PartiteHypergraph(2, (2, 2), edges)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="invalid literal"):
+        PartiteHypergraph(2, (2, 2), [("x", 0)])

@@ -63,32 +63,42 @@ def test_package_and_cli_import_no_kernel_at_module_level():
 
 
 # The vcn modules a fresh interpreter holds after each statement.
-ALL = {"cli", "errors", "setsys", "zar", "fmodel", "ramsey", "hyperrand"}
 LOADED = {
     "import vcn": set(),
-    "zar-table": {"cli", "errors", "setsys", "zar"},
+    "zar-table": {"cli", "errors", "zar"},
+    "shatter": {"cli", "errors", "setsys", "zar"},
     "arrow": {"cli", "errors", "ramsey"},
-    "gen-random": ALL - {"fmodel"},
-    "counterexample": ALL - {"hyperrand"},
+    "gen-random": {"cli", "errors", "zar", "hyperrand"},
+    "walk": {"cli", "errors", "zar", "hyperrand"},
+    "counterexample": {"cli", "errors", "fmodel", "setsys", "zar"},
 }
 ARGV = {
     "zar-table": ["zar-table", "--n", "2", "--m", "2..3", "--d", "2"],
+    "shatter": ["shatter", "fam.json", "--m", "1..2"],
     "arrow": ["arrow", "p1.json", "p2.json", "p3.json", "--k", "2"],
     "gen-random": ["gen-random", "--n", "2", "--m", "6", "--t", "1", "--seed", "4"],
+    "walk": ["walk", "h.json", "pair.json"],
     "counterexample": ["counterexample", "--m", "2"],
 }
+# Standard-library modules no verb needs (dataclasses loads inspect, ast and
+# dis); between them the cases load every vcn module.
+NEVER_LOADED = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("case", list(LOADED))
 def test_modules_load_on_first_use(case, tmp_path):
-    from vcn import points
+    from vcn import build_extremal_family, gen_extension_hypergraph, points
 
     for k in (1, 2, 3):
         (tmp_path / f"p{k}.json").write_text(points(k).to_json())
+    (tmp_path / "fam.json").write_text(build_extremal_family(2, 1, [2]).to_json())
+    (tmp_path / "h.json").write_text(gen_extension_hypergraph(2, 6, 1, 4).to_json())
+    (tmp_path / "pair.json").write_text('{"w": [[0, 1], [1, 1]], "w_prime": [[0, 2], [1, 1]]}')
     run = "" if case == "import vcn" else f"import vcn.cli; assert vcn.cli.main({ARGV[case]!r}) == 0"
     script = (
         "import sys, vcn\n"
         f"{run}\n"
+        f"print(' '.join(m for m in {NEVER_LOADED!r} if m in sys.modules))\n"
         "print(' '.join(sorted(m[4:] for m in sys.modules if m.startswith('vcn.'))))\n"
     )
     path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
@@ -97,4 +107,6 @@ def test_modules_load_on_first_use(case, tmp_path):
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.splitlines()[-1].split()) == LOADED[case]
+    *_, never, loaded = proc.stdout.split("\n")[:-1]
+    assert never == ""
+    assert set(loaded.split()) == LOADED[case]
