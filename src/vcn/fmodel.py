@@ -8,9 +8,10 @@ object tuples against a fixed structure yields a set system over the
 product of the parameter tuple spaces; counting distinct truth patterns of
 object tuples against finite parameter boxes counts realized types.  The
 two views agree cell by cell, and the test suite checks that agreement
-directly.  Both read one evaluator, which turns each formula into one
-bitmask over the assignment space, so type counting over all boxes is the
-shatter function of the delta-type system.
+directly.  Every evaluation here, from one assignment (eval_formula) to
+the encoding and indiscernibility checks, reads one evaluator, which
+turns each formula into one bitmask over an assignment space, so type
+counting over all boxes is the shatter function of the delta-type system.
 
 Formulas are exchanged as s-expressions, e.g.::
 
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
-from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import and_, mul, or_
+from typing import Iterable, Mapping, Sequence
 
 from .errors import _STRUCTURE_SHAPE, BudgetExceededError, InputError, Record, _decode
 from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
@@ -317,37 +318,6 @@ def permute_blocks(phi: QfFormula, perm: Sequence[int]) -> QfFormula:
     return QfFormula(lengths, remap(phi.body))
 
 
-def _compile(structure: FiniteStructure, phi: QfFormula) -> Callable:
-    """Closure evaluator over a per-block assignment; assumes valid input."""
-    rels = structure.relations
-
-    def build(node):
-        op = node[0]
-        if op == "atom":
-            name, vars_ = node[1], node[2]
-            rel = rels.get(name)
-            if rel is None:
-                raise InputError(f"unknown relation {name}")
-            if rel.arity != len(vars_):
-                raise InputError(
-                    f"relation {name} expects arity {rel.arity}, got {len(vars_)}"
-                )
-            tuples = rel.tuples
-            return lambda env: tuple(env[b][c] for b, c in vars_) in tuples
-        if op == "eq":
-            (b1, c1), (b2, c2) = node[1], node[2]
-            return lambda env: env[b1][c1] == env[b2][c2]
-        if op == "not":
-            inner = build(node[1])
-            return lambda env: not inner(env)
-        children = [build(child) for child in node[1:]]
-        if op == "and":
-            return lambda env: all(f(env) for f in children)
-        return lambda env: any(f(env) for f in children)
-
-    return build(phi.body)
-
-
 def eval_formula(
     structure: FiniteStructure, phi: QfFormula, assignment: Sequence[Sequence[int]]
 ) -> bool:
@@ -362,12 +332,20 @@ def eval_formula(
         if any(not 0 <= v < structure.domain_size for v in tup):
             raise InputError(f"assignment {tup} leaves the domain")
         env.append(tup)
-    return _compile(structure, phi)(tuple(env))
+    return _formula_masks(structure, [phi], [[t] for t in env])[0] == 1
 
 
 def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...]]:
     """All length-long domain tuples in row-major order."""
     return list(product(range(structure.domain_size), repeat=length))
+
+
+def _bits(offsets: Iterable[int], space: int) -> int:
+    """The mask over space assignments whose set bits are the offsets."""
+    buf = bytearray(space // 8 + 1)
+    for o in offsets:
+        buf[o >> 3] |= 1 << (o & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _formula_masks(
@@ -410,15 +388,12 @@ def _formula_masks(
             for key in product(*offsets.values()):
                 if tuple(key[i][j] for i, j in slots) in tuples:
                     keys.append(key)
-        buf = bytearray(space // 8 + 1)
-        for key in keys:
-            for o in map(sum, product(*(offsets[b][k] for b, k in zip(comps, key)))):
-                buf[o >> 3] |= 1 << (o & 7)
-        mask = int.from_bytes(buf, "little")
+        hits = (map(sum, product(*(offsets[b][k] for b, k in zip(comps, key)))) for key in keys)
+        mask = _bits(chain.from_iterable(hits), space)
         # the blocks vars_ leaves free: every position, by one carry-free product
         for b, size in enumerate(sizes):
             if b not in comps:
-                mask *= ((1 << size * strides[b]) - 1) // ((1 << strides[b]) - 1)
+                mask *= _bits(range(0, size * strides[b], strides[b]), size * strides[b])
         return mask
 
     def build(node) -> int:
@@ -623,6 +598,13 @@ def _index_view(index: PartiteHypergraph | RelStructure):
     return vertices, dict(zip(vertices, parts)), arity, edges
 
 
+def _check_in_domain(structure: FiniteStructure, fam: IndexedFamily, vertices) -> None:
+    """Refuse an indexed tuple that leaves the domain: no mask can read it."""
+    for v in vertices:
+        if any(not 0 <= x < structure.domain_size for x in fam.tuples[v]):
+            raise InputError(f"indexed tuple {fam.tuples[v]} of vertex {v} leaves the domain")
+
+
 def check_encodes(
     structure: FiniteStructure,
     phi: QfFormula,
@@ -636,19 +618,19 @@ def check_encodes(
     """
     if len(phi.block_lengths) != hypergraph.n:
         raise InputError("formula needs one block per hypergraph part")
-    for p in range(hypergraph.n):
-        for i in range(hypergraph.part_sizes[p]):
-            if (p, i) not in fam.tuples:
-                raise InputError(f"vertex ({p},{i}) has no indexed tuple")
+    sizes = hypergraph.part_sizes
+    vertices = [(p, i) for p, size in enumerate(sizes) for i in range(size)]
+    for p, i in vertices:
+        if (p, i) not in fam.tuples:
+            raise InputError(f"vertex ({p},{i}) has no indexed tuple")
     for p, length in enumerate(phi.block_lengths):
         if fam.tuple_length != length:
             raise InputError("indexed tuple length must match every block length")
-    fn = _compile(structure, phi)
-    for cross in product(*(range(s) for s in hypergraph.part_sizes)):
-        env = tuple(fam.tuples[(p, i)] for p, i in enumerate(cross))
-        if fn(env) != (cross in hypergraph.edges):
-            return False
-    return True
+    _check_in_domain(structure, fam, vertices)
+    lists = [[fam.tuples[p, i] for i in range(size)] for p, size in enumerate(sizes)]
+    strides = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
+    edges = _bits((sum(map(mul, e, strides)) for e in hypergraph.edges), prod(sizes))
+    return _formula_masks(structure, [phi], lists)[0] == edges
 
 
 def check_indiscernible(
@@ -663,6 +645,11 @@ def check_indiscernible(
     The reduct names which index relations count: any subset of
     {"order", "parts", "edge"}.  Equality atoms always count.  Returns
     True, or the first violating pair of index tuples.
+
+    Each formula is evaluated once, up front, as a mask over every block
+    map into the D distinct indexed tuples: D ** blocks bits per formula,
+    built even when the first index tuples already violate.  A delta
+    type then reads one bit per block map and formula.
     """
     reduct = frozenset(reduct)
     if not reduct <= {"order", "parts", "edge"}:
@@ -676,9 +663,15 @@ def check_indiscernible(
     for v in vertices:
         if v not in fam.tuples:
             raise InputError(f"index vertex {v} has no tuple")
+    _check_in_domain(structure, fam, vertices)
     rank = {v: i for i, v in enumerate(vertices)}
-    fns = [_compile(structure, phi) for phi in delta]
+    # column[v]: the position of v's tuple among the distinct indexed tuples
+    slot: dict = {}
+    column = {v: slot.setdefault(fam.tuples[v], len(slot)) for v in vertices}
     blocks = len(shape)
+    strides = [len(slot) ** (blocks - 1 - j) for j in range(blocks)]
+    masks = _formula_masks(structure, delta, [list(slot)] * blocks)
+    data = [mask.to_bytes(len(slot) ** blocks // 8 + 1, "little") for mask in masks]
 
     def reduct_type(w):
         sign = []
@@ -700,11 +693,11 @@ def check_indiscernible(
         return (tuple(sign), parts, edges)
 
     def delta_type(w):
-        bits = []
-        for sigma in product(range(len(w)), repeat=blocks):
-            env = tuple(fam.tuples[w[i]] for i in sigma)
-            bits.extend(fn(env) for fn in fns)
-        return tuple(bits)
+        cols = [column[v] for v in w]
+        offsets = [0]  # one bit offset per block map into w, block 0 outermost
+        for stride in strides:
+            offsets = [o + c * stride for o in offsets for c in cols]
+        return tuple(bits[o >> 3] >> (o & 7) & 1 for o in offsets for bits in data)
 
     for length in range(1, arity_cap + 1):
         groups: dict = {}

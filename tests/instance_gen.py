@@ -23,7 +23,6 @@ from vcn import (
     RelStructure,
     SetSystem,
     copies,
-    eval_formula,
     induced,
 )
 
@@ -127,6 +126,91 @@ def ref_gather(system: SetSystem, box: BoxSpec) -> list[int]:
     return out
 
 
+# --- reference formula evaluation ------------------------------------------
+
+
+def ref_eval(structure: FiniteStructure, phi: QfFormula, assignment) -> bool:
+    """phi under one tuple per block, by recursion on the formula; assumes
+    the relations exist with the arities the atoms use."""
+
+    def holds(node) -> bool:
+        op = node[0]
+        if op == "atom":
+            values = tuple(assignment[b][c] for b, c in node[2])
+            return values in structure.relations[node[1]].tuples
+        if op == "eq":
+            (b1, c1), (b2, c2) = node[1], node[2]
+            return assignment[b1][c1] == assignment[b2][c2]
+        if op == "not":
+            return not holds(node[1])
+        if op == "and":
+            return all(holds(child) for child in node[1:])
+        return any(holds(child) for child in node[1:])
+
+    return holds(phi.body)
+
+
+def ref_encodes(structure: FiniteStructure, phi: QfFormula, fam, hypergraph) -> bool:
+    """Whether phi holds on exactly the edges, one cross tuple at a time."""
+    for cross in product(*(range(s) for s in hypergraph.part_sizes)):
+        env = [fam.tuples[p, i] for p, i in enumerate(cross)]
+        if ref_eval(structure, phi, env) != (cross in hypergraph.edges):
+            return False
+    return True
+
+
+def ref_indiscernible(fam, reduct, structure: FiniteStructure, delta, arity_cap: int):
+    """True, or the first pair of index tuples (lengths 1..arity_cap, each in
+    product order) with equal reduct types and unequal delta types.
+
+    Vertices compare by the index order (part-major for a partite
+    hypergraph); a delta type is every formula at every map from the
+    blocks into the tuple.
+    """
+    index = fam.index
+    if isinstance(index, PartiteHypergraph):
+        vertices = [(p, i) for p, size in enumerate(index.part_sizes) for i in range(size)]
+        part = {v: v[0] for v in vertices}
+        arity = index.n
+        edges = {frozenset(enumerate(e)) for e in index.edges}
+    else:
+        vertices = list(range(index.size))
+        sizes = index.part_sizes or (index.size,)
+        part = dict(enumerate(p for p, size in enumerate(sizes) for _ in range(size)))
+        arity = index.edge_arity
+        edges = index.edges or set()
+    blocks = len(delta[0].block_lengths)
+
+    def reduct_type(w):
+        pairs = list(combinations(w, 2))
+        if "order" in reduct:
+            signs = tuple((a > b) - (a < b) for a, b in pairs)
+        else:
+            signs = tuple(a != b for a, b in pairs)
+        parts = tuple(part[v] for v in w) if "parts" in reduct else None
+        hits = None
+        if "edge" in reduct and arity:
+            hits = tuple(frozenset(s) in edges for s in combinations(w, arity))
+        return signs, parts, hits
+
+    def delta_type(w):
+        return tuple(
+            ref_eval(structure, phi, [fam.tuples[w[i]] for i in sigma])
+            for sigma in product(range(len(w)), repeat=blocks)
+            for phi in delta
+        )
+
+    for length in range(1, arity_cap + 1):
+        first = {}
+        for w in product(vertices, repeat=length):
+            key, value = reduct_type(w), delta_type(w)
+            if key not in first:
+                first[key] = (w, value)
+            elif first[key][1] != value:
+                return first[key][0], w
+    return True
+
+
 # --- reference type counting -----------------------------------------------
 
 
@@ -136,7 +220,7 @@ def ref_types(structure: FiniteStructure, delta, lists) -> set[tuple[bool, ...]]
     objects = product(range(structure.domain_size), repeat=delta[0].block_lengths[0])
     cells = list(product(*lists))
     return {
-        tuple(eval_formula(structure, phi, (b, *cell)) for phi in delta for cell in cells)
+        tuple(ref_eval(structure, phi, (b, *cell)) for phi in delta for cell in cells)
         for b in objects
     }
 

@@ -13,7 +13,11 @@ import pytest
 from instance_gen import (
     member_sets,
     random_formula,
+    random_ordered,
     random_structure,
+    ref_encodes,
+    ref_eval,
+    ref_indiscernible,
     ref_pi_phi,
     ref_trace,
     ref_types,
@@ -210,7 +214,7 @@ def test_type_counting_matches_pointwise_evaluation(seed):
         frozenset(
             tuple(space.index(t) for space, t in zip(spaces, cell))
             for cell in product(*spaces)
-            if eval_formula(structure, delta[0], (b, *cell))
+            if ref_eval(structure, delta[0], (b, *cell))
         )
         for b in objects
     }
@@ -232,6 +236,15 @@ def test_random_formulas_cover_every_node():
     assert any(len(random_instance(seed)[2]) == 2 for seed in range(48))
 
 
+@pytest.mark.parametrize("seed", range(48))
+def test_eval_formula_matches_reference(seed):
+    _, structure, delta = random_instance(seed)
+    for phi in delta:
+        spaces = [product(range(structure.domain_size), repeat=l) for l in phi.block_lengths]
+        for assignment in product(*spaces):
+            assert eval_formula(structure, phi, assignment) == ref_eval(structure, phi, assignment)
+
+
 def test_type_counting_errors_keep_their_messages():
     s = random_structure(0, domain=3, signature=SIGNATURE)
     phi = parse_formula("(S x y0)", (1, 1))
@@ -245,6 +258,8 @@ def test_type_counting_errors_keep_their_messages():
         pi_phi(s, [phi, parse_formula("(S x y0)", (1, 2))], 1)
     unknown = parse_formula("(and (S x y0) (Q x y0))", (1, 1))
     wrong_arity = parse_formula("(R x y0)", (1, 1))
+    h = PartiteHypergraph(2, (1, 1), frozenset())
+    fam = IndexedFamily(h, {(0, 0): (0,), (1, 0): (1,)})
     for bad, message in ((unknown, "unknown relation Q"), (wrong_arity, "expects arity 3, got 2")):
         for call in (
             lambda: pi_phi(s, [phi, bad], 0),
@@ -252,9 +267,32 @@ def test_type_counting_errors_keep_their_messages():
             lambda: count_types(s, [bad], [[]]),
             lambda: verify_ipn_witness(s, bad, [[(0,)]]),
             lambda: dim_phi(s, bad),
+            lambda: eval_formula(s, bad, ((0,), (1,))),
+            lambda: check_encodes(s, bad, fam, h),
+            lambda: check_indiscernible(fam, {"order"}, s, [phi, bad], 1),
         ):
             with pytest.raises(InputError, match=message):
                 call()
+    # a missing vertex or a wrong tuple length is reported before the relations are read
+    short = IndexedFamily(h, {(0, 0): (0,)})
+    pairs = IndexedFamily(h, {(0, 0): (0, 0), (1, 0): (1, 1)})
+    for call, message in (
+        (lambda: eval_formula(s, unknown, ((0,),)), "assignment must cover every block"),
+        (lambda: eval_formula(s, unknown, ((0, 0), (1,))), r"block tuple \(0, 0\) does not match"),
+        (lambda: eval_formula(s, unknown, ((0,), (3,))), r"assignment \(3,\) leaves the domain"),
+        (lambda: check_encodes(s, unknown, short, h), r"vertex \(1,0\) has no indexed tuple"),
+        (lambda: check_encodes(s, unknown, pairs, h), "indexed tuple length must match"),
+        (
+            lambda: check_indiscernible(short, {"order"}, s, [unknown], 1),
+            r"index vertex \(1, 0\) has no tuple",
+        ),
+        (
+            lambda: check_indiscernible(pairs, {"order"}, s, [unknown], 1),
+            "delta block lengths must match the indexed tuple length",
+        ),
+    ):
+        with pytest.raises(InputError, match=message):
+            call()
 
 
 def test_counterexample_dimension_and_shatter_value():
@@ -460,3 +498,123 @@ def test_check_indiscernible_rejects_other_index_types():
     fam = IndexedFamily(s, {0: (0,), 1: (1,)})
     with pytest.raises(InputError, match="unsupported index structure"):
         check_indiscernible(fam, {"order"}, s, [parse_formula("(R x y0)", (1, 1))], 1)
+
+
+def test_indexed_tuples_outside_the_domain_are_refused():
+    # (= x y0) holds at (5, 5), but 5 is no element of a domain of 2
+    h = PartiteHypergraph(2, (1, 1), frozenset({(0, 0)}))
+    s = FiniteStructure(2, {"R": Relation(2, frozenset())})
+    phi = parse_formula("(= x y0)", (1, 1))
+    unknown = parse_formula("(Q x y0)", (1, 1))
+    for tuples, vertex in (
+        ({(0, 0): (5,), (1, 0): (5,)}, r"\(5,\) of vertex \(0, 0\)"),
+        ({(0, 0): (1,), (1, 0): (2,)}, r"\(2,\) of vertex \(1, 0\)"),
+        ({(0, 0): (-1,), (1, 0): (0,)}, r"\(-1,\) of vertex \(0, 0\)"),
+    ):
+        fam = IndexedFamily(h, tuples)
+        message = f"indexed tuple {vertex} leaves the domain"
+        for call in (
+            lambda: check_encodes(s, phi, fam, h),
+            lambda: check_encodes(s, unknown, fam, h),
+            lambda: check_indiscernible(fam, {"order"}, s, [phi], 1),
+            lambda: check_indiscernible(fam, {"order"}, s, [unknown], 1),
+        ):
+            with pytest.raises(InputError, match=message):
+                call()
+    with pytest.raises(InputError, match=r"assignment \(5,\) leaves the domain"):
+        eval_formula(s, phi, ((5,), (5,)))
+
+
+def random_encoding(seed: int):
+    """A structure, a formula with one block per part, tuples indexed by the
+    vertices (they may repeat), and the hypergraph the formula encodes."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    length = rng.randint(1, 2) if n == 2 else 1
+    sizes = tuple(rng.randint(1, 3) for _ in range(n))
+    domain = rng.randint(2, 3)
+    structure = random_structure(seed, domain=domain, signature=SIGNATURE)
+    phi = random_formula(rng, (length,) * n, SIGNATURE)
+    tuples = {
+        (p, i): tuple(rng.randrange(domain) for _ in range(length))
+        for p, size in enumerate(sizes)
+        for i in range(size)
+    }
+    cells = list(product(*map(range, sizes)))
+    edges = frozenset(
+        c for c in cells if ref_eval(structure, phi, [tuples[p, i] for p, i in enumerate(c)])
+    )
+    h = PartiteHypergraph(n, sizes, edges)
+    return rng, structure, phi, IndexedFamily(h, tuples), h
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_encodes_matches_reference(seed):
+    rng, structure, phi, fam, h = random_encoding(seed)
+    cells = list(product(*map(range, h.part_sizes)))
+    flipped = PartiteHypergraph(h.n, h.part_sizes, h.edges ^ {rng.choice(cells)})
+    noise = PartiteHypergraph(h.n, h.part_sizes, frozenset(c for c in cells if rng.random() < 0.5))
+    for hypergraph, want in ((h, True), (flipped, False), (noise, None)):
+        got = check_encodes(structure, phi, fam, hypergraph)
+        assert got == ref_encodes(structure, phi, fam, hypergraph)
+        assert want is None or got is want
+
+
+REDUCTS = [set(r) for k in range(4) for r in combinations(("order", "parts", "edge"), k)]
+
+
+def random_indexed(seed: int):
+    """An index, tuples that often repeat, a structure and a delta.
+
+    Odd seeds index a partite hypergraph with 1 to 3 parts; even seeds an
+    ordered structure with or without parts and edges.
+    """
+    rng = random.Random(seed)
+    if seed % 2:
+        n = rng.randint(1, 3)
+        sizes = tuple(rng.randint(1, 3 if n < 3 else 2) for _ in range(n))
+        cells = product(*map(range, sizes))
+        index = PartiteHypergraph(n, sizes, frozenset(c for c in cells if rng.random() < 0.5))
+        vertices = [(p, i) for p, size in enumerate(sizes) for i in range(size)]
+    else:
+        arity, parts = rng.choice([None, 2, 3]), rng.choice([None, 1, 2])
+        index = random_ordered(rng, rng.randint(1, 5), arity, parts)
+        vertices = list(range(index.size))
+    length, blocks = rng.randint(1, 2), rng.randint(2, 3)
+    domain = rng.randint(2, 3)
+    pool = [tuple(rng.randrange(domain) for _ in range(length)) for _ in range(rng.randint(1, 3))]
+    fam = IndexedFamily(index, {v: rng.choice(pool) for v in vertices})
+    structure = random_structure(seed, domain=domain, signature=SIGNATURE)
+    delta = [random_formula(rng, (length,) * blocks, SIGNATURE) for _ in range(rng.randint(1, 2))]
+    return structure, fam, delta
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_indiscernible_matches_reference(seed):
+    structure, fam, delta = random_indexed(seed)
+    for reduct in REDUCTS:
+        for cap in (1, 2, 3):
+            want = ref_indiscernible(fam, reduct, structure, delta, cap)
+            assert check_indiscernible(fam, reduct, structure, delta, cap) == want
+
+
+def test_indexed_cases_reach_every_outcome():
+    encodings = [random_encoding(seed) for seed in range(40)]
+    assert any(len(set(fam.tuples.values())) < len(fam.tuples) for _, _, _, fam, _ in encodings)
+    assert {h.n for *_, h in encodings} == {2, 3}
+    indexed = [random_indexed(seed) for seed in range(40)]
+    results = [
+        check_indiscernible(fam, reduct, structure, delta, cap)
+        for structure, fam, delta in indexed
+        for reduct in REDUCTS
+        for cap in (1, 2, 3)
+    ]
+    assert True in results and any(r is not True for r in results)
+    assert any(len(set(fam.tuples.values())) < len(fam.tuples) for _, fam, _ in indexed)
+    partite = [fam.index for _, fam, _ in indexed if isinstance(fam.index, PartiteHypergraph)]
+    assert {h.n for h in partite} == {1, 2, 3}
+    ordered = [fam.index for _, fam, _ in indexed if isinstance(fam.index, RelStructure)]
+    assert {(r.part_sizes is None, r.edges is None) for r in ordered} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+    assert {len(delta[0].block_lengths) for _, _, delta in indexed} == {2, 3}
