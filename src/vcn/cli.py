@@ -3,9 +3,7 @@
 Every verb reads JSON inputs, writes CSV or JSON to stdout or --out, and
 is deterministic byte for byte.  Exit codes: 0 success, 1 malformed input
 or arguments, 2 an explicit refusal (budget exhausted, generation or walk
-or selection gave up).  Floats print with %.6g.  VCN_THREADS is accepted
-and validated for compatibility; the computation is single threaded, so
-the value never changes any output.
+or selection gave up).  Floats print with %.6g.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .errors import (
@@ -209,11 +206,7 @@ def cmd_walk(args) -> str:
     h = _load_hypergraph(args.hypergraph)
 
     def pair(doc):
-        w, wp = doc["w"], doc["w_prime"]
-        for v in w + wp:
-            if len(v) != 2:
-                raise InputError(f"vertex {v} is not a [part, index] pair")
-        return w, wp
+        return doc["w"], doc["w_prime"]
 
     w, wp = _decode(_read_text(args.pair), "pair", pair, {"w": [[int]], "w_prime": [[int]]})
     steps = adjacency_walk(h, w, wp)
@@ -341,22 +334,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_threads() -> None:
-    raw = os.environ.get("VCN_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError("VCN_THREADS must be an integer") from None
-    if value < 1:
-        raise InputError("VCN_THREADS must be positive")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        _check_threads()
         args = parser.parse_args(argv)
         text = args.func(args)
     except InputError as exc:

@@ -4,7 +4,10 @@ Every vcn module imports this one, and it imports no other vcn module.
 Refusals are always explicit: an operation that cannot honestly finish
 raises instead of degrading to a sampled or truncated answer.  The
 library's value types are Records: frozen, compared and hashed by their
-fields, without the import and class-creation cost of dataclasses.
+fields, without the import and class-creation cost of dataclasses.  The
+structure document that ramsey.RelStructure and fmodel.FiniteStructure
+share has its one reader and its one relation encoder here, so neither
+kernel loads the other to read or write it.
 """
 
 from __future__ import annotations
@@ -154,15 +157,6 @@ def _check_shape(value, shape, path: tuple = ()) -> None:
                 _check_shape(item, sub, (*path, key))
 
 
-# The "structure" document, read by ramsey.RelStructure and fmodel.FiniteStructure.
-_STRUCTURE_SHAPE = {
-    "domain": int,
-    "order": [int],
-    "parts": [[int]],
-    "relations": {str: {"arity": int, "tuples": [[int]]}},
-}
-
-
 def _decode(text: str, what: str, build: Callable[[dict], _T], shape: dict) -> _T:
     """build(doc) for a JSON object doc of the given shape (see _check_shape).
 
@@ -177,3 +171,59 @@ def _decode(text: str, what: str, build: Callable[[dict], _T], shape: dict) -> _
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad {what} document: {exc}") from exc
+
+
+# The "structure" document of ramsey.RelStructure and fmodel.FiniteStructure.
+_STRUCTURE_SHAPE = {
+    "domain": int,
+    "order": [int],
+    "parts": [[int]],
+    "relations": {str: {"arity": int, "tuples": [[int]]}},
+}
+
+
+def _structure_doc(size: int, relations: dict) -> dict:
+    """The structure document of {name: (arity, tuples)} on {0..size-1}."""
+    return {
+        "domain": size,
+        "relations": {
+            name: {"arity": arity, "tuples": sorted(map(list, tuples))}
+            for name, (arity, tuples) in sorted(relations.items())
+        },
+    }
+
+
+def _decode_structure(text: str, build: Callable[[int, tuple | None, dict], _T]) -> _T:
+    """build(size, part_sizes, {name: (arity, tuples)}) of a structure document.
+
+    Every vertex is renamed to its position in the order, which must
+    enumerate the domain (default: ascending).  Parts, where given, must
+    be convex in the order and cover the domain; part_sizes is None
+    without them.
+    """
+
+    def read(doc):
+        size = doc["domain"]
+        order = doc.get("order", list(range(size)))
+        if sorted(order) != list(range(size)):
+            raise InputError("order must enumerate the whole domain")
+        position = {v: i for i, v in enumerate(order)}
+
+        def vertex(v: int) -> int:
+            if v not in position:
+                raise InputError(f"vertex {v} is not in the domain")
+            return position[v]
+
+        part_sizes = None
+        if "parts" in doc:
+            parts = [sorted(map(vertex, part)) for part in doc["parts"]]
+            if list(chain.from_iterable(parts)) != list(range(size)):
+                raise InputError("parts must be convex in the order and cover the domain")
+            part_sizes = tuple(map(len, parts))
+        relations = {
+            name: (spec["arity"], [tuple(map(vertex, t)) for t in spec["tuples"]])
+            for name, spec in doc.get("relations", {}).items()
+        }
+        return build(size, part_sizes, relations)
+
+    return _decode(text, "structure", read, _STRUCTURE_SHAPE)

@@ -30,7 +30,7 @@ from math import prod
 from operator import and_, mul, or_
 from typing import Iterable, Mapping, Sequence
 
-from .errors import _STRUCTURE_SHAPE, BudgetExceededError, InputError, Record, _decode
+from .errors import BudgetExceededError, InputError, Record, _decode_structure, _structure_doc
 from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
 
 
@@ -64,34 +64,19 @@ class FiniteStructure(Record):
                     raise InputError(f"relation {name} tuple {t} leaves the domain")
         object.__setattr__(self, "relations", rels)
 
-    def holds(self, name: str, t: Sequence[int]) -> bool:
-        rel = self.relations.get(name)
-        if rel is None:
-            raise InputError(f"unknown relation {name}")
-        if len(t) != rel.arity:
-            raise InputError(f"relation {name} expects arity {rel.arity}, got {len(t)}")
-        return tuple(t) in rel.tuples
-
     def to_json(self) -> str:
-        doc = {
-            "domain": self.domain_size,
-            "relations": {
-                name: {"arity": rel.arity, "tuples": sorted(list(t) for t in rel.tuples)}
-                for name, rel in sorted(self.relations.items())
-            },
-        }
-        return json.dumps(doc, sort_keys=True)
+        rels = {name: (rel.arity, rel.tuples) for name, rel in self.relations.items()}
+        return json.dumps(_structure_doc(self.domain_size, rels), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteStructure":
-        def build(doc):
-            rels = {
-                name: Relation(spec["arity"], frozenset(map(tuple, spec["tuples"])))
-                for name, spec in doc["relations"].items()
-            }
-            return cls(doc["domain"], rels)
+        """Read a structure document; its parts are checked, then dropped."""
 
-        return _decode(text, "structure", build, _STRUCTURE_SHAPE)
+        def build(size, part_sizes, relations):
+            rels = {name: Relation(arity, tuples) for name, (arity, tuples) in relations.items()}
+            return cls(size, rels)
+
+        return _decode_structure(text, build)
 
 
 def build_counterexample_structure(

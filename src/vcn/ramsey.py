@@ -27,7 +27,7 @@ import json
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import _STRUCTURE_SHAPE, BudgetExceededError, InputError, Record, _decode
+from .errors import BudgetExceededError, InputError, Record, _decode_structure, _structure_doc
 
 
 class RelStructure(Record):
@@ -59,16 +59,6 @@ class RelStructure(Record):
                     raise InputError(f"edge {sorted(e)} leaves the domain")
             object.__setattr__(self, "edges", edges)
 
-    def part_of(self, v: int) -> int:
-        if self.part_sizes is None:
-            raise InputError("structure has no parts")
-        start = 0
-        for p, s in enumerate(self.part_sizes):
-            start += s
-            if v < start:
-                return p
-        raise InputError(f"vertex {v} out of range")
-
     def part_ids(self) -> tuple[int, ...] | None:
         if self.part_sizes is None:
             return None
@@ -86,12 +76,9 @@ class RelStructure(Record):
         return (self.size, self.part_sizes, self.edge_arity, edges)
 
     def to_json(self) -> str:
-        doc: dict = {"domain": self.size, "relations": {}, "order": list(range(self.size))}
-        if self.edges is not None:
-            doc["relations"]["R"] = {
-                "arity": self.edge_arity,
-                "tuples": sorted(sorted(e) for e in self.edges),
-            }
+        rels = {} if self.edges is None else {"R": (self.edge_arity, map(sorted, self.edges))}
+        doc = _structure_doc(self.size, rels)
+        doc["order"] = list(range(self.size))
         if self.part_sizes is not None:
             parts, start = [], 0
             for s in self.part_sizes:
@@ -102,38 +89,14 @@ class RelStructure(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "RelStructure":
-        def build(doc):
-            size = doc["domain"]
-            order = doc.get("order", list(range(size)))
-            if sorted(order) != list(range(size)):
-                raise InputError("order must enumerate the whole domain")
-            relabel = {v: i for i, v in enumerate(order)}
+        """Read a structure document; of its relations only R is kept, as the edges."""
 
-            def vertex(v: int) -> int:
-                if v not in relabel:
-                    raise InputError(f"vertex {v} is not in the domain")
-                return relabel[v]
-
-            part_sizes = None
-            if "parts" in doc:
-                covered, sizes = [], []
-                for part in doc["parts"]:
-                    part = sorted(vertex(v) for v in part)
-                    covered.extend(part)
-                    sizes.append(len(part))
-                if covered != list(range(size)):
-                    raise InputError("parts must be convex in the order and cover the domain")
-                part_sizes = tuple(sizes)
-            arity, edges = None, None
-            rels = doc.get("relations", {})
-            if "R" in rels:
-                arity = rels["R"]["arity"]
-                edges = frozenset(
-                    frozenset(vertex(v) for v in t) for t in rels["R"]["tuples"]
-                )
+        def build(size, part_sizes, relations):
+            arity, tuples = relations.get("R", (None, None))
+            edges = None if tuples is None else frozenset(map(frozenset, tuples))
             return cls(size, part_sizes, arity, edges)
 
-        return _decode(text, "structure", build, _STRUCTURE_SHAPE)
+        return _decode_structure(text, build)
 
 
 def points(k: int) -> RelStructure:
@@ -148,10 +111,11 @@ def induced(structure: RelStructure, subset: Sequence[int]) -> RelStructure:
         raise InputError("subset leaves the domain")
     pos = {v: i for i, v in enumerate(subset)}
     part_sizes = None
-    if structure.part_sizes is not None:
+    part_ids = structure.part_ids()
+    if part_ids is not None:
         counts = [0] * len(structure.part_sizes)
         for v in subset:
-            counts[structure.part_of(v)] += 1
+            counts[part_ids[v]] += 1
         part_sizes = tuple(counts)
     edges = None
     if structure.edges is not None:
@@ -397,8 +361,9 @@ def bar_restrict(x: RelStructure, x0: RelStructure | None = None) -> RelStructur
         raise InputError("input must carry parts and an edge relation")
     if len(x.part_sizes) != x.edge_arity:
         raise InputError("parts must match the edge arity")
+    part_ids = x.part_ids()
     for e in x.edges:
-        if len({x.part_of(v) for v in e}) != x.edge_arity:
+        if len({part_ids[v] for v in e}) != x.edge_arity:
             raise InputError(f"edge {sorted(e)} is not cross-part")
     flat = flatten(x)
     if x0 is None:
@@ -407,7 +372,7 @@ def bar_restrict(x: RelStructure, x0: RelStructure | None = None) -> RelStructur
         raise InputError("x0 must be the flattening of x")
     double = encode_tilde(x0)
     m = x.size
-    chosen = [x.part_of(v) * m + v for v in range(m)]
+    chosen = [part_ids[v] * m + v for v in range(m)]
     bar = induced(double, chosen)
     if bar.canonical_key() != x.canonical_key():
         raise RuntimeError("partite double restriction failed to reproduce the input")

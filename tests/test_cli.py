@@ -130,8 +130,14 @@ def test_arrow_budget_exit_code(tmp_path, capsys):
         {"domain": 3, "relations": {"R": {"arity": 2, "tuples": [[0, 9]]}}},
         {"domain": 3, "parts": [[0, 1], [2, 7]]},
         {"domain": 3, "relations": {"R": {"arity": 2}}},
+        {"domain": 2, "relations": {"S": {"arity": 1, "tuples": [[9]]}}},
     ],
-    ids=["tuple-vertex-out-of-domain", "part-vertex-out-of-domain", "relation-without-tuples"],
+    ids=[
+        "tuple-vertex-out-of-domain",
+        "part-vertex-out-of-domain",
+        "relation-without-tuples",
+        "other-relation-vertex-out-of-domain",
+    ],
 )
 def test_arrow_malformed_structure_is_input_error(tmp_path, capsys, doc):
     (tmp_path / "a.json").write_text(points(1).to_json())
@@ -290,13 +296,13 @@ def test_missing_file_is_input_error(capsys):
     assert code == 1 and "error:" in err
 
 
-def test_threads_env_is_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VCN_THREADS", "2")
-    code, out, _ = run(capsys, "zar-table", "--n", "1", "--m", "2", "--d", "2")
-    assert code == 0
-    monkeypatch.setenv("VCN_THREADS", "zero")
-    code, _, err = run(capsys, "zar-table", "--n", "1", "--m", "2", "--d", "2")
-    assert code == 1 and "VCN_THREADS" in err
+def test_threads_env_changes_nothing(capsys, monkeypatch):
+    argv = ("zar-table", "--n", "1", "--m", "2", "--d", "2")
+    want = run(capsys, *argv)[:2]
+    assert want[0] == 0
+    for value in ("2", "zero"):
+        monkeypatch.setenv("VCN_THREADS", value)
+        assert run(capsys, *argv)[:2] == want
 
 
 def test_system_json_parse_error(tmp_path, capsys):

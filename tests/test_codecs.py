@@ -70,6 +70,15 @@ def test_wrong_shape_names_the_field():
         (FiniteStructure, {"domain": 2, "relations": {"R": {"arity": 0, "tuples": []}}},
          "relation arity must be positive"),
         (RelStructure, {"domain": 2, "parts": [[0], [3]]}, "vertex 3 is not in the domain"),
+        # both structure types read the order, the parts and every relation
+        (FiniteStructure, {"domain": 2, "relations": {"R": {"arity": 2, "tuples": [[5, 0]]}}},
+         "vertex 5 is not in the domain"),
+        (FiniteStructure, {"domain": 2, "order": [7], "parts": [[0], [9]], "relations": {}},
+         "order must enumerate the whole domain"),
+        (FiniteStructure, {"domain": 2, "parts": [[1], [0]], "relations": {}},
+         "parts must be convex in the order and cover the domain"),
+        (RelStructure, {"domain": 2, "relations": {"S": {"arity": 1, "tuples": [[9]]}}},
+         "vertex 9 is not in the domain"),
     ],
 )
 def test_input_errors_pass_through_unchanged(codec, doc, message):
@@ -198,3 +207,96 @@ def test_edge_check_keeps_its_readings():
         assert str(exc.value) == message
     with pytest.raises(ValueError, match="invalid literal"):
         PartiteHypergraph(2, (2, 2), [("x", 0)])
+
+
+def _structure_docs():
+    """Seeded structure documents on domains of 1 to 5.
+
+    Orders are absent, ascending, permuted or broken; parts are absent,
+    convex in the order or broken; R is binary on distinct vertices and S
+    unary, and either may name a vertex outside the domain.
+    """
+    rng = random.Random(12)
+    for _ in range(400):
+        size = rng.randint(1, 5)
+        doc = {"domain": size}
+        order = list(range(size))
+        kind = rng.choice(["absent", "ascending", "permuted", "broken"])
+        if kind != "ascending":
+            rng.shuffle(order)
+        if kind == "broken":
+            broken = list(order)
+            fault = rng.choice(["drop", "repeat", "outside"])
+            if fault == "drop":
+                broken.pop(rng.randrange(size))
+            elif fault == "repeat":
+                broken.append(rng.choice(order))
+            else:
+                broken[rng.randrange(size)] = size
+            doc["order"] = broken
+        elif kind == "absent":
+            order.sort()
+        else:
+            doc["order"] = order
+        parts = rng.choice(["absent", "convex", "broken"])
+        if parts != "absent":
+            cuts = sorted(rng.choices(range(size + 1), k=rng.randint(0, 3)))
+            runs = [order[a:b] for a, b in zip([0, *cuts], [*cuts, size])]
+            for run in runs:
+                rng.shuffle(run)
+            if parts == "broken":
+                full = [run for run in runs if run]
+                fault = rng.choice(["missing", "outside", "not convex"])
+                if fault == "not convex" and len(full) > 1:
+                    # swap the last vertex of the first part and the first of the last
+                    first, last = full[0], full[-1]
+                    i = first.index(max(first, key=order.index))
+                    j = last.index(min(last, key=order.index))
+                    first[i], last[j] = last[j], first[i]
+                elif fault == "outside":
+                    rng.choice(runs).append(size + rng.randint(0, 2))
+                else:
+                    rng.choice(full).pop()
+            doc["parts"] = runs
+        pairs = [rng.sample(range(size), 2) for _ in range(rng.randint(0, 4))] if size > 1 else []
+        singles = [[rng.randrange(size)] for _ in range(rng.randint(0, 3))]
+        if pairs and rng.random() < 0.15:
+            pairs[0][rng.randrange(2)] = size + rng.randint(0, 2)
+        if rng.random() < 0.15:
+            singles.append([size + rng.randint(0, 2)])
+        doc["relations"] = {"R": {"arity": 2, "tuples": pairs}, "S": {"arity": 1, "tuples": singles}}
+        yield doc
+
+
+STRUCTURE_DOCS = list(_structure_docs())
+
+
+def _read(codec, text):
+    """What the codec reads from text, or the message of its refusal."""
+    try:
+        return codec.from_json(text)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_structure_documents_cover_each_outcome():
+    outcomes = [_read(FiniteStructure, json.dumps(doc)) for doc in STRUCTURE_DOCS]
+    words = [out.split()[0] if isinstance(out, str) else "read" for out in outcomes]
+    assert {words.count(word) >= 20 for word in ("read", "order", "parts", "vertex")} == {True}
+    read = [doc for doc, out in zip(STRUCTURE_DOCS, outcomes) if not isinstance(out, str)]
+    assert sum(doc.get("order", []) != sorted(doc.get("order", [])) for doc in read) >= 20
+    assert sum("parts" in doc for doc in read) >= 20
+
+
+def test_structure_readers_agree():
+    for doc in STRUCTURE_DOCS:
+        text = json.dumps(doc)
+        rel, fin = _read(RelStructure, text), _read(FiniteStructure, text)
+        if isinstance(rel, str) or isinstance(fin, str):
+            assert rel == fin, doc
+            continue
+        assert rel.size == fin.domain_size, doc
+        assert rel.edges == {frozenset(t) for t in fin.relations["R"].tuples}, doc
+        # what each type writes reads back to an equal object
+        assert RelStructure.from_json(rel.to_json()) == rel
+        assert FiniteStructure.from_json(fin.to_json()) == fin

@@ -71,6 +71,7 @@ LOADED = {
     "gen-random": {"cli", "errors", "zar", "hyperrand"},
     "walk": {"cli", "errors", "zar", "hyperrand"},
     "counterexample": {"cli", "errors", "fmodel", "setsys", "zar"},
+    "FiniteStructure.from_json": {"errors", "fmodel", "setsys"},
 }
 ARGV = {
     "zar-table": ["zar-table", "--n", "2", "--m", "2..3", "--d", "2"],
@@ -79,6 +80,12 @@ ARGV = {
     "gen-random": ["gen-random", "--n", "2", "--m", "6", "--t", "1", "--seed", "4"],
     "walk": ["walk", "h.json", "pair.json"],
     "counterexample": ["counterexample", "--m", "2"],
+}
+# The statement each case runs after `import vcn`: a library call or a verb.
+STATEMENT = {
+    "import vcn": "",
+    "FiniteStructure.from_json": "vcn.FiniteStructure.from_json(open('s.json').read())",
+    **{case: f"import vcn.cli; assert vcn.cli.main({argv!r}) == 0" for case, argv in ARGV.items()},
 }
 # Standard-library modules no verb needs (dataclasses loads inspect, ast and
 # dis); between them the cases load every vcn module.
@@ -94,10 +101,13 @@ def test_modules_load_on_first_use(case, tmp_path):
     (tmp_path / "fam.json").write_text(build_extremal_family(2, 1, [2]).to_json())
     (tmp_path / "h.json").write_text(gen_extension_hypergraph(2, 6, 1, 4).to_json())
     (tmp_path / "pair.json").write_text('{"w": [[0, 1], [1, 1]], "w_prime": [[0, 2], [1, 1]]}')
-    run = "" if case == "import vcn" else f"import vcn.cli; assert vcn.cli.main({ARGV[case]!r}) == 0"
+    (tmp_path / "s.json").write_text(
+        '{"domain": 3, "order": [2, 0, 1], "parts": [[2, 0], [1]],'
+        ' "relations": {"R": {"arity": 2, "tuples": [[2, 1]]}}}'
+    )
     script = (
         "import sys, vcn\n"
-        f"{run}\n"
+        f"{STATEMENT[case]}\n"
         f"print(' '.join(m for m in {NEVER_LOADED!r} if m in sys.modules))\n"
         "print(' '.join(sorted(m[4:] for m in sys.modules if m.startswith('vcn.'))))\n"
     )
