@@ -199,7 +199,8 @@ def _decode_structure(text: str, build: Callable[[int, tuple | None, dict], _T])
     Every vertex is renamed to its position in the order, which must
     enumerate the domain (default: ascending).  Parts, where given, must
     be convex in the order and cover the domain; part_sizes is None
-    without them.
+    without them.  Every relation needs a positive arity and tuples of
+    that length.
     """
 
     def read(doc):
@@ -224,6 +225,12 @@ def _decode_structure(text: str, build: Callable[[int, tuple | None, dict], _T])
             name: (spec["arity"], [tuple(map(vertex, t)) for t in spec["tuples"]])
             for name, spec in doc.get("relations", {}).items()
         }
+        for arity, tuples in relations.values():
+            if arity < 1:
+                raise InputError("relation arity must be positive")
+            for t in tuples:
+                if len(t) != arity:
+                    raise InputError(f"tuple {t} does not match arity {arity}")
         return build(size, part_sizes, relations)
 
     return _decode(text, "structure", read, _STRUCTURE_SHAPE)

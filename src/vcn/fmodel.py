@@ -571,15 +571,14 @@ def _index_view(index: PartiteHypergraph | RelStructure):
 
     if isinstance(index, PartiteHypergraph):
         vertices = [(p, i) for p in range(index.n) for i in range(index.part_sizes[p])]
-        part_sizes, arity = index.part_sizes, index.n
-        edges = {frozenset(enumerate(e)) for e in index.edges}
+        parts = [p for p, _ in vertices]
+        arity, edges = index.n, {frozenset(enumerate(e)) for e in index.edges}
     elif isinstance(index, RelStructure):
         vertices = list(range(index.size))
-        part_sizes, arity = index.part_sizes or (index.size,), index.edge_arity or 0
-        edges = index.edges or frozenset()
+        parts = index.part_ids() or [0] * index.size
+        arity, edges = index.edge_arity or 0, index.edges or frozenset()
     else:
         raise InputError("unsupported index structure")
-    parts = [p for p, s in enumerate(part_sizes) for _ in range(s)]
     return vertices, dict(zip(vertices, parts)), arity, edges
 
 

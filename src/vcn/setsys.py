@@ -7,9 +7,9 @@ equally sized selections A_i, one per part; the system shatters the box
 when its trace on the box realizes every subset of the box's tuple grid.
 The box dimension of a system is the largest selection size m for which
 some box of size m is shattered, and the shatter function records, for
-each m, the largest trace a size-m box attains.  Traces are gathered from
-row words: the bits of a member over the last part, one word per index
-tuple of the other parts.
+each m, the largest trace a size-m box attains.  A trace is the set of
+members ANDed with the box mask, the bits of the box's cells in the
+row-major tuple space; distinct masked members are distinct traces.
 
 Ground families (plain families over an unstructured ground set) support
 the element-wise down-shift used to compress a family without increasing
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb, prod
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, Record, _decode
@@ -214,17 +214,6 @@ def iter_boxes(universe: ProductUniverse, m: int) -> Iterator[BoxSpec]:
     return (BoxSpec(sels) for sels in product(*_box_pools(universe, m)))
 
 
-def _row_words(members: Sequence[int], width: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
-    """Each member split into its words at the given rows.
-
-    Row r holds the tuples whose first n-1 coordinates have row-major
-    index r; its word is their bits over the last part, width bits long.
-    """
-    low = (1 << width) - 1
-    by_row = [[member >> r * width & low for member in members] for r in rows]
-    return list(zip(*by_row)) or [()] * len(members)
-
-
 def _rows(sizes: Sequence[int], selections: Sequence[Sequence[int]]) -> list[int]:
     """Rows, in box order, of the index tuples picked from the first n-1 parts."""
     rows = [0]
@@ -233,18 +222,10 @@ def _rows(sizes: Sequence[int], selections: Sequence[Sequence[int]]) -> list[int
     return rows
 
 
-def _gather(words: Iterable[int], cols: Sequence[int]) -> dict[int, int]:
-    """Each word mapped to its bits at cols, bit j standing for cols[j]."""
-    return {w: sum((w >> c & 1) << j for j, c in enumerate(cols)) for w in words}
-
-
-def _box_vectors(system: SetSystem, box: BoxSpec) -> set[tuple[int, ...]]:
-    """Distinct member traces on a checked box, each a tuple of gathered row words."""
-    *row_sels, cols = box.selections
-    sizes = system.universe.part_sizes
-    words = _row_words(system.members, sizes[-1], _rows(sizes, row_sels))
-    table = _gather(set(chain.from_iterable(words)), cols)
-    return {tuple(map(table.__getitem__, ws)) for ws in words}
+def _box_traces(system: SetSystem, box: BoxSpec) -> tuple[list[int], set[int]]:
+    """The box's cells and its distinct traces: every member ANDed with the box mask."""
+    cells = box.cell_indices(system.universe)
+    return cells, set(map(sum(1 << c for c in cells).__and__, system.members))
 
 
 def trace(system: SetSystem, box: BoxSpec) -> GroundFamily:
@@ -253,17 +234,15 @@ def trace(system: SetSystem, box: BoxSpec) -> GroundFamily:
     Bit i of a trace stands for the i-th cell of the box grid taken
     row-major in the box's own selection order.
     """
-    box.validate(system.universe)
-    m = box.m
-    masks = (sum(w << (i * m) for i, w in enumerate(vec)) for vec in _box_vectors(system, box))
-    return GroundFamily(m ** system.universe.n, tuple(sorted(masks)))
+    cells, traces = _box_traces(system, box)
+    masks = (sum(1 << i for i, c in enumerate(cells) if t >> c & 1) for t in traces)
+    return GroundFamily(len(cells), tuple(sorted(masks)))
 
 
 def is_shattered(system: SetSystem, box: BoxSpec) -> bool:
     """True when the trace on the box realizes every subset of its grid."""
-    box.validate(system.universe)
-    full = 1 << box.m ** system.universe.n
-    return len(system.members) >= full and len(_box_vectors(system, box)) == full
+    cells, traces = _box_traces(system, box)
+    return len(traces) == 1 << len(cells)
 
 
 def _max_trace(
@@ -272,41 +251,37 @@ def _max_trace(
     """Largest trace over the boxes taking one selection from each part's pool.
 
     Returns best when no trace is larger, and stops as soon as one reaches
-    cap.  Members are split into row words once.  Rows on which all
-    members agree, and columns on which all row words agree, tell no
-    members apart, so selections are read at their other rows and
-    columns only, each distinct one once.  For each column selection,
-    every member becomes the tuple of its gathered row words; the
-    distinct tuples bound every trace that uses those columns, so the
-    columns are skipped when they cannot beat best.  A row selection's
-    trace is then the set of those tuples read at its rows.
+    cap.  A trace is the set of members ANDed with the box mask.  Bits on
+    which all members agree tell no members apart, so every box mask is
+    cut to the varying bits and split into a row mask (full rows at the
+    rows its first n-1 selections pick) and a column mask (its last
+    selection, spread over every row); each distinct one is read once.
+    For each column mask, the members ANDed with it bound every trace
+    that uses those columns, so the columns are skipped when they cannot
+    beat best.  A row mask's trace is then the set of those masked
+    members ANDed with it.
     """
     *row_pools, col_pool = pools
-    rows = range(prod(sizes[:-1]))
-    words = _row_words(members, sizes[-1], rows)
-    live = [r for r, col in zip(rows, zip(*words)) if len(set(col)) > 1]
-    if len(live) < len(rows):
-        words = _row_words(members, sizes[-1], live)
-    position = {r: i for i, r in enumerate(live)}
-    row_keys = {
-        tuple(sorted(position[r] for r in _rows(sizes, sels) if r in position))
+    width = sizes[-1]
+    word = (1 << width) - 1
+    varying = reduce(or_, members, 0) ^ reduce(and_, members, -1)
+    row_masks = {
+        sum(word << r * width for r in _rows(sizes, sels)) & varying
         for sels in product(*row_pools)
     }
-    if words and () in row_keys:
+    if members and 0 in row_masks:
         best = max(best, 1)  # a box on shared rows only has one trace
         if best >= cap:
             return best
-    getters = [itemgetter(*key) for key in row_keys if key]
-    distinct = set(chain.from_iterable(words))
-    varying = reduce(or_, distinct, 0) ^ reduce(and_, distinct, -1)
-    col_keys = {tuple(c for c in cols if varying >> c & 1) for cols in col_pool}
-    for cols in col_keys:
-        table = _gather(distinct, cols)
-        vecs = {tuple(map(table.__getitem__, ws)) for ws in words}
-        for getter in getters:
+    row_masks.discard(0)
+    spread = sum(1 << r * width for r in range(prod(sizes[:-1])))  # one bit per row, no carries
+    col_masks = {sum(1 << c for c in cols) * spread & varying for cols in col_pool}
+    for col in col_masks:
+        vecs = set(map(col.__and__, members))
+        for row in row_masks:
             if len(vecs) <= best:
                 break
-            size = len(set(map(getter, vecs)))
+            size = len(set(map((row & col).__and__, vecs)))
             if size > best:
                 best = size
                 if best >= cap:

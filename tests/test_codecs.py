@@ -300,3 +300,19 @@ def test_structure_readers_agree():
         # what each type writes reads back to an equal object
         assert RelStructure.from_json(rel.to_json()) == rel
         assert FiniteStructure.from_json(fin.to_json()) == fin
+    # arity faults in any relation, with tuples read along the order
+    for relations, message in [
+        ({"S": {"arity": 1, "tuples": [[1, 2]]}}, "tuple (0, 1) does not match arity 1"),
+        ({"S": {"arity": 0, "tuples": []}}, "relation arity must be positive"),
+        ({"R": {"arity": -1, "tuples": []}}, "relation arity must be positive"),
+        ({"R": {"arity": 2, "tuples": [[0, 1, 2]]}}, "tuple (2, 0, 1) does not match arity 2"),
+        ({"R": {"arity": 2, "tuples": [[1, 2]]}, "S": {"arity": 1, "tuples": [[]]}},
+         "tuple () does not match arity 1"),
+    ]:
+        text = json.dumps({"domain": 3, "order": [1, 2, 0], "relations": relations})
+        assert _read(RelStructure, text) == _read(FiniteStructure, text) == message
+    # A repeated vertex makes a tuple of the right length but an edge of one
+    # vertex: RelStructure, whose edges are vertex sets, alone refuses it.
+    text = json.dumps({"domain": 2, "relations": {"R": {"arity": 2, "tuples": [[1, 1]]}}})
+    assert _read(RelStructure, text) == "edge [1] does not match the arity"
+    assert _read(FiniteStructure, text).relations["R"].tuples == {(1, 1)}

@@ -193,6 +193,24 @@ def random_instance(seed: int):
     return rng, structure, delta
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_pi_phi_when_a_formula_ignores_the_object(seed):
+    """A formula that reads no object variable is constant on every row of
+    its formula coordinate in the delta-type system, so the kernel drops
+    those rows."""
+    rng, structure, delta = random_instance(seed)
+    shape = delta[0].block_lengths
+    blind = [
+        QfFormula(shape, ("atom", "S", ((1, 0), (len(shape) - 1, 0)))),
+        QfFormula(shape, ("eq", (0, 0), (0, 0))),
+    ][seed % 2]
+    delta = [blind, delta[0]] if seed % 4 < 2 else [delta[0], blind]
+    spaces = [list(product(range(structure.domain_size), repeat=l)) for l in shape[1:]]
+    for m in range(3):
+        if m <= min(map(len, spaces)):
+            assert pi_phi(structure, delta, m) == ref_pi_phi(structure, delta, m)
+
+
 @pytest.mark.parametrize("seed", range(48))
 def test_type_counting_matches_pointwise_evaluation(seed):
     rng, structure, delta = random_instance(seed)

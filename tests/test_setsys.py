@@ -2,7 +2,9 @@
 
 import random
 import tracemalloc
+from functools import reduce
 from itertools import product
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +31,12 @@ from vcn import (
     sauer_binomial_bound,
     shatter_fn,
     shift,
+    build_extremal_family,
     trace,
     vc_n_dim,
+    zarankiewicz,
 )
+from vcn.setsys import _max_trace
 
 
 def test_universe_indexing_round_trip():
@@ -168,6 +173,81 @@ def test_trace_on_unsorted_selections_matches_the_gather(seed):
         got = trace(s, shuffled)
         assert got.members == tuple(sorted(set(ref_gather(s, shuffled))))
         assert trace_sets(got, shuffled.selections) == ref_trace(s, box.selections)
+
+
+def planted_system(seed: int) -> SetSystem:
+    """Seeded system over n = 1..3 parts of sizes 2..5, 2..4 or 2..3 in which
+    every member shares one planted pattern on the cells with some coordinate
+    in that part's planted values: whole rows of the first n-1 parts and
+    whole columns of the last part are constant.  Every fifth system has a
+    single member, the others up to 40."""
+    rng = random.Random(seed)
+    n = 1 + seed % 3
+    sizes = tuple(rng.randint(2, (5, 4, 3)[n - 1]) for _ in range(n))
+    universe = ProductUniverse(sizes)
+    planted = [set(rng.sample(range(size), rng.randint(1, size - 1))) for size in sizes]
+    fixed = sum(
+        1 << i
+        for i, t in enumerate(universe.tuples())
+        if any(v in vals for v, vals in zip(t, planted))
+    )
+    shared = rng.getrandbits(universe.tuple_count) & fixed
+    count = 1 if seed % 5 == 0 else rng.randint(2, 40)
+    members = {shared | rng.getrandbits(universe.tuple_count) & ~fixed for _ in range(count)}
+    return SetSystem(universe, tuple(members))
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_kernel_matches_reference_on_planted_constant_rows_and_columns(seed):
+    s = planted_system(seed)
+    sizes = s.universe.part_sizes
+    for m in range(min(sizes) + 1):
+        for box in iter_boxes(s.universe, m):
+            assert trace_sets(trace(s, box), box.selections) == ref_trace(s, box.selections)
+            assert is_shattered(s, box) == ref_is_shattered(s, box.selections)
+        assert shatter_fn(s, m) == ref_shatter(s, m)
+    dim = ref_dim(s)
+    for cap in range(3):
+        assert vc_n_dim(s, cap) == min(dim, cap)
+
+
+def test_planted_systems_cover_the_pruning():
+    systems = [planted_system(seed) for seed in range(45)]
+    single_trace = set()
+    for s in systems:
+        sizes = s.universe.part_sizes
+        width = sizes[-1]
+        rows = s.universe.tuple_count // width
+        varying = reduce(or_, s.members) ^ reduce(and_, s.members)
+        row_words = [varying >> r * width & (1 << width) - 1 for r in range(rows)]
+        spread = sum(1 << r * width for r in range(rows))
+        if len(s.members) > 1:
+            # varying drops whole rows (n >= 2) and whole columns
+            assert s.universe.n == 1 or 0 in row_words
+            assert any(varying & spread << c == 0 for c in range(width))
+            for m in range(1, min(sizes) + 1):
+                if any(len(ref_trace(s, box.selections)) == 1 for box in iter_boxes(s.universe, m)):
+                    single_trace.add((s.universe.n, m))
+    assert {(n, 1) for n in (1, 2, 3)} <= single_trace
+    assert {(n, 2) for n in (2, 3)} <= single_trace
+    assert {len(s.members) == 1 for s in systems} == {True, False}
+    # the pruned systems still shatter boxes of size 1 and 2
+    assert {ref_dim(s) for s in systems} >= {0, 1, 2}
+
+
+def test_kernel_on_no_members():
+    pools = [[(0,), (1,)], [(0, 1)]]
+    assert _max_trace([], (2, 2), pools, 0, 4) == 0
+    assert _max_trace([], (2, 2), pools, 3, 4) == 3
+
+
+def test_extremal_family_separation_two_blocks_further():
+    # The --m 2,3,4,5 family: box dimension 1, shatter value 2^(z(2,m,2)-1).
+    fam = build_extremal_family(2, 1, (2, 3, 4, 5))
+    assert fam.universe.part_sizes == (14, 14) and len(fam.members) == 4677
+    assert shatter_fn(fam, 2) == 1 << zarankiewicz(2, 2, 2).z - 1 == 8
+    assert shatter_fn(fam, 3) == 1 << zarankiewicz(2, 3, 2).z - 1 == 64
+    assert vc_n_dim(fam) == 1
 
 
 @pytest.mark.parametrize("seed", range(40))
