@@ -23,12 +23,15 @@ subgraph selector picks part subsets whose cross tuples are each either
 isomorphic or V-adjacent to a reference edge.
 
 Deciding adjacency, taking a walk step and admitting a selected vertex
-all rest on one agreement check: for every nonempty set S of the parts
-that may draw from V (short of all parts), every choice of V vertices on
-S and every pick of candidate values off S, the edge read before the
-move equals the edge read after it.  Adjacency lets every part draw from
-V; a walk step or a selected vertex keeps its own part off V, since the
-full cross edge through it is the one allowed to change.
+all rest on one order rule and one agreement check.  The order rule is
+the V-window: a vertex may move only strictly between its nearest V
+vertices in its part (and V-adjacency needs a V without repeats).  The
+agreement check: for every nonempty set S of the parts that may draw
+from V (short of all parts), every choice of V vertices on S and every
+pick of candidate values off S, the edge read before the move equals
+the edge read after it.  Adjacency lets every part draw from V; a walk
+step or a selected vertex keeps its own part off V, since the full
+cross edge through it is the one allowed to change.
 """
 
 from __future__ import annotations
@@ -158,10 +161,10 @@ def gen_extension_hypergraph(
     (seed * 1000003 + i, feeding the standard generator), and edges are
     drawn one bit per cross tuple in row-major order, so results are
     reproducible byte for byte.  Raises after the retry budget, carrying
-    the best level any attempt achieved.
+    the best level any attempt achieved (-1 after zero attempts).
     """
-    if n < 1 or part_size < 1 or retries < 1:
-        raise InputError("n, part_size, retries must be positive")
+    if n < 1 or part_size < 1 or retries < 0:
+        raise InputError("n and part_size must be positive, retries nonnegative")
     if t < 0:
         raise InputError("extension level must be nonnegative")
     best = -1
@@ -189,22 +192,6 @@ def _by_part(v: Iterable[Vertex]) -> dict[int, list[int]]:
     for p, i in v:
         by_part.setdefault(p, []).append(i)
     return by_part
-
-
-def _order_match(
-    h: PartiteHypergraph,
-    g: Sequence[int],
-    gp: Sequence[int],
-    v: Sequence[Vertex],
-) -> bool:
-    """Does g_p -> g'_p, fixing v, preserve order within every part?"""
-    for p in range(h.n):
-        pairs = [(g[p], gp[p])] + [(x[1], x[1]) for x in v if x[0] == p]
-        pairs.sort()
-        images = [img for _, img in pairs]
-        if any(images[i] >= images[i + 1] for i in range(len(images) - 1)):
-            return False
-    return True
 
 
 def _mixed_agree(
@@ -240,17 +227,23 @@ def dichotomy_verdict(
 ) -> str | None:
     """Classify a cross tuple against the reference edge: iso, adjacent, or None.
 
-    Both ends must pick one vertex per part; an end that meets V gives None.
+    Both ends must pick one vertex per part; an end that meets V, a
+    repeated vertex in V, or a cross vertex outside its reference
+    vertex's V-window gives None.
     """
     v = [_check_vertex(h, x) for x in v]
     if len(g) != h.n or len(cross) != h.n:
         raise InputError("an end must pick one vertex per part")
     g, gp = ([_check_vertex(h, x)[1] for x in enumerate(end)] for end in (g, cross))
-    if any((p, i) in v for end in (g, gp) for p, i in enumerate(end)):
+    if len(set(v)) != len(v) or any(x in v for x in enumerate(g)):
         return None
-    if not _order_match(h, g, gp, v):
-        return None
-    if not _mixed_agree(h, _by_part(v), [[i] for i in g], gp, range(h.n)):
+    by_part = _by_part(v)
+    for p in range(h.n):
+        # strictly inside the window, so the cross end avoids V as well
+        lo, hi = _window(h, by_part, p, g[p])
+        if not lo < gp[p] < hi:
+            return None
+    if not _mixed_agree(h, by_part, [[i] for i in g], gp, range(h.n)):
         return None
     return "iso" if (tuple(g) in h.edges) == (tuple(gp) in h.edges) else "adjacent"
 
@@ -278,7 +271,7 @@ def is_v_adjacent(
     for p in range(h.n):
         if g[p][0] != p or gp[p][0] != p:
             raise InputError("the leading vertices must cover the parts in order")
-    # a repeat in V breaks the order match, and one through an end gives None
+    # a repeat in V or a vertex of V on an end gives None
     return dichotomy_verdict(h, v, [x[1] for x in g], [x[1] for x in gp]) == "adjacent"
 
 
@@ -333,18 +326,18 @@ def adjacency_walk(
 
     cur = list(w)
     walk = [list(cur)]
-    pending = walk_discrepancies(h, cur, w_prime)
-    while pending:
-        positions = pending[0]
-        moved = _walk_step(h, cur, positions)
-        if moved is None:
+    # a step flips the cross edge at its positions and no other one through
+    # the moved vertex, so the discrepancies found up front are fixed in order
+    for positions in walk_discrepancies(h, cur, w_prime):
+        if not _walk_step(h, cur, positions):
             raise WalkStuckError(
                 "no replacement vertex fixes the discrepancy; "
                 "the extension level is too low for this walk",
                 discrepancy=tuple(cur[i] for i in positions),
             )
         walk.append(list(cur))
-        pending = walk_discrepancies(h, cur, w_prime)
+    if walk_discrepancies(h, cur, w_prime):
+        raise RuntimeError("walk left a discrepancy; walk bug")
     return walk
 
 
@@ -356,8 +349,8 @@ def _window(h: PartiteHypergraph, v_by_part: dict[int, list[int]], p: int, i: in
     return lo, hi
 
 
-def _walk_step(h, cur, positions):
-    """Try to flip the edge at the given positions by moving one vertex."""
+def _walk_step(h, cur, positions) -> bool:
+    """Move one vertex of cur to flip the edge at the given positions; False if none can."""
     v_by_part = _by_part(cur[i] for i in range(len(cur)) if i not in positions)
     g = [0] * h.n
     for i in positions:
@@ -378,8 +371,8 @@ def _walk_step(h, cur, positions):
             if not _mixed_agree(h, v_by_part, left, gp, free):
                 continue
             cur[pos] = (p, b)
-            return pos
-    return None
+            return True
+    return False
 
 
 def step_certificate(
@@ -455,20 +448,19 @@ def random_subgraph(
     for cross in product(*chosen):
         if dichotomy_verdict(h, v, g, cross) is None:
             raise RuntimeError("selection violated the dichotomy; selection bug")
-    sub_edges = set()
-    index = [
-        {vertex: pos for pos, vertex in enumerate(sorted(part))} for part in chosen
-    ]
-    for cross in product(*(sorted(part) for part in chosen)):
-        if cross in h.edges:
-            sub_edges.add(tuple(index[p][x] for p, x in enumerate(cross)))
-    sub = PartiteHypergraph(h.n, (s,) * h.n, frozenset(sub_edges))
+    chosen = [sorted(part) for part in chosen]
+    sub_edges = frozenset(
+        pos
+        for pos in product(range(s), repeat=h.n)
+        if tuple(part[i] for part, i in zip(chosen, pos)) in h.edges
+    )
+    sub = PartiteHypergraph(h.n, (s,) * h.n, sub_edges)
     if not check_extension_level(sub, t_prime):
         raise GenerationError(
             f"selected subgraph failed the level-{t_prime} extension check",
             best_t=achieved_extension_level(sub, t_prime - 1) if t_prime else -1,
         )
-    return [sorted(part) for part in chosen]
+    return chosen
 
 
 def diagonal_hypergraph(h: PartiteHypergraph) -> RelStructure:

@@ -191,6 +191,16 @@ def test_gen_random_refusal_exit_code(capsys):
     assert code == 2 and "refused:" in err
 
 
+def test_gen_random_zero_budget_refuses(capsys):
+    # a budget of 0 attempts is a refusal, as hitting any budget is
+    code, out, err = run(
+        capsys, "gen-random", "--n", "2", "--m", "6", "--t", "1",
+        "--seed", "4", "--budget", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "refused: no sample passed level 1 within 0 attempts\n"
+
+
 def test_walk_verb(tmp_path, capsys):
     code, out, _ = run(
         capsys, "gen-random", "--n", "2", "--m", "12", "--t", "1", "--seed", "9",

@@ -107,6 +107,15 @@ def test_generation_refusal_carries_best_level():
         gen_extension_hypergraph(2, 3, -1, seed=0)
 
 
+def test_generation_zero_retries_refuses():
+    with pytest.raises(GenerationError) as exc:
+        gen_extension_hypergraph(2, 6, 1, seed=4, retries=0)
+    assert exc.value.best_t == -1
+    assert str(exc.value) == "no sample passed level 1 within 0 attempts"
+    with pytest.raises(InputError, match="retries nonnegative"):
+        gen_extension_hypergraph(2, 6, 1, seed=4, retries=-1)
+
+
 def test_extension_json_round_trip():
     eh = gen_extension_hypergraph(2, 6, 0, seed=5)
     again = ExtensionHypergraph.from_json(eh.to_json())
@@ -165,6 +174,26 @@ def test_v_adjacency_matches_reference(n):
     for verdict in (None, "iso", "adjacent"):
         assert verdicts.count(verdict) >= 20
     assert meets >= 10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_v_window_matches_reference_on_repeated_and_reversed_v(n):
+    # V as given, with a repeated vertex, and in reverse: the window rule
+    # must still refuse a repeat, and V's order must not matter
+    verdicts = {"given": [], "repeat": [], "reversed": []}
+    for seed in range(1500):
+        h, v, g, gp = random_v_instance(seed, n)
+        for name, vs in (("given", v), ("repeat", v + v[:1]), ("reversed", v[::-1])):
+            w = [*enumerate(g), *vs]
+            wp = [*enumerate(gp), *vs]
+            want = ref_dichotomy(h, vs, g, gp)
+            assert dichotomy_verdict(h, vs, g, gp) == want, (seed, name)
+            assert is_v_adjacent(h, w, wp, vs) == ref_v_adjacent(h, w, wp, vs), (seed, name)
+            verdicts[name].append(want)
+    assert verdicts["repeat"] == [None] * 1500
+    assert verdicts["reversed"] == verdicts["given"]
+    for verdict in ("iso", "adjacent"):
+        assert verdicts["given"].count(verdict) >= 100
 
 
 def test_dichotomy_verdict_checks_both_ends():
@@ -234,6 +263,61 @@ def test_walks_on_generated_graphs(seed):
     for a, b in zip(steps, steps[1:]):
         cert = step_certificate(h, a, b)  # raises unless the step is V-adjacent
         assert len(cert.v) == len(a) - h.n
+
+
+def _reference_walk(h, w, w_prime):
+    """(steps, stuck positions or None): recompute the discrepancies after every
+    step and take the first single-vertex move that certifies as a step."""
+    steps = [list(w)]
+    while pending := walk_discrepancies(h, steps[-1], w_prime):
+        cur, positions = steps[-1], pending[0]
+        v = tuple(cur[i] for i in range(len(cur)) if i not in positions)
+        moves = (
+            cur[:pos] + [(p, b)] + cur[pos + 1 :]
+            for pos in positions
+            for p in [cur[pos][0]]
+            for b in range(h.part_sizes[p])
+            if (p, b) not in cur
+        )
+        for new in moves:
+            try:
+                if step_certificate(h, cur, new).v == v:
+                    break
+            except InputError:
+                continue
+        else:
+            return steps, positions
+        steps.append(new)
+    return steps, None
+
+
+def test_three_part_walks_fix_each_discrepancy_once():
+    finished = stuck = multi = 0
+    for seed in range(80):
+        h = gen_extension_hypergraph(3, 12, 1, seed=200 + seed).base
+        rng = random.Random(seed)
+        # two vertices per part, listed as in the two-part walk test
+        cols = [[sorted(rng.sample(range(12), 2)) for _ in range(3)] for _ in range(2)]
+        w, wp = ([(p, c[p][k]) for k in range(2) for p in range(3)] for c in cols)
+        start = walk_discrepancies(h, w, wp)
+        want, stuck_at = _reference_walk(h, w, wp)
+        if stuck_at is not None:
+            assert stuck_at in start
+            with pytest.raises(WalkStuckError) as exc:
+                adjacency_walk(h, w, wp)
+            assert exc.value.discrepancy == tuple(want[-1][i] for i in stuck_at)
+            stuck += 1
+            continue
+        steps = adjacency_walk(h, w, wp)
+        assert steps == want
+        assert len(steps) - 1 == len(start)
+        assert walk_discrepancies(h, steps[-1], wp) == []
+        for a, b in zip(steps, steps[1:]):
+            step_certificate(h, a, b)
+        finished += 1
+        multi += len(start) >= 2
+    # about 3 in 10 walks finish at m = 12; most of those take several steps
+    assert finished >= 20 and multi >= 15 and stuck >= 40
 
 
 def test_walk_zero_discrepancies_is_identity():
