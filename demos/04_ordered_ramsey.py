@@ -43,4 +43,4 @@ graph = RelStructure(4, (2, 2), 2, frozenset({frozenset({0, 2}), frozenset({1, 3
 double = encode_tilde(RelStructure(4, None, 2, graph.edges))
 print(f"\ndouble of a 4-vertex graph: {double.size} vertices, parts {double.part_sizes}")
 bar = bar_restrict(graph)
-print(f"restriction reproduces the input: {bar.canonical_key() == graph.canonical_key()}")
+print(f"restriction reproduces the input: {bar == graph}")

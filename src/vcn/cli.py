@@ -163,12 +163,12 @@ def cmd_counterexample(args) -> str:
 
 
 def cmd_arrow(args) -> str:
-    from .ramsey import ColoringProblem, arrow_scan
+    from .ramsey import _ARROW_BUDGET, ColoringProblem, arrow_scan
 
     a = _load_structure(args.a)
     b = _load_structure(args.b)
     c = _load_structure(args.c)
-    budget = args.budget if args.budget is not None else 1 << 20
+    budget = args.budget if args.budget is not None else _ARROW_BUDGET
     result, checked = arrow_scan(ColoringProblem(a, b, c, args.k), budget)
     rows = [[a.size, b.size, c.size, args.k, result, checked]]
     header = ["a_size", "b_size", "c_size", "k", "result", "colorings_checked"]

@@ -422,6 +422,8 @@ def random_subgraph(
         raise InputError("reference tuple must be an edge")
     if any((p, i) in v for p, i in enumerate(g)):
         raise InputError("V must avoid the reference edge")
+    if len(set(v)) != len(v):
+        raise InputError("V must not repeat a vertex")
     chosen: list[list[int]] = [[g[p]] for p in range(h.n)]
     by_part = _by_part(v)
     for p in range(h.n):

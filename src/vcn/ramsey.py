@@ -3,8 +3,10 @@
 Structures carry their domain in a fixed linear order, optional convex
 part predicates, and an optional symmetric uniform edge relation.  Order
 rigidity makes substructure copies and embeddings the same thing: a copy
-of A inside B is an increasing vertex selection whose induced parts and
-edges match A exactly.
+of A inside B is an increasing vertex selection whose induced
+substructure equals A.  A structure is its value: its fields are
+normalised on construction, so copies and hereditary closures compare
+structures with == and collect them in dicts.
 
 The arrow predicate C -> (B)^A_k is decided by a pruned depth-first
 search for a bad coloring: the A-copies of C are colored in index order,
@@ -66,14 +68,6 @@ class RelStructure(Record):
         for p, s in enumerate(self.part_sizes):
             out.extend([p] * s)
         return tuple(out)
-
-    def canonical_key(self):
-        edges = (
-            None
-            if self.edges is None
-            else tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        )
-        return (self.size, self.part_sizes, self.edge_arity, edges)
 
     def to_json(self) -> str:
         rels = {} if self.edges is None else {"R": (self.edge_arity, map(sorted, self.edges))}
@@ -149,15 +143,16 @@ def copies(target: RelStructure, source: RelStructure) -> EmbeddingSet:
     found = []
     want_parts = source.part_ids()
     target_parts = target.part_ids()
-    src_key = source.canonical_key()
     for subset in combinations(range(target.size), source.size):
         if want_parts is not None:
             if tuple(target_parts[v] for v in subset) != want_parts:
-                continue
-        if induced(target, subset).canonical_key() != src_key:
-            continue
-        found.append(subset)
+                continue  # cheap prefilter before building the substructure
+        if induced(target, subset) == source:
+            found.append(subset)
     return EmbeddingSet(source, target, tuple(found))
+
+
+_ARROW_BUDGET = 1 << 20  # default cap on the k**N colorings of one arrow check
 
 
 class ColoringProblem(Record):
@@ -171,7 +166,7 @@ class ColoringProblem(Record):
             raise InputError("number of colors must be positive")
 
 
-def arrow_scan(problem: ColoringProblem, budget: int = 1 << 20) -> tuple[bool, int]:
+def arrow_scan(problem: ColoringProblem, budget: int = _ARROW_BUDGET) -> tuple[bool, int]:
     """Like arrow_check but also reports how many colorings were decided.
 
     The count is every coloring, k**N for N A-copies, when the arrow
@@ -223,7 +218,7 @@ def arrow_scan(problem: ColoringProblem, budget: int = 1 << 20) -> tuple[bool, i
     return False, rank + 1
 
 
-def arrow_check(problem: ColoringProblem, budget: int = 1 << 20) -> bool:
+def arrow_check(problem: ColoringProblem, budget: int = _ARROW_BUDGET) -> bool:
     """Exhaustively decide C -> (B)^A_k.
 
     True when every k-coloring of the A-copies of C admits a B-copy whose
@@ -234,23 +229,25 @@ def arrow_check(problem: ColoringProblem, budget: int = 1 << 20) -> bool:
 
 
 def hereditary_closure(structures: Iterable[RelStructure]) -> list[RelStructure]:
-    """All induced substructures up to order isomorphism, empty one included."""
-    seen: dict = {}
-    for s in structures:
-        for r in range(s.size + 1):
-            for subset in combinations(range(s.size), r):
-                sub = induced(s, subset)
-                seen.setdefault(sub.canonical_key(), sub)
-    return [seen[k] for k in sorted(seen, key=_key_sort)]
+    """All induced substructures up to order isomorphism, empty one included.
 
-
-def _key_sort(key):
-    size, parts, arity, edges = key
-    return (
-        size,
-        parts if parts is not None else (),
-        arity if arity is not None else -1,
-        edges if edges is not None else (),
+    Sorted by size, part sizes (none first), edge arity (none first),
+    then the sorted list of sorted edges.
+    """
+    seen = dict.fromkeys(
+        induced(s, subset)
+        for s in structures
+        for r in range(s.size + 1)
+        for subset in combinations(range(s.size), r)
+    )
+    return sorted(
+        seen,
+        key=lambda s: (
+            s.size,
+            s.part_sizes or (),
+            -1 if s.edge_arity is None else s.edge_arity,
+            sorted(sorted(e) for e in s.edges or ()),
+        ),
     )
 
 
@@ -267,7 +264,7 @@ def direct_sum(a0: RelStructure, a1: RelStructure) -> RelStructure:
     return RelStructure(a0.size + a1.size, (a0.size, a1.size), a0.edge_arity, edges)
 
 
-def ordered_set_oracle(budget: int = 1 << 20) -> Callable:
+def ordered_set_oracle(budget: int = _ARROW_BUDGET) -> Callable:
     """Arrow witness oracle for plain ordered sets.
 
     Exact pigeonhole sizes where classical, otherwise an incremental
@@ -275,9 +272,7 @@ def ordered_set_oracle(budget: int = 1 << 20) -> Callable:
     """
 
     def oracle(a: RelStructure, b: RelStructure, k: int) -> RelStructure:
-        if a.part_sizes is not None or a.edges is not None:
-            raise InputError("the default oracle handles plain ordered sets only")
-        if b.part_sizes is not None or b.edges is not None:
+        if a != points(a.size) or b != points(b.size):
             raise InputError("the default oracle handles plain ordered sets only")
         if a.size == b.size:
             return b
@@ -350,12 +345,12 @@ def encode_tilde(x0: RelStructure) -> RelStructure:
     return RelStructure(r * m, (m,) * r, r, frozenset(edges))
 
 
-def bar_restrict(x: RelStructure, x0: RelStructure | None = None) -> RelStructure:
+def bar_restrict(x: RelStructure) -> RelStructure:
     """Recover a partite hypergraph from the double of its flattening.
 
     Selects, inside encode_tilde(flatten(x)), the part-p copy of each
-    part-p vertex of x; the induced substructure must be isomorphic to x,
-    anything else indicates an encoding bug.
+    part-p vertex of x; the induced substructure must equal x, anything
+    else indicates an encoding bug.
     """
     if x.part_sizes is None or x.edges is None:
         raise InputError("input must carry parts and an edge relation")
@@ -365,15 +360,8 @@ def bar_restrict(x: RelStructure, x0: RelStructure | None = None) -> RelStructur
     for e in x.edges:
         if len({part_ids[v] for v in e}) != x.edge_arity:
             raise InputError(f"edge {sorted(e)} is not cross-part")
-    flat = flatten(x)
-    if x0 is None:
-        x0 = flat
-    elif x0.canonical_key() != flat.canonical_key():
-        raise InputError("x0 must be the flattening of x")
-    double = encode_tilde(x0)
     m = x.size
-    chosen = [part_ids[v] * m + v for v in range(m)]
-    bar = induced(double, chosen)
-    if bar.canonical_key() != x.canonical_key():
+    bar = induced(encode_tilde(flatten(x)), [part_ids[v] * m + v for v in range(m)])
+    if bar != x:
         raise RuntimeError("partite double restriction failed to reproduce the input")
     return bar

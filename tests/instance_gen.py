@@ -443,6 +443,79 @@ def random_ordered(
     return RelStructure(size, part_sizes, arity, edges)
 
 
+def _ref_part_of(structure: RelStructure, v: int) -> int | None:
+    if structure.part_sizes is None:
+        return None
+    start = 0
+    for p, size in enumerate(structure.part_sizes):
+        start += size
+        if v < start:
+            return p
+
+
+def ref_copies(target: RelStructure, source: RelStructure) -> tuple | None:
+    """Copies of source in target, pointwise; None when signatures disagree.
+
+    An increasing selection counts when each selected vertex lies in the
+    part of the source vertex it stands for, and an index tuple of the
+    source is an edge exactly when the target vertices it selects are.
+    """
+    if (
+        (target.part_sizes is None) != (source.part_sizes is None)
+        or len(target.part_sizes or ()) != len(source.part_sizes or ())
+        or target.edge_arity != source.edge_arity
+    ):
+        return None
+    found = []
+    for sel in combinations(range(target.size), source.size):
+        if any(_ref_part_of(target, v) != _ref_part_of(source, i) for i, v in enumerate(sel)):
+            continue
+        if source.edges is not None and any(
+            (frozenset(idx) in source.edges) != (frozenset(sel[i] for i in idx) in target.edges)
+            for idx in combinations(range(source.size), source.edge_arity)
+        ):
+            continue
+        found.append(sel)
+    return tuple(found)
+
+
+def ref_closure(structures) -> list[RelStructure]:
+    """Induced substructures deduplicated by an explicit key, in the documented order.
+
+    The structures must share one signature.  The key is (size, part
+    sizes or (), arity or -1, sorted edge tuples), read off each vertex
+    subset pointwise; sorting the distinct keys gives the order.
+    """
+    keys = set()
+    for s in structures:
+        for r in range(s.size + 1):
+            for sub in combinations(range(s.size), r):
+                parts = ()
+                if s.part_sizes is not None:
+                    parts = tuple(
+                        sum(_ref_part_of(s, v) == p for v in sub)
+                        for p in range(len(s.part_sizes))
+                    )
+                edges = ()
+                if s.edges is not None:
+                    edges = tuple(
+                        idx
+                        for idx in combinations(range(r), s.edge_arity)
+                        if frozenset(sub[i] for i in idx) in s.edges
+                    )
+                arity = -1 if s.edge_arity is None else s.edge_arity
+                keys.add((r, parts, arity, edges))
+    return [
+        RelStructure(
+            size,
+            None if structures[0].part_sizes is None else parts,
+            None if arity == -1 else arity,
+            None if arity == -1 else frozenset(map(frozenset, edges)),
+        )
+        for size, parts, arity, edges in sorted(keys)
+    ]
+
+
 def random_arrow_problem(seed: int) -> ColoringProblem:
     """Small arrow problem: plain sets, ordered graphs or 3-graphs, maybe parts.
 
@@ -463,3 +536,22 @@ def random_arrow_problem(seed: int) -> ColoringProblem:
     else:
         a = random_ordered(rng, rng.randint(0, 3), arity, parts)
     return ColoringProblem(a, b, c, k)
+
+
+def random_copy_pair(seed: int) -> tuple[RelStructure, RelStructure]:
+    """Target and source; the source is usually induced, else drawn anew.
+
+    One source in five gets its own signature, which may disagree with
+    the target's.
+    """
+    rng = random.Random(seed)
+    arity = rng.choice([None, 2, 3])
+    parts = rng.choice([None, 1, 2, 3])
+    target = random_ordered(rng, rng.randint(0, 8), arity, parts)
+    if rng.random() < 0.2:
+        arity, parts = rng.choice([None, 2, 3]), rng.choice([None, 1, 2, 3])
+        return target, random_ordered(rng, rng.randint(0, 4), arity, parts)
+    if rng.random() < 0.6:
+        size = min(target.size, rng.randint(0, 4))
+        return target, induced(target, rng.sample(range(target.size), size))
+    return target, random_ordered(rng, rng.randint(0, 4), arity, parts)

@@ -405,6 +405,15 @@ def test_random_subgraph_validation_and_stuck():
     assert exc.value.constraints["part"] == 0
 
 
+def test_random_subgraph_refuses_repeated_v():
+    h = PartiteHypergraph(2, (4, 4), frozenset({(1, 1)}))
+    # a repeated V vertex is malformed input, not a failed self-check
+    with pytest.raises(InputError, match="repeat"):
+        random_subgraph(h, [(0, 3), (0, 3)], (1, 1), 1)
+    assert random_subgraph(h, [(0, 3)], (1, 1), 1) == [[1], [1]]
+    assert dichotomy_verdict(h, [(0, 3), (0, 3)], (1, 1), (1, 1)) is None
+
+
 def test_random_subgraph_level_check_failure():
     # a selection whose induced subgraph misses level 1: all edges present
     full = PartiteHypergraph(2, (4, 4), frozenset(product(range(4), range(4))))
