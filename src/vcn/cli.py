@@ -120,10 +120,12 @@ def _bound_rows(args, refusal: str) -> list[list[int]]:
     d = args.d if args.d is not None else vc_n_dim(system)
     rows = []
     for m in _parse_range(args.m):
+        # shatter_fn checks m against the part sizes before the threshold search
+        pi = shatter_fn(system, m)
         res = zarankiewicz(n, m, d + 1, args.budget)
         if res.status != "exact":
             raise BudgetExceededError(f"threshold for m={m} is only a lower bound; {refusal}")
-        rows.append([m, shatter_fn(system, m), sauer_binomial_bound(n, m, res.z)])
+        rows.append([m, pi, sauer_binomial_bound(n, m, res.z)])
     return rows
 
 

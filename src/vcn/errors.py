@@ -65,9 +65,10 @@ class Record:
 
     Fields are given by position or keyword; a class attribute named like
     a field is its default.  __post_init__ runs once every field is set,
-    and may check and normalise them through object.__setattr__.  A record
-    equals only a record of the same class with equal fields; hash and
-    repr follow the fields.  Assigning or deleting an attribute raises
+    and may check and normalise them through object.__setattr__.  The
+    instance dict holds exactly the fields, in field order, so identity,
+    hash and repr read it: a record equals only a record of the same class
+    with an equal dict.  Assigning or deleting an attribute raises
     AttributeError.
     """
 
@@ -97,19 +98,16 @@ class Record:
     def __post_init__(self):
         pass
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.__dict__ == other.__dict__
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

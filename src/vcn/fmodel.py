@@ -18,7 +18,9 @@ Formulas are exchanged as s-expressions, e.g.::
     (and (R x y0 y1) (not (= x y0)))
 
 Variable tokens name a block ("x", "y0", "y1", ...) with an optional
-component suffix ("x.2" is component 2 of block 0).
+component suffix ("x.2" is component 2 of block 0).  The parser only
+spells the AST; QfFormula is the one place that checks arities and
+variable ranges, however a formula was built.
 """
 
 from __future__ import annotations
@@ -137,40 +139,43 @@ class QfFormula(Record):
         return format_formula(self)
 
 
-def _block_name(index: int) -> str:
-    return "x" if index == 0 else f"y{index - 1}"
+def _var_token(var: tuple[int, int]) -> str:
+    """The token of a (block, component) pair: x, x.2, y0, y1.3, ..."""
+    block, comp = var
+    name = "x" if block == 0 else f"y{block - 1}"
+    return name if comp == 0 else f"{name}.{comp}"
 
 
-def _parse_var(token: str, lengths: tuple[int, ...]):
+def _parse_var(token: str) -> tuple[int, int]:
+    """The (block, component) pair a variable token names."""
     name, _, comp = token.partition(".")
     try:
         comp_idx = int(comp) if comp else 0
     except ValueError:
         raise InputError(f"unknown variable {token!r}") from None
     if name == "x":
-        block = 0
-    elif name.startswith("y") and name[1:].isdecimal():
-        block = 1 + int(name[1:])
-    else:
-        raise InputError(f"unknown variable {token!r}")
-    if block >= len(lengths) or not 0 <= comp_idx < lengths[block]:
-        raise InputError(f"variable {token!r} leaves the declared blocks")
-    return (block, comp_idx)
+        return (0, comp_idx)
+    if name.startswith("y") and name[1:].isdecimal():
+        return (1 + int(name[1:]), comp_idx)
+    raise InputError(f"unknown variable {token!r}")
 
 
 def _validate_node(node, lengths):
+    """Check a node's shape, arities and variable ranges against the blocks."""
     if not isinstance(node, tuple) or not node:
         raise InputError(f"bad formula node {node!r}")
     op = node[0]
     if op in ("atom", "eq"):
-        if len(node) != 3 or op == "atom" and not isinstance(node[2], tuple):
+        if len(node) != 3 or op == "atom" and not (
+            isinstance(node[1], str) and isinstance(node[2], tuple)
+        ):
             raise InputError(f"bad formula node {node!r}")
         for var in node[2] if op == "atom" else node[1:]:
             block, comp = var if isinstance(var, tuple) and len(var) == 2 else (None, None)
-            if not isinstance(block, int) or not isinstance(comp, int):
+            if not isinstance(block, int) or not isinstance(comp, int) or block < 0:
                 raise InputError(f"variable {var!r} is not a (block, component) pair")
-            if not 0 <= block < len(lengths) or not 0 <= comp < lengths[block]:
-                raise InputError(f"variable ({block},{comp}) leaves the declared blocks")
+            if block >= len(lengths) or not 0 <= comp < lengths[block]:
+                raise InputError(f"variable {_var_token(var)!r} leaves the declared blocks")
     elif op == "not":
         if len(node) != 2:
             raise InputError("negation takes one argument")
@@ -206,30 +211,18 @@ def _read(tokens: list[str], pos: int):
     return tok, pos + 1
 
 
-def _to_node(sexpr, lengths):
-    if isinstance(sexpr, str):
-        raise InputError(f"bare token {sexpr!r} is not a formula")
-    if not sexpr:
-        raise InputError("empty expression")
-    head = sexpr[0]
-    if not isinstance(head, str):
-        raise InputError("operator position must hold a symbol")
-    if head == "not":
-        if len(sexpr) != 2:
-            raise InputError("not takes one argument")
-        return ("not", _to_node(sexpr[1], lengths))
-    if head in ("and", "or"):
-        if len(sexpr) < 2:
-            raise InputError(f"{head} needs at least one argument")
-        return (head, *(_to_node(child, lengths) for child in sexpr[1:]))
-    if head == "=":
-        if len(sexpr) != 3 or not all(isinstance(t, str) for t in sexpr[1:]):
-            raise InputError("= takes two variables")
-        return ("eq", _parse_var(sexpr[1], lengths), _parse_var(sexpr[2], lengths))
-    # relation application
-    if not all(isinstance(t, str) for t in sexpr[1:]):
-        raise InputError(f"relation {head} takes variables only")
-    return ("atom", head, tuple(_parse_var(t, lengths) for t in sexpr[1:]))
+def _to_node(sexpr):
+    """The AST node an s-expression spells; QfFormula checks it.
+
+    A bare token or an empty list stays as it is, for QfFormula to reject.
+    """
+    if not isinstance(sexpr, list) or not sexpr:
+        return sexpr
+    head, *args = sexpr
+    if head in ("not", "and", "or"):
+        return (head, *map(_to_node, args))
+    vars_ = tuple(_parse_var(a) if isinstance(a, str) else _to_node(a) for a in args)
+    return ("eq", *vars_) if head == "=" else ("atom", head, vars_)
 
 
 def parse_formula(text: str, block_lengths: Sequence[int] = (1, 1)) -> QfFormula:
@@ -240,22 +233,16 @@ def parse_formula(text: str, block_lengths: Sequence[int] = (1, 1)) -> QfFormula
     sexpr, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise InputError("trailing tokens after formula")
-    lengths = tuple(int(v) for v in block_lengths)
-    return QfFormula(lengths, _to_node(sexpr, lengths))
+    return QfFormula(block_lengths, _to_node(sexpr))
 
 
 def format_formula(phi: QfFormula) -> str:
-    def var_token(v):
-        block, comp = v
-        name = _block_name(block)
-        return name if comp == 0 else f"{name}.{comp}"
-
     def render(node):
         op = node[0]
         if op == "atom":
-            return "(" + " ".join([node[1], *map(var_token, node[2])]) + ")"
+            return "(" + " ".join([node[1], *map(_var_token, node[2])]) + ")"
         if op == "eq":
-            return f"(= {var_token(node[1])} {var_token(node[2])})"
+            return f"(= {_var_token(node[1])} {_var_token(node[2])})"
         if op == "not":
             return f"(not {render(node[1])})"
         return "(" + " ".join([op, *map(render, node[1:])]) + ")"

@@ -87,6 +87,26 @@ class ErdosBound(Record):
     degenerate: bool
 
 
+def _box_from(
+    slices: list[int], d: int, rest: tuple[int, ...], chosen: int, start: int, inter: int
+) -> bool:
+    """Do d - chosen more of slices[start:], ANDed into inter, hold a d-box over rest?
+
+    A slice is a cell mask over the grid of sizes rest; inter is the AND
+    of the chosen slices.  Every partial AND must keep the d ** len(rest)
+    cells of a box, so a branch that drops below it is cut.
+    """
+    if chosen == d:
+        # with one coordinate left, the d common cells are the box
+        return len(rest) == 1 or _mask_has_box(inter, d, rest)
+    need = d ** len(rest)
+    for i in range(start, len(slices)):
+        nxt = inter & slices[i]
+        if nxt.bit_count() >= need and _box_from(slices, d, rest, chosen + 1, i + 1, nxt):
+            return True
+    return False
+
+
 def _mask_has_box(mask: int, d: int, sizes: tuple[int, ...]) -> bool:
     """Does a cell mask over the grid of sizes hold a full d x ... x d box?
 
@@ -98,22 +118,9 @@ def _mask_has_box(mask: int, d: int, sizes: tuple[int, ...]) -> bool:
         return mask.bit_count() >= d
     rest = sizes[1:]
     step = prod(rest)
-    need = d ** len(rest)
     full = (1 << step) - 1
     slices = [mask >> (a * step) & full for a in range(sizes[0])]
-    slices = [s for s in slices if s.bit_count() >= need]
-
-    def search(chosen: int, start: int, inter: int) -> bool:
-        if chosen == d:
-            # with one coordinate left, the need common cells are the box
-            return len(rest) == 1 or _mask_has_box(inter, d, rest)
-        for i in range(start, len(slices)):
-            nxt = inter & slices[i]
-            if nxt.bit_count() >= need and search(chosen + 1, i + 1, nxt):
-                return True
-        return False
-
-    return search(0, 0, full)
+    return _box_from(slices, d, rest, 0, 0, full)
 
 
 def contains_complete_partite(h: PartiteHypergraph, d: int) -> bool:
@@ -199,22 +206,12 @@ def zarankiewicz(
 
     width = m ** (n - 1)
     grid = list(product(range(m), repeat=n - 1))
+    rest = (m,) * (n - 1)
     sub_d_size = d ** (n - 1)
 
     def violates(layers: list[int], new: int) -> bool:
-        if d == 1:
-            return new != 0
-        for combo in combinations(layers, d - 1):
-            inter = new
-            for layer in combo:
-                inter &= layer
-                if inter.bit_count() < sub_d_size:
-                    break
-            else:
-                # one coordinate left: d common cells already form the box
-                if n == 2 or _mask_has_box(inter, d, (m,) * (n - 1)):
-                    return True
-        return False
+        # a box through the new layer is the new layer and d - 1 earlier ones
+        return new.bit_count() >= sub_d_size and _box_from(layers, d, rest, 1, 0, new)
 
     best_total = 0
     best_layers: list[int] = []  # the empty subgraph is always box-free

@@ -75,6 +75,38 @@ def test_dim_and_shatter_and_verify(tmp_path, capsys):
     assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
 
 
+@pytest.mark.parametrize("verb", ["shatter", "verify-bounds"])
+def test_box_beyond_a_part_is_input_error_before_search(verb, tmp_path, capsys, monkeypatch):
+    code, out, _ = run(capsys, "extremal", "--n", "2", "--d", "1", "--m", "2")
+    path = tmp_path / "fam.json"
+    path.write_text(out)
+    # m is checked before the threshold search, which would hit the budget at m=12
+    for m in ("12", "30"):
+        code, out, err = run(capsys, verb, str(path), "--m", m, "--budget", "1000")
+        assert (code, out, err) == (1, "", f"error: box size {m} exceeds a part size\n")
+
+    def no_search(*args):
+        raise AssertionError("the threshold search ran")
+
+    # unbudgeted, z(2, 30, 2) would search for minutes
+    monkeypatch.setattr("vcn.zar.zarankiewicz", no_search)
+    code, out, err = run(capsys, verb, str(path), "--m", "30")
+    assert (code, out, err) == (1, "", "error: box size 30 exceeds a part size\n")
+
+
+@pytest.mark.parametrize(
+    "verb, reason",
+    [("shatter", "the binomial bound would be unreliable"), ("verify-bounds", "cannot certify")],
+)
+def test_capped_threshold_is_a_refusal(verb, reason, tmp_path, capsys):
+    code, out, _ = run(capsys, "extremal", "--n", "2", "--d", "1", "--m", "2")
+    path = tmp_path / "fam.json"
+    path.write_text(out)
+    code, out, err = run(capsys, verb, str(path), "--m", "2", "--budget", "0")
+    assert (code, out) == (2, "")
+    assert err == f"refused: threshold for m=2 is only a lower bound; {reason}\n"
+
+
 def test_shift_round_trip(tmp_path, capsys):
     fam = GroundFamily(3, (0b101, 0b011, 0b111))
     path = tmp_path / "fam.json"
@@ -159,6 +191,15 @@ def test_direct_sum_verb(tmp_path, capsys):
     assert code == 0
     witness = RelStructure.from_json(out.strip())
     assert witness.part_sizes == (17, 3)
+
+
+def test_direct_sum_oracle_budget_refuses(tmp_path, capsys):
+    (tmp_path / "p2.json").write_text(points(2).to_json())
+    (tmp_path / "p3.json").write_text(points(3).to_json())
+    p2, p3 = str(tmp_path / "p2.json"), str(tmp_path / "p3.json")
+    code, out, err = run(capsys, "direct-sum", p2, p3, p2, p3, "--k", "3", "--budget", "10")
+    assert (code, out) == (2, "")
+    assert err == "refused: 27 colorings exceed the budget of 10; refusing to sample\n"
 
 
 def test_encode_partite_verb(tmp_path, capsys):
@@ -299,6 +340,15 @@ def test_zero_budget_keeps_its_meaning(capsys):
     code, out, _ = run(capsys, "zar-table", "--n", "2", "--m", "2", "--d", "2", "--budget", "0")
     assert code == 0
     assert out.splitlines()[1] == "2,2,2,1,lower_bound_only,8"
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "z.csv"
+    argv = ("zar-table", "--n", "1", "--m", "2", "--d", "2", "--out", str(target))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_missing_file_is_input_error(capsys):

@@ -9,6 +9,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instance_gen import (
     member_sets,
@@ -103,11 +105,63 @@ def test_parse_rejects_malformed():
         ("atom", "R", 5),
         ("atom", "R", ((0,),)),
         ("not", ("atom", "R", ((0, 0), [1, 0]))),
+        ("atom", 5, ((0, 0),)),
+        ("not",),
+        ("not", ("eq", (0, 0), (1, 0)), ("eq", (0, 0), (1, 0))),
+        ("and",),
+        ("or",),
+        ("xor", ("eq", (0, 0), (1, 0))),
+        "eq",
+        ["not", ("eq", (0, 0), (1, 0))],
+        (),
     ],
 )
 def test_malformed_ast_is_input_error(body):
     with pytest.raises(InputError):
         QfFormula((1, 1), body)
+
+
+def test_range_errors_name_the_token():
+    # the parser only reads tokens; QfFormula checks their ranges
+    for text, token in [("(R x y1)", "y1"), ("(= x.1 y0)", "x.1"), ("(R x.-1)", "x.-1")]:
+        with pytest.raises(InputError, match=f"variable '{token}' leaves the declared blocks"):
+            parse_formula(text, (1, 1))
+
+
+_TOKENS = ["(", ")", "x", "x.1", "y0", "y1", "R", "=", "not", "and", "or"]
+
+
+def _sexprs(leaves, heads=st.sampled_from(_TOKENS[2:]), min_size=0):
+    """Parenthesised lists of leaves and of such lists, each under a head."""
+
+    def apply(inner):
+        return st.tuples(heads, st.lists(inner, min_size=min_size, max_size=3)).map(
+            lambda hx: f"({' '.join([hx[0], *hx[1]])})"
+        )
+
+    return st.recursive(leaves, apply, max_leaves=8)
+
+
+_VARS = st.sampled_from(["x", "x.1", "y0", "y1"])
+_ATOMS = st.tuples(st.sampled_from(["R", "="]), _VARS, _VARS).map(lambda t: f"({' '.join(t)})")
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+        _sexprs(st.sampled_from(_TOKENS[2:])),
+        _sexprs(_ATOMS, st.sampled_from(["not", "and", "or"]), min_size=1),
+    ),
+    st.sampled_from([(1, 1), (2, 1, 1), (1, 2, 2)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_formula_returns_a_round_trip_or_an_input_error(text, lengths):
+    try:
+        phi = parse_formula(text, lengths)
+    except InputError:
+        return
+    again = parse_formula(format_formula(phi), lengths)
+    assert again == phi and format_formula(again) == format_formula(phi)
 
 
 def test_eval_formula_on_known_structure():

@@ -38,6 +38,9 @@ FROZEN = {
     (3, 2, 2): 8,
     (1, 4, 2): 2,
     (1, 4, 3): 3,
+    # d = 1: any one edge is the box, so the threshold is 1
+    (2, 3, 1): 1,
+    (3, 2, 1): 1,
 }
 
 
