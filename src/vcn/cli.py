@@ -195,9 +195,9 @@ def cmd_encode_partite(args) -> str:
 
 
 def cmd_gen_random(args) -> str:
-    from .hyperrand import gen_extension_hypergraph
+    from .hyperrand import _RETRIES, gen_extension_hypergraph
 
-    retries = args.budget if args.budget is not None else 50
+    retries = args.budget if args.budget is not None else _RETRIES
     eh = gen_extension_hypergraph(args.n, args.m, args.t, args.seed, retries)
     return eh.to_json()
 

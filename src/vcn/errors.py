@@ -6,8 +6,9 @@ raises instead of degrading to a sampled or truncated answer.  The
 library's value types are Records: frozen, compared and hashed by their
 fields, without the import and class-creation cost of dataclasses.  The
 structure document that ramsey.RelStructure and fmodel.FiniteStructure
-share has its one reader and its one relation encoder here, so neither
-kernel loads the other to read or write it.
+share has its one reader and writer here, beside Relation: the reader
+builds every relation as a Relation, checked once, and neither kernel
+loads the other to read or write the document.
 """
 
 from __future__ import annotations
@@ -117,6 +118,23 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class Relation(Record):
+    """A set of tuples of one positive arity."""
+
+    arity: int
+    tuples: frozenset[tuple[int, ...]]
+
+    def __post_init__(self):
+        if self.arity < 1:
+            raise InputError("relation arity must be positive")
+        # checked in the order given, so the first bad tuple is the one named
+        tups = [tuple(map(int, t)) for t in self.tuples]
+        for t in tups:
+            if len(t) != self.arity:
+                raise InputError(f"tuple {t} does not match arity {self.arity}")
+        object.__setattr__(self, "tuples", frozenset(tups))
+
+
 _JSON_KINDS = {int: "integer", str: "string", list: "array", dict: "object"}
 
 
@@ -180,25 +198,25 @@ _STRUCTURE_SHAPE = {
 }
 
 
-def _structure_doc(size: int, relations: dict) -> dict:
-    """The structure document of {name: (arity, tuples)} on {0..size-1}."""
+def _structure_doc(size: int, relations: dict[str, Relation]) -> dict:
+    """The structure document of {name: Relation} on {0..size-1}."""
     return {
         "domain": size,
         "relations": {
-            name: {"arity": arity, "tuples": sorted(map(list, tuples))}
-            for name, (arity, tuples) in sorted(relations.items())
+            name: {"arity": rel.arity, "tuples": sorted(map(list, rel.tuples))}
+            for name, rel in sorted(relations.items())
         },
     }
 
 
 def _decode_structure(text: str, build: Callable[[int, tuple | None, dict], _T]) -> _T:
-    """build(size, part_sizes, {name: (arity, tuples)}) of a structure document.
+    """build(size, part_sizes, {name: Relation}) of a structure document.
 
     Every vertex is renamed to its position in the order, which must
     enumerate the domain (default: ascending).  Parts, where given, must
     be convex in the order and cover the domain; part_sizes is None
-    without them.  Every relation needs a positive arity and tuples of
-    that length.
+    without them.  Every vertex of every relation is renamed before any
+    Relation checks its arity and tuple lengths.
     """
 
     def read(doc):
@@ -223,12 +241,6 @@ def _decode_structure(text: str, build: Callable[[int, tuple | None, dict], _T])
             name: (spec["arity"], [tuple(map(vertex, t)) for t in spec["tuples"]])
             for name, spec in doc.get("relations", {}).items()
         }
-        for arity, tuples in relations.values():
-            if arity < 1:
-                raise InputError("relation arity must be positive")
-            for t in tuples:
-                if len(t) != arity:
-                    raise InputError(f"tuple {t} does not match arity {arity}")
-        return build(size, part_sizes, relations)
+        return build(size, part_sizes, {name: Relation(*r) for name, r in relations.items()})
 
     return _decode(text, "structure", read, _STRUCTURE_SHAPE)

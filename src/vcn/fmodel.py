@@ -18,36 +18,29 @@ Formulas are exchanged as s-expressions, e.g.::
     (and (R x y0 y1) (not (= x y0)))
 
 Variable tokens name a block ("x", "y0", "y1", ...) with an optional
-component suffix ("x.2" is component 2 of block 0).  The parser only
-spells the AST; QfFormula is the one place that checks arities and
-variable ranges, however a formula was built.
+component suffix ("x.2" is component 2 of block 0).  A token is x or
+y<n>, optionally followed by .<c>, where n and c are ASCII numerals
+without a leading zero; any other token is an unknown variable.  The
+parser only spells the AST; QfFormula is the one place that checks
+arities and variable ranges, however a formula was built.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from functools import reduce
 from itertools import chain, combinations, product
 from math import prod
 from operator import and_, mul, or_
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError, InputError, Record, _decode_structure, _structure_doc
+import vcn
+
+from .errors import (
+    BudgetExceededError, InputError, Record, Relation, _decode_structure, _structure_doc
+)
 from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
-
-
-class Relation(Record):
-    arity: int
-    tuples: frozenset[tuple[int, ...]]
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise InputError("relation arity must be positive")
-        tups = frozenset(tuple(int(v) for v in t) for t in self.tuples)
-        for t in tups:
-            if len(t) != self.arity:
-                raise InputError(f"tuple {t} does not match arity {self.arity}")
-        object.__setattr__(self, "tuples", tups)
 
 
 class FiniteStructure(Record):
@@ -67,18 +60,12 @@ class FiniteStructure(Record):
         object.__setattr__(self, "relations", rels)
 
     def to_json(self) -> str:
-        rels = {name: (rel.arity, rel.tuples) for name, rel in self.relations.items()}
-        return json.dumps(_structure_doc(self.domain_size, rels), sort_keys=True)
+        return json.dumps(_structure_doc(self.domain_size, self.relations), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteStructure":
         """Read a structure document; its parts are checked, then dropped."""
-
-        def build(size, part_sizes, relations):
-            rels = {name: Relation(arity, tuples) for name, (arity, tuples) in relations.items()}
-            return cls(size, rels)
-
-        return _decode_structure(text, build)
+        return _decode_structure(text, lambda size, part_sizes, relations: cls(size, relations))
 
 
 def build_counterexample_structure(
@@ -148,16 +135,11 @@ def _var_token(var: tuple[int, int]) -> str:
 
 def _parse_var(token: str) -> tuple[int, int]:
     """The (block, component) pair a variable token names."""
-    name, _, comp = token.partition(".")
-    try:
-        comp_idx = int(comp) if comp else 0
-    except ValueError:
-        raise InputError(f"unknown variable {token!r}") from None
-    if name == "x":
-        return (0, comp_idx)
-    if name.startswith("y") and name[1:].isdecimal():
-        return (1 + int(name[1:]), comp_idx)
-    raise InputError(f"unknown variable {token!r}")
+    match = re.fullmatch(r"(?:x|y(0|[1-9][0-9]*))(?:\.(0|[1-9][0-9]*))?", token)
+    if match is None:
+        raise InputError(f"unknown variable {token!r}")
+    block, comp = match.groups()
+    return (0 if block is None else 1 + int(block), int(comp or 0))
 
 
 def _validate_node(node, lengths):
@@ -296,15 +278,8 @@ def eval_formula(
     """Evaluate phi under one tuple per block."""
     if len(assignment) != len(phi.block_lengths):
         raise InputError("assignment must cover every block")
-    env = []
-    for tup, length in zip(assignment, phi.block_lengths):
-        tup = tuple(int(v) for v in tup)
-        if len(tup) != length:
-            raise InputError(f"block tuple {tup} does not match length {length}")
-        if any(not 0 <= v < structure.domain_size for v in tup):
-            raise InputError(f"assignment {tup} leaves the domain")
-        env.append(tup)
-    return _formula_masks(structure, [phi], [[t] for t in env])[0] == 1
+    lists = _block_lists(structure, [[t] for t in assignment], phi.block_lengths, "assignment")
+    return _formula_masks(structure, [phi], lists)[0] == 1
 
 
 def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...]]:
@@ -434,11 +409,11 @@ def _check_delta(delta: Sequence[QfFormula]) -> tuple[int, ...]:
     return shape
 
 
-def _param_lists(
+def _block_lists(
     structure: FiniteStructure, lists: Sequence, lengths: Sequence[int], kind: str,
     nonempty: bool = False,
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """One checked tuple list per parameter block; kind names them in errors."""
+    """One checked tuple list per block, of the given lengths; kind names them in errors."""
     norm = []
     for lst, length in zip(lists, lengths):
         lst = tuple(tuple(int(v) for v in t) for t in lst)
@@ -464,7 +439,7 @@ def count_types(
     shape = _check_delta(delta)
     if len(boxes) != len(shape) - 1:
         raise InputError("one parameter box per parameter block required")
-    norm = _param_lists(structure, boxes, shape[1:], "box")
+    norm = _block_lists(structure, boxes, shape[1:], "box")
     patterns = set(_types(structure, delta, [block_tuples(structure, shape[0]), *norm]))
     return TypeCount(tuple(norm), len(patterns))
 
@@ -513,7 +488,7 @@ def verify_ipn_witness(
     """
     if len(params) != phi.n:
         raise InputError("one parameter list per parameter block required")
-    norm = _param_lists(structure, params, phi.block_lengths[1:], "parameter", True)
+    norm = _block_lists(structure, params, phi.block_lengths[1:], "parameter", True)
     grid = 1
     for lst in norm:
         grid *= len(lst)
@@ -530,7 +505,7 @@ class IndexedFamily(Record):
     """Equal-length element tuples indexed by the vertices of a partite
     hypergraph or an ordered structure."""
 
-    index: PartiteHypergraph | RelStructure
+    index: vcn.zar.PartiteHypergraph | vcn.ramsey.RelStructure
     tuples: Mapping[object, tuple[int, ...]]
 
     def __post_init__(self):
@@ -545,7 +520,7 @@ class IndexedFamily(Record):
         return len(next(iter(self.tuples.values()))) if self.tuples else 0
 
 
-def _index_view(index: PartiteHypergraph | RelStructure):
+def _index_view(index: vcn.zar.PartiteHypergraph | vcn.ramsey.RelStructure):
     """Vertices in order, the part of each, edge arity and edges of an index.
 
     A partite hypergraph reads as the ordered structure it stands for: its
@@ -569,8 +544,20 @@ def _index_view(index: PartiteHypergraph | RelStructure):
     return vertices, dict(zip(vertices, parts)), arity, edges
 
 
-def _check_in_domain(structure: FiniteStructure, fam: IndexedFamily, vertices) -> None:
-    """Refuse an indexed tuple that leaves the domain: no mask can read it."""
+def _check_family(
+    structure: FiniteStructure, fam: IndexedFamily, vertices, lengths: Sequence[int]
+) -> None:
+    """Refuse an indexed family that no mask over the blocks can read.
+
+    Checked before any relation is read, in this order: a vertex without an
+    indexed tuple, a tuple length other than a block length, a tuple outside
+    the domain.
+    """
+    for v in vertices:
+        if v not in fam.tuples:
+            raise InputError(f"vertex {v} has no indexed tuple")
+    if any(length != fam.tuple_length for length in lengths):
+        raise InputError("indexed tuple length must match every block length")
     for v in vertices:
         if any(not 0 <= x < structure.domain_size for x in fam.tuples[v]):
             raise InputError(f"indexed tuple {fam.tuples[v]} of vertex {v} leaves the domain")
@@ -580,7 +567,7 @@ def check_encodes(
     structure: FiniteStructure,
     phi: QfFormula,
     fam: IndexedFamily,
-    hypergraph: PartiteHypergraph,
+    hypergraph: vcn.zar.PartiteHypergraph,
 ) -> bool:
     """True when phi on the indexed tuples reproduces the hypergraph's edges.
 
@@ -591,13 +578,7 @@ def check_encodes(
         raise InputError("formula needs one block per hypergraph part")
     sizes = hypergraph.part_sizes
     vertices = [(p, i) for p, size in enumerate(sizes) for i in range(size)]
-    for p, i in vertices:
-        if (p, i) not in fam.tuples:
-            raise InputError(f"vertex ({p},{i}) has no indexed tuple")
-    for p, length in enumerate(phi.block_lengths):
-        if fam.tuple_length != length:
-            raise InputError("indexed tuple length must match every block length")
-    _check_in_domain(structure, fam, vertices)
+    _check_family(structure, fam, vertices, phi.block_lengths)
     lists = [[fam.tuples[p, i] for i in range(size)] for p, size in enumerate(sizes)]
     strides = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
     edges = _bits((sum(map(mul, e, strides)) for e in hypergraph.edges), prod(sizes))
@@ -628,13 +609,8 @@ def check_indiscernible(
     if arity_cap < 1:
         raise InputError("arity cap must be positive")
     shape = _check_delta(delta)
-    if any(l != fam.tuple_length for l in shape):
-        raise InputError("delta block lengths must match the indexed tuple length")
     vertices, part_of, edge_arity, edge_set = _index_view(fam.index)
-    for v in vertices:
-        if v not in fam.tuples:
-            raise InputError(f"index vertex {v} has no tuple")
-    _check_in_domain(structure, fam, vertices)
+    _check_family(structure, fam, vertices, shape)
     rank = {v: i for i, v in enumerate(vertices)}
     # column[v]: the position of v's tuple among the distinct indexed tuples
     slot: dict = {}

@@ -40,6 +40,8 @@ import random
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
+import vcn
+
 from .errors import (
     GenerationError,
     InputError,
@@ -50,6 +52,7 @@ from .errors import (
 from .zar import PartiteHypergraph
 
 Vertex = tuple[int, int]  # (part, position)
+_RETRIES = 50  # default number of sampling attempts of gen_extension_hypergraph
 
 
 class ExtensionHypergraph(PartiteHypergraph):
@@ -153,7 +156,7 @@ def achieved_extension_level(h: PartiteHypergraph, cap: int) -> int:
 
 
 def gen_extension_hypergraph(
-    n: int, part_size: int, t: int, seed: int, retries: int = 50
+    n: int, part_size: int, t: int, seed: int, retries: int = _RETRIES
 ) -> ExtensionHypergraph:
     """Sample edges at density 1/2 until the level-t check passes.
 
@@ -465,7 +468,7 @@ def random_subgraph(
     return chosen
 
 
-def diagonal_hypergraph(h: PartiteHypergraph) -> RelStructure:
+def diagonal_hypergraph(h: PartiteHypergraph) -> vcn.ramsey.RelStructure:
     """Ordered uniform hypergraph read along aligned part positions.
 
     Parts must share one size s; an increasing index tuple is an edge of

@@ -29,7 +29,9 @@ import json
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceededError, InputError, Record, _decode_structure, _structure_doc
+from .errors import (
+    BudgetExceededError, InputError, Record, Relation, _decode_structure, _structure_doc
+)
 
 
 class RelStructure(Record):
@@ -70,7 +72,9 @@ class RelStructure(Record):
         return tuple(out)
 
     def to_json(self) -> str:
-        rels = {} if self.edges is None else {"R": (self.edge_arity, map(sorted, self.edges))}
+        rels = {}
+        if self.edges is not None:
+            rels["R"] = Relation(self.edge_arity, map(sorted, self.edges))
         doc = _structure_doc(self.size, rels)
         doc["order"] = list(range(self.size))
         if self.part_sizes is not None:
@@ -86,9 +90,10 @@ class RelStructure(Record):
         """Read a structure document; of its relations only R is kept, as the edges."""
 
         def build(size, part_sizes, relations):
-            arity, tuples = relations.get("R", (None, None))
-            edges = None if tuples is None else frozenset(map(frozenset, tuples))
-            return cls(size, part_sizes, arity, edges)
+            r = relations.get("R")
+            if r is None:
+                return cls(size, part_sizes)
+            return cls(size, part_sizes, r.arity, frozenset(map(frozenset, r.tuples)))
 
         return _decode_structure(text, build)
 

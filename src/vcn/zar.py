@@ -21,6 +21,8 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterator, Sequence
 
+import vcn
+
 from .errors import BudgetExceededError, InputError, Record, _decode
 
 _EXACT = "exact"
@@ -198,10 +200,11 @@ def zarankiewicz(
         raise InputError("n, m, d must be positive")
     if node_budget is not None and node_budget < 0:
         raise InputError("node_budget must be nonnegative")
-    if n == 1:
-        # edges are single vertices: any d of them form the target
+    if n == 1 or d == 1:
+        # n = 1: edges are single vertices, so any d of them form the target;
+        # d = 1: any one edge is the target, so the empty witness is optimal
         k = m if m < d else d - 1
-        witness = PartiteHypergraph(1, (m,), frozenset((v,) for v in range(k)))
+        witness = PartiteHypergraph(n, (m,) * n, frozenset((v,) for v in range(k)))
         return ZarResult(k + 1, k, witness, _EXACT)
 
     width = m ** (n - 1)
@@ -287,7 +290,7 @@ def z22_lower_bound(m: int) -> float:
 
 def build_extremal_family(
     n: int, d: int, m_range: Sequence[int], node_budget: int | None = None
-) -> SetSystem:
+) -> vcn.setsys.SetSystem:
     """Union of power sets of box-free extremal witnesses on disjoint blocks.
 
     For each m the extremal (d+1)-box-free witness with z(n,m,d+1)-1 edges

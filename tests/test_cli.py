@@ -107,6 +107,22 @@ def test_capped_threshold_is_a_refusal(verb, reason, tmp_path, capsys):
     assert err == f"refused: threshold for m=2 is only a lower bound; {reason}\n"
 
 
+@pytest.mark.parametrize("verb, header", [("shatter", "tight"), ("verify-bounds", "ok")])
+def test_dimension_zero_needs_no_budget(verb, header, tmp_path, capsys):
+    # d = 0 asks for z(n, m, 1) = 1, which counts no budget unit
+    path = tmp_path / "fam.json"
+    path.write_text('{"members": ["1"], "part_sizes": [2, 2]}')
+    code, out, err = run(capsys, verb, str(path), "--m", "1..2", "--budget", "0")
+    assert (code, err) == (0, "")
+    assert out == f"m,pi,bound,{header}\n1,1,1,true\n2,1,1,true\n"
+
+
+def test_d1_row_is_exact_at_zero_budget(capsys):
+    code, out, _ = run(capsys, "zar-table", "--n", "4", "--m", "3", "--d", "1", "--budget", "0")
+    assert code == 0
+    assert out.splitlines()[1] == "4,3,1,1,exact,1728"
+
+
 def test_shift_round_trip(tmp_path, capsys):
     fam = GroundFamily(3, (0b101, 0b011, 0b111))
     path = tmp_path / "fam.json"

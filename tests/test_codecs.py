@@ -11,6 +11,7 @@ from vcn import (
     GroundFamily,
     InputError,
     PartiteHypergraph,
+    Relation,
     RelStructure,
     SetSystem,
     gen_extension_hypergraph,
@@ -308,6 +309,18 @@ def test_structure_readers_agree():
         ({"R": {"arity": 2, "tuples": [[0, 1, 2]]}}, "tuple (2, 0, 1) does not match arity 2"),
         ({"R": {"arity": 2, "tuples": [[1, 2]]}, "S": {"arity": 1, "tuples": [[]]}},
          "tuple () does not match arity 1"),
+        # a fault in each of two relations: the first relation's is named
+        ({"S": {"arity": 1, "tuples": [[1], [2, 0]]}, "R": {"arity": 0, "tuples": []}},
+         "tuple (1, 2) does not match arity 1"),
+        ({"R": {"arity": 0, "tuples": []}, "S": {"arity": 1, "tuples": [[1], [2, 0]]}},
+         "relation arity must be positive"),
+        # every relation is read along the order before any arity is checked
+        ({"A": {"arity": 0, "tuples": []}, "B": {"arity": 1, "tuples": [[7]]}},
+         "vertex 7 is not in the domain"),
+        # several bad tuples in one relation: the first given is named
+        ({"S": {"arity": 1, "tuples": [[0, 2], [1, 2]]}}, "tuple (2, 1) does not match arity 1"),
+        ({"S": {"arity": 2, "tuples": [[1, 2], [0], [1, 2, 0], [2]]}},
+         "tuple (2,) does not match arity 2"),
     ]:
         text = json.dumps({"domain": 3, "order": [1, 2, 0], "relations": relations})
         assert _read(RelStructure, text) == _read(FiniteStructure, text) == message
@@ -316,3 +329,21 @@ def test_structure_readers_agree():
     text = json.dumps({"domain": 2, "relations": {"R": {"arity": 2, "tuples": [[1, 1]]}}})
     assert _read(RelStructure, text) == "edge [1] does not match the arity"
     assert _read(FiniteStructure, text).relations["R"].tuples == {(1, 1)}
+
+
+def test_structure_constructors_keep_their_messages():
+    # built directly, as a library caller does, not through a document
+    for build, message in [
+        (lambda: Relation(0, ()), "relation arity must be positive"),
+        (lambda: Relation(2, [(0, 1), (1,), (2, 0, 1)]), "tuple (1,) does not match arity 2"),
+        (lambda: FiniteStructure(0, {}), "domain must be nonempty"),
+        (
+            lambda: FiniteStructure(2, {"R": Relation(2, {(0, 1)}), "S": Relation(1, [(2,)])}),
+            "relation S tuple (2,) leaves the domain",
+        ),
+        (lambda: RelStructure(-1), "size must be nonnegative"),
+        (lambda: RelStructure(3, None, 0, frozenset()), "edge arity must be positive"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            build()
+        assert str(exc.value) == message

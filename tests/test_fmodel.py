@@ -6,6 +6,7 @@ whole-system invariants (dimension, shatter function) transfer.
 """
 
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -123,9 +124,24 @@ def test_malformed_ast_is_input_error(body):
 
 def test_range_errors_name_the_token():
     # the parser only reads tokens; QfFormula checks their ranges
-    for text, token in [("(R x y1)", "y1"), ("(= x.1 y0)", "x.1"), ("(R x.-1)", "x.-1")]:
+    for text, token in [("(R x y1)", "y1"), ("(= x.1 y0)", "x.1")]:
         with pytest.raises(InputError, match=f"variable '{token}' leaves the declared blocks"):
             parse_formula(text, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["x.", "x.+1", "x.-1", "y0.1_0", "x.01", "y01", "x.\u0661", "y\u0661", "y", "x0", "X"],
+)
+def test_off_grammar_tokens_are_unknown_variables(token):
+    # a token is x or y<n>, then optionally .<c>: ASCII numerals, no leading zero
+    with pytest.raises(InputError, match=re.escape(f"unknown variable {token!r}")):
+        parse_formula(f"(R {token} y0)", (2, 11))
+
+
+def test_grammar_tokens_name_their_block_and_component():
+    phi = parse_formula("(R x x.0 x.1 y0 y0.10 y10.2)", (2, 11, *[1] * 9, 3))
+    assert phi.body == ("atom", "R", ((0, 0), (0, 0), (0, 1), (1, 0), (1, 10), (11, 2)))
 
 
 _TOKENS = ["(", ")", "x", "x.1", "y0", "y1", "R", "=", "not", "and", "or"]
@@ -350,17 +366,26 @@ def test_type_counting_errors_keep_their_messages():
     pairs = IndexedFamily(h, {(0, 0): (0, 0), (1, 0): (1, 1)})
     for call, message in (
         (lambda: eval_formula(s, unknown, ((0,),)), "assignment must cover every block"),
-        (lambda: eval_formula(s, unknown, ((0, 0), (1,))), r"block tuple \(0, 0\) does not match"),
-        (lambda: eval_formula(s, unknown, ((0,), (3,))), r"assignment \(3,\) leaves the domain"),
-        (lambda: check_encodes(s, unknown, short, h), r"vertex \(1,0\) has no indexed tuple"),
-        (lambda: check_encodes(s, unknown, pairs, h), "indexed tuple length must match"),
+        (
+            lambda: eval_formula(s, unknown, ((0, 0), (1,))),
+            r"assignment tuple \(0, 0\) does not match block length 1",
+        ),
+        (
+            lambda: eval_formula(s, unknown, ((0,), (3,))),
+            r"assignment tuple \(3,\) leaves the domain",
+        ),
+        (lambda: check_encodes(s, unknown, short, h), r"vertex \(1, 0\) has no indexed tuple"),
+        (
+            lambda: check_encodes(s, unknown, pairs, h),
+            "indexed tuple length must match every block length",
+        ),
         (
             lambda: check_indiscernible(short, {"order"}, s, [unknown], 1),
-            r"index vertex \(1, 0\) has no tuple",
+            r"vertex \(1, 0\) has no indexed tuple",
         ),
         (
             lambda: check_indiscernible(pairs, {"order"}, s, [unknown], 1),
-            "delta block lengths must match the indexed tuple length",
+            "indexed tuple length must match every block length",
         ),
     ):
         with pytest.raises(InputError, match=message):
@@ -593,7 +618,7 @@ def test_indexed_tuples_outside_the_domain_are_refused():
         ):
             with pytest.raises(InputError, match=message):
                 call()
-    with pytest.raises(InputError, match=r"assignment \(5,\) leaves the domain"):
+    with pytest.raises(InputError, match=r"assignment tuple \(5,\) leaves the domain"):
         eval_formula(s, phi, ((5,), (5,)))
 
 

@@ -276,6 +276,16 @@ def test_negative_budget_is_input_error():
     assert (res.z, res.status) == (1, "lower_bound_only")
 
 
+def test_d1_is_exact_in_closed_form_under_any_budget():
+    # any one edge is a 1-box, so the empty witness is optimal and no node is
+    # searched; a walk over the layers took minutes at n = 4, m = 3
+    for n, m in [(2, 3), (3, 5), (4, 3), (5, 4)]:
+        for budget in (0, 1000, None):
+            res = zarankiewicz(n, m, 1, budget)
+            assert (res.z, res.extremal_edge_count, res.status) == (1, 0, "exact")
+            assert res.extremal_witness == PartiteHypergraph(n, (m,) * n, frozenset())
+
+
 def test_d_larger_than_part_never_boxes():
     # no d-box fits, so the threshold sits above the full grid
     res = zarankiewicz(2, 2, 3)
