@@ -30,24 +30,24 @@ if viol is not None:
     print(f"level 2 fails in part {j}: window {window}, forced rows {a0}, forbidden rows {a1}")
 
 # a walk repairs one cross edge per step, each step certified
-big = gen_extension_hypergraph(2, 26, 1, seed=3)
+big = gen_extension_hypergraph(2, 26, 1, seed=3).base
 w = [(0, 10), (1, 10), (0, 5), (0, 20), (1, 5), (1, 20)]
 w_prime = [(0, 11), (1, 10), (0, 5), (0, 20), (1, 5), (1, 20)]
-start = walk_discrepancies(big.base, w, w_prime)
+start = walk_discrepancies(big, w, w_prime)
 walk = adjacency_walk(big, w, w_prime)
 print(f"\nwalk of {len(walk) - 1} steps for {len(start)} discrepancies")
 for a, b in zip(walk, walk[1:]):
     cert = step_certificate(big, a, b)
     print(f"  flipped edge {tuple(sorted(cert.flipped_edge))}")
-print(f"remaining discrepancies: {walk_discrepancies(big.base, walk[-1], w_prime)}")
+print(f"remaining discrepancies: {walk_discrepancies(big, walk[-1], w_prime)}")
 
 # greedy subgraph: every cross tuple ends up isomorphic or adjacent to g
 v = [(0, 2), (0, 23), (1, 3), (1, 22)]
-g = next(e for e in sorted(big.base.edges) if 2 < e[0] < 23 and 3 < e[1] < 22)
+g = next(e for e in sorted(big.edges) if 2 < e[0] < 23 and 3 < e[1] < 22)
 parts = random_subgraph(big, v, g, 2)
 print(f"\nsubgraph parts around {g}: {parts}")
 for cross in product(*parts):
-    print(f"  {cross}: {dichotomy_verdict(big.base, v, g, cross)}")
+    print(f"  {cross}: {dichotomy_verdict(big, v, g, cross)}")
 
 diag = diagonal_hypergraph(h)
 print(f"\ndiagonal structure: {diag.size} vertices, arity {diag.edge_arity}, {len(diag.edges)} edges")

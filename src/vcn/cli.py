@@ -88,17 +88,6 @@ def _load_structure(path: str):
     return RelStructure.from_json(_read_text(path))
 
 
-def _load_hypergraph(path: str):
-    """A hypergraph document, with or without the "t" and "seed" of gen-random."""
-    from .hyperrand import ExtensionHypergraph
-    from .zar import PartiteHypergraph
-
-    def build(doc):
-        return (ExtensionHypergraph if "t" in doc else PartiteHypergraph)._from_doc(doc)
-
-    return _decode(_read_text(path), "hypergraph", build, ExtensionHypergraph._SHAPE)
-
-
 def cmd_zar_table(args) -> str:
     from .zar import erdos_bound, zarankiewicz
 
@@ -204,8 +193,9 @@ def cmd_gen_random(args) -> str:
 
 def cmd_walk(args) -> str:
     from .hyperrand import adjacency_walk
+    from .zar import PartiteHypergraph
 
-    h = _load_hypergraph(args.hypergraph)
+    h = PartiteHypergraph.from_json(_read_text(args.hypergraph))
 
     def pair(doc):
         return doc["w"], doc["w_prime"]

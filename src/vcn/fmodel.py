@@ -276,8 +276,6 @@ def eval_formula(
     structure: FiniteStructure, phi: QfFormula, assignment: Sequence[Sequence[int]]
 ) -> bool:
     """Evaluate phi under one tuple per block."""
-    if len(assignment) != len(phi.block_lengths):
-        raise InputError("assignment must cover every block")
     lists = _block_lists(structure, [[t] for t in assignment], phi.block_lengths, "assignment")
     return _formula_masks(structure, [phi], lists)[0] == 1
 
@@ -414,6 +412,8 @@ def _block_lists(
     nonempty: bool = False,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """One checked tuple list per block, of the given lengths; kind names them in errors."""
+    if len(lists) != len(lengths):
+        raise InputError(f"one {kind} list per block required")
     norm = []
     for lst, length in zip(lists, lengths):
         lst = tuple(tuple(int(v) for v in t) for t in lst)
@@ -437,8 +437,6 @@ def count_types(
 ) -> TypeCount:
     """Number of distinct truth patterns of object tuples on the boxes."""
     shape = _check_delta(delta)
-    if len(boxes) != len(shape) - 1:
-        raise InputError("one parameter box per parameter block required")
     norm = _block_lists(structure, boxes, shape[1:], "box")
     patterns = set(_types(structure, delta, [block_tuples(structure, shape[0]), *norm]))
     return TypeCount(tuple(norm), len(patterns))
@@ -486,8 +484,6 @@ def verify_ipn_witness(
     the cells in s.  Refuses (never samples) when the pattern count
     exceeds the budget.
     """
-    if len(params) != phi.n:
-        raise InputError("one parameter list per parameter block required")
     norm = _block_lists(structure, params, phi.block_lengths[1:], "parameter", True)
     grid = 1
     for lst in norm:

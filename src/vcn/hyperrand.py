@@ -10,9 +10,8 @@ t; a window only obliges when some vertex lies strictly inside it.  The
 check reads each part's adjacency as bitmasks: an instance's realizers
 are the window's vertices that close each positive tuple into an edge
 and no negative one, an AND of one mask per tuple.  The sample that
-passes is an ExtensionHypergraph: a PartiteHypergraph that also records
-the level it passed and its seed, so it goes wherever a PartiteHypergraph
-goes.
+passes is returned as an ExtensionHypergraph: the PartiteHypergraph as its
+base, labelled with the level it passed and its seed.
 
 Vertices are (part, position) pairs ordered part-major.  Two equal-length
 vertex sets sharing a tail V are V-adjacent when the natural map is an
@@ -36,6 +35,7 @@ cross edge through it is the one allowed to change.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -48,31 +48,35 @@ from .errors import (
     Record,
     SelectionStuckError,
     WalkStuckError,
+    _decode,
 )
-from .zar import PartiteHypergraph
+from .zar import _HYPERGRAPH_SHAPE, PartiteHypergraph
 
 Vertex = tuple[int, int]  # (part, position)
 _RETRIES = 50  # default number of sampling attempts of gen_extension_hypergraph
 
 
-class ExtensionHypergraph(PartiteHypergraph):
-    """A sampled PartiteHypergraph with its verified extension level t and seed.
+class ExtensionHypergraph(Record):
+    """A sampled hypergraph, labelled with its verified extension level t and seed.
 
     Its document is the hypergraph document plus "t" and "seed".
     """
 
+    base: PartiteHypergraph
     t: int
     seed: int
 
-    _SHAPE = {**PartiteHypergraph._SHAPE, "t": int, "seed": int}
+    def to_json(self) -> str:
+        return json.dumps({**self.base._doc(), "t": self.t, "seed": self.seed}, sort_keys=True)
 
-    @property
-    def base(self) -> PartiteHypergraph:
-        """The hypergraph alone, as a plain PartiteHypergraph."""
-        # its fields were checked when this one was built: copy them as they are
-        base = object.__new__(PartiteHypergraph)
-        base.__dict__.update(n=self.n, part_sizes=self.part_sizes, edges=self.edges)
-        return base
+    @classmethod
+    def from_json(cls, text: str) -> "ExtensionHypergraph":
+        def build(doc):
+            # every key is read, in the shape's order, before anything is built
+            n, sizes, edges, t, seed = map(doc.__getitem__, _HYPERGRAPH_SHAPE)
+            return cls(PartiteHypergraph(n, sizes, edges), t, seed)
+
+        return _decode(text, "hypergraph", build, _HYPERGRAPH_SHAPE)
 
 
 class VAdjacencyWitness(Record):
@@ -173,16 +177,11 @@ def gen_extension_hypergraph(
     best = -1
     for attempt in range(retries):
         rng = random.Random(seed * 1_000_003 + attempt)
-        edges = frozenset(
-            tup
-            for tup in product(*(range(part_size) for _ in range(n)))
-            if rng.getrandbits(1)
-        )
-        # built with its label up front, so a passing sample is not copied;
-        # only a sample that passes level t is returned
-        h = ExtensionHypergraph(n, (part_size,) * n, edges, t, seed)
+        # drawn straight into the hypergraph, so the edge set is built once
+        cells = product(*(range(part_size) for _ in range(n)))
+        h = PartiteHypergraph(n, (part_size,) * n, (e for e in cells if rng.getrandbits(1)))
         if check_extension_level(h, t):
-            return h
+            return ExtensionHypergraph(h, t, seed)
         best = max(best, achieved_extension_level(h, t - 1))
     raise GenerationError(
         f"no sample passed level {t} within {retries} attempts", best_t=best

@@ -55,12 +55,16 @@ class RelStructure(Record):
         if self.edges is not None:
             if self.edge_arity < 1:
                 raise InputError("edge arity must be positive")
-            edges = frozenset(frozenset(int(v) for v in e) for e in self.edges)
-            for e in edges:
-                if len(e) != self.edge_arity:
-                    raise InputError(f"edge {sorted(e)} does not match the arity")
-                if any(not 0 <= v < self.size for v in e):
-                    raise InputError(f"edge {sorted(e)} leaves the domain")
+            edges = frozenset(frozenset(map(int, e)) for e in self.edges)
+            # one pass over the edges; only a failing edge set is walked, in
+            # sorted order, so the error names its least bad edge
+            vertices = frozenset().union(*edges)
+            if set(map(len, edges)) - {self.edge_arity} or vertices - frozenset(range(self.size)):
+                for e in sorted(map(sorted, edges)):
+                    if len(e) != self.edge_arity:
+                        raise InputError(f"edge {e} does not match the arity")
+                    if any(not 0 <= v < self.size for v in e):
+                        raise InputError(f"edge {e} leaves the domain")
             object.__setattr__(self, "edges", edges)
 
     def part_ids(self) -> tuple[int, ...] | None:
@@ -93,7 +97,7 @@ class RelStructure(Record):
             r = relations.get("R")
             if r is None:
                 return cls(size, part_sizes)
-            return cls(size, part_sizes, r.arity, frozenset(map(frozenset, r.tuples)))
+            return cls(size, part_sizes, r.arity, r.tuples)
 
         return _decode_structure(text, build)
 

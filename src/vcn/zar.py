@@ -43,12 +43,12 @@ class PartiteHypergraph(Record):
         if len(sizes) != self.n or any(s < 1 for s in sizes):
             raise InputError("need one positive size per part")
         edges = frozenset(tuple(map(int, e)) for e in self.edges)
-        # one pass per part; only a failing edge set is walked edge by edge,
-        # so the error names the same first bad edge
+        # one pass per part; only a failing edge set is walked, in sorted
+        # order, so the error names its least bad edge
         if set(map(len, edges)) - {self.n} or any(
             min(col) < 0 or max(col) >= s for col, s in zip(zip(*edges), sizes)
         ):
-            for e in edges:
+            for e in sorted(edges):
                 if len(e) != self.n:
                     raise InputError(f"edge {e} does not pick one vertex per part")
                 if any(not 0 <= v < s for v, s in zip(e, sizes)):
@@ -56,23 +56,25 @@ class PartiteHypergraph(Record):
         object.__setattr__(self, "part_sizes", sizes)
         object.__setattr__(self, "edges", edges)
 
-    # the shape of the document, which a subclass extends with its own fields
-    _SHAPE = {"n": int, "part_sizes": [int], "edges": [[int]]}
-
     def _doc(self) -> dict:
-        doc = {name: getattr(self, name) for name in self._fields}
-        return {**doc, "edges": sorted(self.edges)}
-
-    @classmethod
-    def _from_doc(cls, doc: dict) -> "PartiteHypergraph":
-        return cls(*(doc[name] for name in cls._fields))
+        return {"n": self.n, "part_sizes": self.part_sizes, "edges": sorted(self.edges)}
 
     def to_json(self) -> str:
         return json.dumps(self._doc(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PartiteHypergraph":
-        return _decode(text, "hypergraph", cls._from_doc, cls._SHAPE)
+        """Read a hypergraph document; a sample's "t" and "seed" are checked, then dropped."""
+
+        def build(doc):
+            return cls(doc["n"], doc["part_sizes"], doc["edges"])
+
+        return _decode(text, "hypergraph", build, _HYPERGRAPH_SHAPE)
+
+
+# The hypergraph document, keys in field order: PartiteHypergraph reads the first
+# three, hyperrand.ExtensionHypergraph all five; each is checked where present.
+_HYPERGRAPH_SHAPE = {"n": int, "part_sizes": [int], "edges": [[int]], "t": int, "seed": int}
 
 
 class ZarResult(Record):

@@ -312,7 +312,7 @@ def test_criterion_11_generation_walks_selection():
         wp = [(0, q0[0]), (1, q1[0]), (0, q0[1]), (1, q1[1])]
         if len(walk_discrepancies(h, w, wp)) > 2:
             continue
-        steps = adjacency_walk(eh, w, wp)
+        steps = adjacency_walk(h, w, wp)
         for a, b in zip(steps, steps[1:]):
             step_certificate(h, a, b)  # raises unless genuinely V-adjacent
         assert walk_discrepancies(h, steps[-1], wp) == []
@@ -320,7 +320,7 @@ def test_criterion_11_generation_walks_selection():
 
     g = next(e for e in sorted(h.edges) if 8 <= e[0] <= 18 and 8 <= e[1] <= 18)
     v = [(0, 2), (0, 23), (1, 3), (1, 22)]
-    sel = random_subgraph(eh, v, g, s=2, t_prime=0)
+    sel = random_subgraph(h, v, g, s=2, t_prime=0)
     for cross in product(*sel):
         assert dichotomy_verdict(h, v, g, cross) is not None
     report(11, f"{successes}/100 seeds generated; 50 walks certified; dichotomy held")

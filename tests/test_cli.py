@@ -8,6 +8,8 @@ from vcn import (
     ExtensionHypergraph,
     FiniteStructure,
     GroundFamily,
+    InputError,
+    PartiteHypergraph,
     RelStructure,
     SetSystem,
     points,
@@ -289,7 +291,11 @@ def test_walk_reads_a_plain_hypergraph_document(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     (tmp_path / "bad.json").write_text(json.dumps({**doc, "t": "x"}))
     code, out, err = run(capsys, "walk", str(tmp_path / "bad.json"), str(p_path))
-    assert code == 1 and not out and err.startswith("error: bad hypergraph document: ")
+    assert code == 1 and not out
+    assert err == "error: bad hypergraph document: 't' must be a JSON integer\n"
+    with pytest.raises(InputError) as exc:
+        PartiteHypergraph.from_json((tmp_path / "bad.json").read_text())
+    assert err == f"error: {exc.value}\n"
 
 
 def test_walk_bad_pair_is_input_error(tmp_path, capsys):

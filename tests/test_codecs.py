@@ -123,7 +123,7 @@ def test_missing_key_and_bad_value_are_input_errors():
 
 def test_extension_document_extends_the_hypergraph_document():
     eh = gen_extension_hypergraph(2, 4, 0, seed=3)
-    assert isinstance(eh, PartiteHypergraph) and type(eh.base) is PartiteHypergraph
+    assert not isinstance(eh, PartiteHypergraph) and type(eh.base) is PartiteHypergraph
     doc = json.loads(eh.to_json())
     assert {k: doc[k] for k in ("n", "part_sizes", "edges")} == json.loads(eh.base.to_json())
     assert (doc["t"], doc["seed"]) == (0, 3)
@@ -132,9 +132,41 @@ def test_extension_document_extends_the_hypergraph_document():
     assert PartiteHypergraph.from_json(eh.to_json()) == eh.base
 
 
+@pytest.mark.parametrize("key", ["t", "seed"])
+def test_both_hypergraph_readers_check_a_samples_label(key):
+    doc = {"n": 1, "part_sizes": [2], "edges": [[0]], "t": 0, "seed": 1, key: "x"}
+    for codec in (PartiteHypergraph, ExtensionHypergraph):
+        with pytest.raises(InputError) as exc:
+            codec.from_json(json.dumps(doc))
+        assert str(exc.value) == f"bad hypergraph document: {key!r} must be a JSON integer"
+
+
+def test_hypergraph_reader_takes_either_label_alone():
+    # each label key is checked where present; the hypergraph reader needs neither
+    for label in ({"t": 1}, {"seed": 4}):
+        doc = {"n": 1, "part_sizes": [2], "edges": [[0]], **label}
+        assert PartiteHypergraph.from_json(json.dumps(doc)) == PartiteHypergraph(1, [2], [[0]])
+
+
+@pytest.mark.parametrize(
+    "missing, named",
+    [
+        (("n", "t"), "n"), (("t",), "t"), (("t", "seed"), "t"), (("seed",), "seed"),
+        (("edges", "seed"), "edges"), (("part_sizes", "t"), "part_sizes"),
+    ],
+)
+def test_sample_reader_names_the_first_missing_key(missing, named):
+    # the edge leaves its part: every key is read before anything is built
+    doc = {"n": 1, "part_sizes": [2], "edges": [[9]], "t": 0, "seed": 1}
+    doc = {k: v for k, v in doc.items() if k not in missing}
+    with pytest.raises(InputError) as exc:
+        ExtensionHypergraph.from_json(json.dumps(doc))
+    assert str(exc.value) == f"bad hypergraph document: {named!r}"
+
+
 def _first_bad_edge(n, sizes, edges):
-    """The error of the edge-by-edge check, in the edge set's own order."""
-    for e in frozenset(tuple(int(v) for v in e) for e in edges):
+    """The error of the edge-by-edge check, in sorted edge order."""
+    for e in sorted(frozenset(tuple(int(v) for v in e) for e in edges)):
         if len(e) != n:
             return f"edge {e} does not pick one vertex per part"
         if any(not 0 <= v < s for v, s in zip(e, sizes)):
@@ -181,7 +213,8 @@ def test_edge_check_names_the_first_bad_edge():
         builds = [
             lambda: PartiteHypergraph(n, sizes, edges),
             lambda: PartiteHypergraph(n, sizes, [[str(v) for v in e] for e in edges]),
-            lambda: ExtensionHypergraph.from_json(json.dumps(doc)),
+            lambda: ExtensionHypergraph.from_json(json.dumps(doc)).base,
+            lambda: PartiteHypergraph.from_json(json.dumps(doc)),
         ]
         for build in builds:
             if want is None:
@@ -329,6 +362,24 @@ def test_structure_readers_agree():
     text = json.dumps({"domain": 2, "relations": {"R": {"arity": 2, "tuples": [[1, 1]]}}})
     assert _read(RelStructure, text) == "edge [1] does not match the arity"
     assert _read(FiniteStructure, text).relations["R"].tuples == {(1, 1)}
+
+
+def test_structure_edge_check_names_the_least_bad_edge():
+    # the edge named depends on the edges alone, not on their order or hashing
+    cases = [
+        ([{2, 5}, {0}, {1, 2}], "edge [0] does not match the arity"),
+        ([{2, 5}, {1, 4}, {0, 1}], "edge [1, 4] leaves the domain"),
+        ([{0, 1, 2}, {2, 3}, {-1, 0}], "edge [-1, 0] leaves the domain"),
+    ]
+    for edges, message in cases:
+        for order in (edges, edges[::-1]):
+            with pytest.raises(InputError) as exc:
+                RelStructure(3, None, 2, order)
+            assert str(exc.value) == message
+    # vertices renamed along the order: 4, 3, 1, 2, 0 become 0, 1, 2, 3, 4
+    doc = {"domain": 5, "order": [4, 3, 1, 2, 0],
+           "relations": {"R": {"arity": 2, "tuples": [[4, 4], [3, 1], [0, 0]]}}}
+    assert _read(RelStructure, json.dumps(doc)) == "edge [0] does not match the arity"
 
 
 def test_structure_constructors_keep_their_messages():

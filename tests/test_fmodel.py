@@ -365,7 +365,19 @@ def test_type_counting_errors_keep_their_messages():
     short = IndexedFamily(h, {(0, 0): (0,)})
     pairs = IndexedFamily(h, {(0, 0): (0, 0), (1, 0): (1, 1)})
     for call, message in (
-        (lambda: eval_formula(s, unknown, ((0,),)), "assignment must cover every block"),
+        # one list per block, neither fewer nor more, at each of the three entries
+        (lambda: eval_formula(s, unknown, ((0,),)), "one assignment list per block required"),
+        (
+            lambda: eval_formula(s, unknown, ((0,), (1,), (0,))),
+            "one assignment list per block required",
+        ),
+        (lambda: count_types(s, [unknown], []), "one box list per block required"),
+        (lambda: count_types(s, [unknown], [[], []]), "one box list per block required"),
+        (lambda: verify_ipn_witness(s, unknown, []), "one parameter list per block required"),
+        (
+            lambda: verify_ipn_witness(s, unknown, [[(0,)], [(1,)]]),
+            "one parameter list per block required",
+        ),
         (
             lambda: eval_formula(s, unknown, ((0, 0), (1,))),
             r"assignment tuple \(0, 0\) does not match block length 1",

@@ -124,6 +124,16 @@ def test_extension_json_round_trip():
         ExtensionHypergraph.from_json("{}")
 
 
+def test_a_sample_labels_its_hypergraph():
+    h = PartiteHypergraph(2, (2, 3), {(0, 2)})
+    eh = ExtensionHypergraph(h, 1, 7)
+    assert eh.base is h and eh.base is eh.base
+    assert (eh.t, eh.seed) == (1, 7)
+    assert eh != h and h != eh and not isinstance(eh, PartiteHypergraph)
+    sample = gen_extension_hypergraph(2, 6, 0, seed=5)
+    assert type(sample.base) is PartiteHypergraph and sample.base is sample.base
+
+
 # --- V-adjacency ---------------------------------------------------------------
 
 
@@ -257,7 +267,7 @@ def test_walks_on_generated_graphs(seed):
     w = [(0, p0[0]), (1, p1[0]), (0, p0[1]), (1, p1[1])]
     wp = [(0, q0[0]), (1, q1[0]), (0, q0[1]), (1, q1[1])]
     start = walk_discrepancies(h, w, wp)
-    steps = adjacency_walk(eh, w, wp)
+    steps = adjacency_walk(h, w, wp)
     assert len(steps) - 1 == len(start)
     assert walk_discrepancies(h, steps[-1], wp) == []
     for a, b in zip(steps, steps[1:]):
@@ -383,7 +393,7 @@ def test_random_subgraph_dichotomy_exhaustive():
     h = eh.base
     g = next(e for e in sorted(h.edges) if 8 <= e[0] <= 18 and 8 <= e[1] <= 18)
     v = [(0, 2), (0, 23), (1, 3), (1, 22)]
-    sel = random_subgraph(eh, v, g, s=2, t_prime=0)
+    sel = random_subgraph(h, v, g, s=2, t_prime=0)
     assert all(len(part) == 2 for part in sel)
     assert g[0] in sel[0] and g[1] in sel[1]
     verdicts = {

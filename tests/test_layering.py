@@ -72,6 +72,9 @@ LOADED = {
     "walk": {"cli", "errors", "zar", "hyperrand"},
     "counterexample": {"cli", "errors", "fmodel", "setsys", "zar"},
     "FiniteStructure.from_json": {"errors", "fmodel", "setsys"},
+    # the one hypergraph document reader lives in zar, a sample's in hyperrand
+    "PartiteHypergraph.from_json": {"errors", "zar"},
+    "ExtensionHypergraph.from_json": {"errors", "zar", "hyperrand"},
 }
 ARGV = {
     "zar-table": ["zar-table", "--n", "2", "--m", "2..3", "--d", "2"],
@@ -85,6 +88,8 @@ ARGV = {
 STATEMENT = {
     "import vcn": "",
     "FiniteStructure.from_json": "vcn.FiniteStructure.from_json(open('s.json').read())",
+    "PartiteHypergraph.from_json": "vcn.PartiteHypergraph.from_json(open('h.json').read())",
+    "ExtensionHypergraph.from_json": "vcn.ExtensionHypergraph.from_json(open('h.json').read())",
     **{case: f"import vcn.cli; assert vcn.cli.main({argv!r}) == 0" for case, argv in ARGV.items()},
 }
 # Standard-library modules no verb needs (dataclasses loads inspect, ast and
