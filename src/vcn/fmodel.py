@@ -517,27 +517,25 @@ class IndexedFamily(Record):
 
 
 def _index_view(index: vcn.zar.PartiteHypergraph | vcn.ramsey.RelStructure):
-    """Vertices in order, the part of each, edge arity and edges of an index.
+    """The vertices of an index in order, and the ordered structure it is.
 
-    A partite hypergraph reads as the ordered structure it stands for: its
-    (part, position) vertices in part-major order, its parts convex, and
-    each edge as the set of vertices it picks.  A structure without parts
-    has a single part.
+    A structure is its own view, on the vertices 0..size-1.  A partite
+    hypergraph is read through its partite view: its (part, position)
+    vertices in part-major order, its parts convex, and each edge shifted
+    to the positions of the vertices it picks.
     """
     from .ramsey import RelStructure
     from .zar import PartiteHypergraph
 
-    if isinstance(index, PartiteHypergraph):
-        vertices = [(p, i) for p in range(index.n) for i in range(index.part_sizes[p])]
-        parts = [p for p, _ in vertices]
-        arity, edges = index.n, {frozenset(enumerate(e)) for e in index.edges}
-    elif isinstance(index, RelStructure):
-        vertices = list(range(index.size))
-        parts = index.part_ids() or [0] * index.size
-        arity, edges = index.edge_arity or 0, index.edges or frozenset()
-    else:
+    if isinstance(index, RelStructure):
+        return range(index.size), index
+    if not isinstance(index, PartiteHypergraph):
         raise InputError("unsupported index structure")
-    return vertices, dict(zip(vertices, parts)), arity, edges
+    sizes = index.part_sizes
+    vertices = [(p, i) for p in range(index.n) for i in range(sizes[p])]
+    starts = [sum(sizes[:p]) for p in range(index.n)]
+    edges = [[s + v for s, v in zip(starts, e)] for e in index.edges]
+    return vertices, RelStructure(len(vertices), sizes, index.n, edges)
 
 
 def _check_family(
@@ -590,9 +588,11 @@ def check_indiscernible(
 ):
     """Check that index tuples with equal reduct types get equal delta types.
 
-    The reduct names which index relations count: any subset of
-    {"order", "parts", "edge"}.  Equality atoms always count.  Returns
-    True, or the first violating pair of index tuples.
+    The index is read as an ordered structure on vertex positions, a
+    partite hypergraph through its partite view.  The reduct names which
+    of its relations count: any subset of {"order", "parts", "edge"}.
+    Equality atoms always count.  Returns True, or the first violating
+    pair of index tuples, in the index's own vertex keys.
 
     Each formula is evaluated once, up front, as a mask over every block
     map into the D distinct indexed tuples: D ** blocks bits per formula,
@@ -605,38 +605,29 @@ def check_indiscernible(
     if arity_cap < 1:
         raise InputError("arity cap must be positive")
     shape = _check_delta(delta)
-    vertices, part_of, edge_arity, edge_set = _index_view(fam.index)
+    vertices, view = _index_view(fam.index)
     _check_family(structure, fam, vertices, shape)
-    rank = {v: i for i, v in enumerate(vertices)}
-    # column[v]: the position of v's tuple among the distinct indexed tuples
+    # column[x]: the slot of position x's tuple among the distinct indexed tuples
     slot: dict = {}
-    column = {v: slot.setdefault(fam.tuples[v], len(slot)) for v in vertices}
+    column = [slot.setdefault(fam.tuples[v], len(slot)) for v in vertices]
     blocks = len(shape)
     strides = [len(slot) ** (blocks - 1 - j) for j in range(blocks)]
     masks = _formula_masks(structure, delta, [list(slot)] * blocks)
     data = [mask.to_bytes(len(slot) ** blocks // 8 + 1, "little") for mask in masks]
+    part = (view.part_ids() or [0] * view.size) if "parts" in reduct else None
+    arity = view.edge_arity if "edge" in reduct else None
 
     def reduct_type(w):
-        sign = []
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                a, b = rank[w[i]], rank[w[j]]
-                if "order" in reduct:
-                    sign.append((a > b) - (a < b))
-                else:
-                    sign.append(0 if a == b else 1)
-        parts = tuple(part_of[v] for v in w) if "parts" in reduct else None
-        edges = None
-        if "edge" in reduct and edge_arity:
-            # with a repeated vertex the set is smaller than every edge
-            edges = tuple(
-                frozenset(w[i] for i in idx) in edge_set
-                for idx in combinations(range(len(w)), edge_arity)
-            ) if len(w) >= edge_arity else ()
-        return (tuple(sign), parts, edges)
+        # a rank pattern fixes every pairwise sign, an equality pattern every
+        # pairwise equality; with a repeated position a set is smaller than
+        # every edge
+        pattern = tuple(map((sorted(set(w)) if "order" in reduct else w).index, w))
+        parts = tuple(part[x] for x in w) if part is not None else None
+        edges = arity and tuple(frozenset(s) in view.edges for s in combinations(w, arity))
+        return (pattern, parts, edges)
 
     def delta_type(w):
-        cols = [column[v] for v in w]
+        cols = [column[x] for x in w]
         offsets = [0]  # one bit offset per block map into w, block 0 outermost
         for stride in strides:
             offsets = [o + c * stride for o in offsets for c in cols]
@@ -644,13 +635,13 @@ def check_indiscernible(
 
     for length in range(1, arity_cap + 1):
         groups: dict = {}
-        for w in product(vertices, repeat=length):
+        for w in product(range(len(vertices)), repeat=length):
             key = reduct_type(w)
             val = delta_type(w)
             if key in groups:
                 prev_w, prev_val = groups[key]
                 if prev_val != val:
-                    return (prev_w, w)
+                    return tuple(vertices[x] for x in prev_w), tuple(vertices[x] for x in w)
             else:
                 groups[key] = (w, val)
     return True

@@ -478,8 +478,5 @@ def diagonal_hypergraph(h: PartiteHypergraph) -> vcn.ramsey.RelStructure:
     sizes = set(h.part_sizes)
     if len(sizes) != 1:
         raise InputError("parts must share one size")
-    s = h.part_sizes[0]
-    edges = frozenset(
-        frozenset(q) for q in combinations(range(s), h.n) if tuple(q) in h.edges
-    )
-    return RelStructure(s, None, h.n, edges)
+    edges = [e for e in h.edges if all(a < b for a, b in zip(e, e[1:]))]
+    return RelStructure(h.part_sizes[0], None, h.n, edges)

@@ -347,11 +347,8 @@ def encode_tilde(x0: RelStructure) -> RelStructure:
         raise InputError("source needs a declared edge relation of arity 2 or 3")
     m = x0.size
     r = x0.edge_arity
-    edges = set()
-    for idx in combinations(range(m), r):
-        if frozenset(idx) in x0.edges:
-            edges.add(frozenset(p * m + v for p, v in enumerate(idx)))
-    return RelStructure(r * m, (m,) * r, r, frozenset(edges))
+    edges = [[p * m + v for p, v in enumerate(sorted(e))] for e in x0.edges]
+    return RelStructure(r * m, (m,) * r, r, edges)
 
 
 def bar_restrict(x: RelStructure) -> RelStructure:

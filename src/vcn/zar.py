@@ -17,7 +17,7 @@ system into a ternary structure whose definable family reproduces it.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import product
 from math import prod
 from typing import Iterator, Sequence
 
@@ -324,11 +324,9 @@ def build_extremal_family(
             universe.tuple_index(tuple(offset + v for v in e))
             for e in sorted(res.extremal_witness.edges)
         ]
-        for r in range(len(cells) + 1):
-            for sub in combinations(cells, r):
-                mask = 0
-                for c in sub:
-                    mask |= 1 << c
-                members.add(mask)
+        subsets = [0]
+        for c in cells:
+            subsets += [sub | 1 << c for sub in subsets]
+        members.update(subsets)
         offset += m
     return SetSystem(universe, tuple(sorted(members)))

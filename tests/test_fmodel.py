@@ -707,6 +707,25 @@ def test_check_indiscernible_matches_reference(seed):
             assert check_indiscernible(fam, reduct, structure, delta, cap) == want
 
 
+@pytest.mark.parametrize("seed", range(1, 200, 2))
+def test_hypergraph_index_agrees_with_its_partite_view(seed):
+    # the view: part-major positions, convex parts, each edge on the positions
+    # of the vertices it picks; tuples and answers re-keyed by position
+    structure, fam, delta = random_indexed(seed)
+    h = fam.index
+    vertices = [(p, i) for p, size in enumerate(h.part_sizes) for i in range(size)]
+    position = {v: x for x, v in enumerate(vertices)}
+    edges = [{position[p, i] for p, i in enumerate(e)} for e in h.edges]
+    view = RelStructure(len(vertices), h.part_sizes, h.n, edges)
+    twin = IndexedFamily(view, {position[v]: t for v, t in fam.tuples.items()})
+    for reduct in REDUCTS:
+        for cap in (1, 2, 3):
+            want = check_indiscernible(twin, reduct, structure, delta, cap)
+            if want is not True:
+                want = tuple(tuple(vertices[x] for x in w) for w in want)
+            assert check_indiscernible(fam, reduct, structure, delta, cap) == want
+
+
 def test_indexed_cases_reach_every_outcome():
     encodings = [random_encoding(seed) for seed in range(40)]
     assert any(len(set(fam.tuples.values())) < len(fam.tuples) for _, _, _, fam, _ in encodings)
