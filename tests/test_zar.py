@@ -151,6 +151,22 @@ FROZEN_WITNESSES = {
         "exact",
         ["5 6 7 8", "2 3 4 8", "0 1 8", "1 4 7", "0 3 7", "0 4 6", "1 2 6", "1 3 5", "0 2 5"],
     ),
+    (2, 11, 2, None): (
+        40,
+        "exact",
+        [
+            "7 8 9 a", "4 5 6 a", "1 2 3 a", "0 3 6 9", "0 2 5 8", "0 1 4 7",
+            "1 5 9", "2 4 9", "1 6 8", "3 4 8", "2 6 7",
+        ],
+    ),
+    (2, 12, 2, None): (
+        46,
+        "exact",
+        [
+            "8 9 a b", "5 6 7 b", "2 3 4 b", "1 4 7 a", "0 3 6 a", "0 2 7 9",
+            "1 3 5 9", "1 2 6 8", "0 4 5 8", "0 1 b", "2 5 a", "4 6 9",
+        ],
+    ),
     (3, 3, 2, None): (
         23,
         "exact",
@@ -160,6 +176,32 @@ FROZEN_WITNESSES = {
         34,
         "exact",
         ["1 2 3 4 5 6", "0 3 4 5 6", "0 1 2 5 6", "0 1 2 3 4", "0 2 4 6", "0 1 3 6", "0 1 4 5"],
+    ),
+    (2, 8, 3, None): (
+        43,
+        "exact",
+        [
+            "1 2 3 4 5 6 7", "0 4 5 6 7", "0 2 3 6 7", "0 1 3 5 7",
+            "0 1 2 4 7", "0 1 2 5 6", "0 1 3 4 6", "0 2 3 4 5",
+        ],
+    ),
+    (2, 9, 3, None): (
+        50,
+        "exact",
+        [
+            "2 3 4 5 6 7 8", "0 1 5 6 7 8", "0 1 3 4 7 8", "0 1 3 4 5 6", "1 2 4 6 8",
+            "1 2 3 5 8", "1 2 3 6 7", "1 2 4 5 7", "0 3 6 8",
+        ],
+    ),
+    (3, 4, 2, None): (
+        50,
+        "exact",
+        [
+            "00 01 03 10 12 13 21 22 23 30 31 32 33",
+            "00 01 02 03 10 11 12 20 21 22 32 33",
+            "01 02 03 10 11 13 20 22 23 30 31 32",
+            "00 02 03 11 12 13 20 21 23 30 31 32",
+        ],
     ),
     (2, 10, 2, 100_000): (
         35,
