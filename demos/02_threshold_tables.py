@@ -2,8 +2,8 @@
 
 The threshold z(n, m, d) is the smallest edge count that forces a d-box
 inside the full n-part grid with parts of size m.  The search is exact by
-default and degrades to an explicit lower bound only when given a node
-budget it cannot respect.
+default and degrades to explicit lower and upper bounds only when given
+a node budget it cannot respect.
 """
 
 from vcn import (
@@ -29,9 +29,9 @@ for e in sorted(res.extremal_witness.edges):
     print(f"  {e}")
 print(f"free of 2x2 boxes: {not contains_complete_partite(res.extremal_witness, 2)}")
 
-# a starved budget cannot invent an exact answer
+# a starved budget cannot invent an exact answer: it brackets the threshold
 starved = zarankiewicz(2, 4, 2, node_budget=3)
-print(f"\nwith node_budget=3: z >= {starved.z} [{starved.status}]")
+print(f"\nwith node_budget=3: {starved.z} <= z <= {starved.z_upper} [{starved.status}]")
 
 print(f"\nbalanced advisory lower bound at m=9: {z22_lower_bound(9):.6g}")
 

@@ -95,8 +95,8 @@ def cmd_zar_table(args) -> str:
     for m in _parse_range(args.m):
         res = zarankiewicz(args.n, m, args.d, args.budget)
         bound = erdos_bound(args.n, m, args.d)
-        rows.append([args.n, m, args.d, res.z, res.status, bound.z_bound])
-    return _table(["n", "m", "d", "z", "status", "erdos_bound"], rows, args.format)
+        rows.append([args.n, m, args.d, res.z, res.status, bound.z_bound, res.z_upper])
+    return _table(["n", "m", "d", "z", "status", "erdos_bound", "z_upper"], rows, args.format)
 
 
 def _bound_rows(args, refusal: str) -> list[list[int]]:

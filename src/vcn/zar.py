@@ -6,7 +6,11 @@ d-per-part sub-hypergraph.  It is computed exactly by maximizing the edge
 count of a d-box-free subgraph with a branch-and-bound over per-vertex
 edge layers; the threshold is that maximum plus one.  The symmetry of the
 other parts is broken by one lex-leader rule (Crawford, Ginsberg, Luks &
-Roy 1996, in the row and column form of Flener et al. 2002).
+Roy 1996, in the row and column form of Flener et al. 2002).  For n = 2
+every node is pruned with the Kovari-Sos-Turan counting bound (each d
+columns lie in at most d - 1 rows), and for d = 2 the search descends
+from Reiman's bound (1958): each run looks only for a witness as large
+as the current upper bound, and one that finds none lowers it by one.
 
 The extremal witnesses feed a set system made of the power sets of
 box-free witnesses placed on disjoint blocks: its box dimension collapses
@@ -17,8 +21,9 @@ system into a ternary structure whose definable family reproduces it.
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import product
-from math import prod
+from math import comb, isqrt, prod
 from typing import Iterator, Sequence
 
 import vcn
@@ -82,6 +87,7 @@ class ZarResult(Record):
     extremal_edge_count: int
     extremal_witness: PartiteHypergraph
     status: str
+    z_upper: int
 
 
 class ErdosBound(Record):
@@ -142,27 +148,38 @@ def contains_complete_partite(h: PartiteHypergraph, d: int) -> bool:
     return _mask_has_box(mask, d, h.part_sizes)
 
 
-def _masks_from(start: int, width: int) -> Iterator[tuple[int, int]]:
-    """(popcount, mask) pairs from start down: popcount, then mask, descending.
+def _same_popcount(mask: int) -> Iterator[int]:
+    """mask, then every smaller mask of its popcount, descending.
 
-    Within one popcount the next mask is the largest smaller one with the
-    same popcount: clear the trailing ones, move the lowest remaining set
-    bit down one place and pack the cleared ones right below it.  After
-    the smallest mask of a popcount comes the top k-1 bits of the width.
+    The next mask is the largest smaller one with the same popcount: clear
+    the trailing ones, move the lowest remaining set bit down one place
+    and pack the cleared ones right below it.  The run ends at the mask
+    whose set bits are all at the bottom.
     """
-    mask = start
-    k = start.bit_count()
     while True:
-        yield k, mask
+        yield mask
         cleared = mask & (mask + 1)  # trailing ones removed
-        if cleared:
-            low = cleared & -cleared
-            mask = cleared - (low >> (mask ^ (mask + 1)).bit_length())
-        elif k:
-            k -= 1
-            mask = ((1 << k) - 1) << (width - k)
-        else:
+        if not cleared:
             return
+        low = cleared & -cleared
+        mask = cleared - (low >> (mask ^ (mask + 1)).bit_length())
+
+
+def _degree_cap(r: int, c: int, left: int, d: int) -> int:
+    """Most edges r layers of popcount <= c hold with sum C(popcount, d) <= left.
+
+    C(., d) is convex, so among degree vectors with one sum the balanced
+    one spends the least: the most is reached by q or q + 1 edges per
+    layer, q the largest degree all r layers can take.  left >= 0.
+    """
+    q = c
+    while r * comb(q, d) > left:
+        q -= 1
+    if q == c:
+        return r * c
+    # all r layers cannot take q + 1, so q + 1 >= d, and raising one layer
+    # from q to q + 1 costs C(q, d - 1) >= 1; fewer than r layers get it
+    return r * q + (left - r * comb(q, d)) // comb(q, d - 1)
 
 
 def _adjacent_swaps(grid: list[tuple[int, ...]], m: int) -> list[tuple[int, int, int]]:
@@ -192,11 +209,26 @@ def zarankiewicz(
     keeps O(depth) state.  A layer is skipped when an adjacent swap of
     one coordinate's values fixes every earlier layer and raises it; the
     lexicographically largest optimum is maximal in its orbit, so it is
-    never cut and is the one found first.  Every candidate that passes
-    the popcount bound counts as one node against the budget.  When the
-    node budget runs out the best edge count found so far, partial layer
-    lists included, still yields a valid lower bound on the threshold,
-    flagged by status, never silently reported as exact.
+    never cut and is the one found first.
+
+    For n = 2 a layer is a vertex's neighbourhood, and Kovari-Sos-Turan
+    counting holds: each d vertices of the second part lie in at most
+    d - 1 layers, so the layers' C(popcount, d) sum to at most
+    (d - 1) * C(m, d).  Every popcount is pruned with what is left of that
+    sum, and the same bound over all m layers caps the maximum.  For d = 2
+    the search descends from the least of that cap and Reiman's bound
+    (1958): a run looks only for a witness of T edges, T the current
+    bound, and stops at the first; a run that finds none proves the
+    maximum below T, and T drops by one.  For d >= 3 the cap is looser,
+    so one run climbs from the empty witness instead.
+
+    Every candidate that passes both popcount bounds counts as one node
+    against the budget, over all runs.  When the node budget runs out the
+    best edge count found in any run, partial layer lists included, still
+    yields a valid lower bound on the threshold, flagged by status, never
+    silently reported as exact.  z_upper is then one more than the
+    proven bound on the maximum: the current T for d = 2, the counting
+    cap for d >= 3, and m ** n for n >= 3.  It equals z on exact rows.
     """
     if n < 1 or m < 1 or d < 1:
         raise InputError("n, m, d must be positive")
@@ -207,12 +239,28 @@ def zarankiewicz(
         # d = 1: any one edge is the target, so the empty witness is optimal
         k = m if m < d else d - 1
         witness = PartiteHypergraph(n, (m,) * n, frozenset((v,) for v in range(k)))
-        return ZarResult(k + 1, k, witness, _EXACT)
+        return ZarResult(k + 1, k, witness, _EXACT, k + 1)
 
     width = m ** (n - 1)
     grid = list(product(range(m), repeat=n - 1))
     rest = (m,) * (n - 1)
     sub_d_size = d ** (n - 1)
+    if n == 2:
+        cost = [comb(c, d) for c in range(m + 1)]
+        capacity = (d - 1) * comb(m, d)
+
+        @cache
+        def most(r: int, c: int, left: int) -> int:
+            return _degree_cap(r, c, left, d)
+
+    else:
+        # d layers that share d cells need not hold a box: count nothing,
+        # and the bound is the popcount bound
+        cost = [0] * (width + 1)
+        capacity = 0
+
+        def most(r: int, c: int, left: int) -> int:
+            return r * c
 
     def violates(layers: list[int], new: int) -> bool:
         # a box through the new layer is the new layer and d - 1 earlier ones
@@ -221,38 +269,71 @@ def zarankiewicz(
     best_total = 0
     best_layers: list[int] = []  # the empty subgraph is always box-free
     nodes = 0
-    exhausted = False
+    floor = goal = 0  # a run prunes what cannot beat floor and stops at goal
+    stop = False
 
-    def dfs(layers: list[int], total: int, start: int, tied: list[tuple[int, int, int]]):
-        nonlocal best_total, best_layers, nodes, exhausted
+    def dfs(
+        layers: list[int], total: int, left: int, start: int, tied: list[tuple[int, int, int]]
+    ):
+        nonlocal best_total, best_layers, nodes, floor, stop
         if total > best_total:
             # the layers not yet chosen may stay empty: a prefix is a witness
             best_total = total
             best_layers = list(layers)
-        if len(layers) == m:
-            return
+        if total > floor:
+            floor = total
+            if floor >= goal:
+                stop = True
+                return
         remaining = m - len(layers)
-        for count, mask in _masks_from(start, width):
-            if total + remaining * count <= best_total:
-                break  # masks come by popcount: no later mask can help
-            if exhausted:
-                return
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                exhausted = True
-                return
-            # a swap that fixes every earlier layer and raises this one maps
-            # the sequence to a larger one in its orbit: skip it
-            if any((mask & low) << shift > mask & high for low, high, shift in tied):
-                continue
-            if violates(layers, mask):
-                continue
-            layers.append(mask)
-            fixed = [s for s in tied if (mask & s[0]) << s[2] == mask & s[1]]
-            dfs(layers, total + count, mask, fixed)
-            layers.pop()
+        if not remaining:
+            return
+        top = start.bit_count()
+        for count in range(top, -1, -1):
+            if total + most(remaining, count, left) <= floor:
+                break  # later layers have no larger popcount: none can help
+            after = left - cost[count]
+            if after < 0:
+                continue  # the sum would pass (d - 1) * C(m, d): this layer closes a box
+            reach = total + count + most(remaining - 1, count, after)
+            first = start if count == top else ((1 << count) - 1) << (width - count)
+            for mask in _same_popcount(first):
+                if reach <= floor:
+                    break
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    stop = True
+                    return
+                # a swap that fixes every earlier layer and raises this one
+                # maps the sequence to a larger one in its orbit: skip it
+                if any((mask & low) << shift > mask & high for low, high, shift in tied):
+                    continue
+                if violates(layers, mask):
+                    continue
+                layers.append(mask)
+                fixed = [s for s in tied if (mask & s[0]) << s[2] == mask & s[1]]
+                dfs(layers, total + count, after, mask, fixed)
+                layers.pop()
+                if stop:
+                    return
 
-    dfs([], 0, (1 << width) - 1, _adjacent_swaps(grid, m))
+    upper = most(m, width, capacity)
+    if n == 2 and d == 2:
+        # Reiman 1958: at most m(1 + sqrt(4m - 3))/2 edges; each run looks
+        # for a witness of upper edges only
+        upper = min(upper, (m + isqrt(m * m * (4 * m - 3))) // 2)
+        base = upper - 1
+    else:
+        base = 0
+    while True:
+        floor, goal, stop = base, upper, False
+        dfs([], 0, capacity, (1 << width) - 1, _adjacent_swaps(grid, m))
+        capped = node_budget is not None and nodes > node_budget
+        if capped or floor > base:
+            break
+        upper, base = base, base - 1  # no witness beats base: the maximum is at most base
+    if not capped:
+        upper = floor
 
     edges = frozenset(
         (v, *grid[i])
@@ -261,8 +342,8 @@ def zarankiewicz(
         if mask >> i & 1
     )
     witness = PartiteHypergraph(n, (m,) * n, edges)
-    status = _LOWER if exhausted else _EXACT
-    return ZarResult(best_total + 1, best_total, witness, status)
+    status = _LOWER if capped else _EXACT
+    return ZarResult(best_total + 1, best_total, witness, status, upper + 1)
 
 
 def erdos_bound(n: int, m: int, d: int) -> ErdosBound:

@@ -27,7 +27,7 @@ def test_zar_table_csv(capsys):
     code, out, err = run(capsys, "zar-table", "--n", "2", "--m", "1..3", "--d", "2")
     assert code == 0 and not err
     lines = out.strip().splitlines()
-    assert lines[0] == "n,m,d,z,status,erdos_bound"
+    assert lines[0] == "n,m,d,z,status,erdos_bound,z_upper"
     assert lines[1].startswith("2,1,2,2,exact,")
     assert lines[3].startswith("2,3,2,7,exact,")
 
@@ -122,7 +122,7 @@ def test_dimension_zero_needs_no_budget(verb, header, tmp_path, capsys):
 def test_d1_row_is_exact_at_zero_budget(capsys):
     code, out, _ = run(capsys, "zar-table", "--n", "4", "--m", "3", "--d", "1", "--budget", "0")
     assert code == 0
-    assert out.splitlines()[1] == "4,3,1,1,exact,1728"
+    assert out.splitlines()[1] == "4,3,1,1,exact,1728,1"
 
 
 def test_shift_round_trip(tmp_path, capsys):
@@ -361,7 +361,7 @@ def test_negative_budget_is_input_error(verb, tmp_path, capsys):
 def test_zero_budget_keeps_its_meaning(capsys):
     code, out, _ = run(capsys, "zar-table", "--n", "2", "--m", "2", "--d", "2", "--budget", "0")
     assert code == 0
-    assert out.splitlines()[1] == "2,2,2,1,lower_bound_only,8"
+    assert out.splitlines()[1] == "2,2,2,1,lower_bound_only,8,4"
 
 
 def test_unwritable_out_is_input_error(tmp_path, capsys):

@@ -28,7 +28,7 @@ from vcn import (
     z22_lower_bound,
     zarankiewicz,
 )
-from vcn.zar import _adjacent_swaps, _masks_from
+from vcn.zar import _adjacent_swaps, _degree_cap, _same_popcount
 
 # (n, m, d) -> threshold, from the exhaustive reference
 FROZEN = {
@@ -101,12 +101,13 @@ def test_single_part_closed_form(m, d):
 
 @pytest.mark.parametrize("width", range(9))
 def test_mask_order_matches_sorted_reference(width):
+    # the search walks popcounts downward, each from its top mask
     want = sorted(range(1 << width), key=lambda x: (bin(x).count("1"), x), reverse=True)
-    assert [mask for _, mask in _masks_from((1 << width) - 1, width)] == want
+    tops = [((1 << k) - 1) << (width - k) for k in range(width, -1, -1)]
+    assert [mask for top in tops for mask in _same_popcount(top)] == want
     for i in range(0, len(want), 7):
-        got = list(_masks_from(want[i], width))
-        assert [mask for _, mask in got] == want[i:]
-        assert all(count == bin(mask).count("1") for count, mask in got)
+        level = [x for x in want[i:] if bin(x).count("1") == bin(want[i]).count("1")]
+        assert list(_same_popcount(want[i])) == level
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
@@ -212,11 +213,11 @@ FROZEN_WITNESSES = {
         ],
     ),
     (2, 12, 2, 100_000): (
-        39,
-        "lower_bound_only",
+        46,
+        "exact",
         [
-            "5 6 7 8 9 a b", "2 3 4 b", "0 1 b", "1 4 a", "0 3 a", "0 4 9",
-            "1 3 9", "1 2 8", "0 2 7", "2 a", "2 9", "4 8",
+            "8 9 a b", "5 6 7 b", "2 3 4 b", "1 4 7 a", "0 3 6 a", "0 2 7 9",
+            "1 3 5 9", "1 2 6 8", "0 4 5 8", "0 1 b", "2 5 a", "4 6 9",
         ],
     ),
 }
@@ -227,6 +228,7 @@ def test_search_order_is_frozen(key):
     z, status, rows = FROZEN_WITNESSES[key]
     res = zarankiewicz(*key)
     assert (res.z, res.status) == (z, status)
+    assert res.z_upper == z or status != "exact"
     want = {
         (v, *(int(c, 36) for c in cell))
         for v, row in enumerate(rows)
@@ -242,6 +244,48 @@ def test_reiman_bound(m):
     res = zarankiewicz(2, m, 2)
     assert res.status == "exact"
     assert res.z - 1 <= m * (1 + math.sqrt(4 * m - 3)) / 2
+
+
+@pytest.mark.parametrize("m,want", [(12, 46), (13, 53)])
+def test_descent_reaches_the_frontier(m, want):
+    # ex(13, 13; 2, 2) = 52: Collins, Riasanovsky, Wallace & Radziszowski
+    # (2016); OEIS A072567.  The counting bound is 52 there, so the first
+    # run finds it; at m = 12 it is 46 and a second run finds 45.
+    start = time.perf_counter()
+    res = zarankiewicz(2, m, 2)
+    assert time.perf_counter() - start < 1
+    assert (res.z, res.z_upper, res.status) == (want, want, "exact")
+    assert len(res.extremal_witness.edges) == want - 1
+    assert not ref_has_box(set(res.extremal_witness.edges), 2, m, 2)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_budget_brackets_the_reference(m, d):
+    # the exhaustive reference up to m = 4, where it takes about a second;
+    # the published values (Guy 1969) above
+    published = {(5, 2): 13, (6, 2): 17, (5, 3): 21, (6, 3): 27}
+    want = published[m, d] if m > 4 else ref_zar(2, m, d)
+    for budget in range(201):
+        res = zarankiewicz(2, m, d, budget)
+        assert res.z <= want <= res.z_upper
+        assert res.status == ("exact" if res.z == res.z_upper else "lower_bound_only")
+        edges = set(res.extremal_witness.edges)
+        assert len(edges) == res.extremal_edge_count == res.z - 1
+        assert not ref_has_box(edges, 2, m, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_degree_cap_is_the_brute_force_maximum(d):
+    # the most edges r layers of popcount <= c hold with sum C(deg, d) <= left
+    for r, c in product(range(5), range(6)):
+        for left in range(25):
+            want = max(
+                sum(degs)
+                for degs in product(range(c + 1), repeat=r)
+                if sum(math.comb(x, d) for x in degs) <= left
+            )
+            assert _degree_cap(r, c, left, d) == want
 
 
 def test_three_partite_m4_is_exact():
@@ -286,12 +330,13 @@ def test_witness_is_extremal_and_box_free():
 
 
 def test_budget_exhaustion_reports_lower_bound():
-    # the first layer alone, padded with empty layers, is box-free, so the
-    # bound counts its 4 edges although no search path reached full depth
+    # the descent looks for 9 edges (Reiman's bound) and skips the full first
+    # layer; the first layer it takes, padded with empty layers, is box-free,
+    # so the bound counts its 3 edges although no search path reached full depth
     res = zarankiewicz(2, 4, 2, node_budget=3)
     assert res.status == "lower_bound_only"
-    assert res.z == 5
-    assert len(res.extremal_witness.edges) == res.extremal_edge_count == 4
+    assert (res.z, res.z_upper) == (4, 10)
+    assert len(res.extremal_witness.edges) == res.extremal_edge_count == 3
     assert not contains_complete_partite(res.extremal_witness, 2)
 
 
