@@ -1,4 +1,4 @@
-"""Box-free thresholds: exact values, witnesses, budgets, advisory bounds.
+"""Box-free thresholds: exact values, witnesses, budgets and their proven brackets.
 
 The threshold z(n, m, d) is the smallest edge count that forces a d-box
 inside the full n-part grid with parts of size m.  The search is exact by
@@ -9,19 +9,16 @@ a node budget it cannot respect.
 from vcn import (
     build_extremal_family,
     contains_complete_partite,
-    erdos_bound,
     shatter_fn,
     vc_n_dim,
-    z22_lower_bound,
     zarankiewicz,
 )
 
 print("two-part thresholds for 2x2 boxes:")
-print("m  z      extremal  advisory")
+print("m  z      extremal")
 for m in range(1, 6):
     res = zarankiewicz(2, m, 2)
-    adv = erdos_bound(2, m, 2)
-    print(f"{m}  {res.z:<6} {res.extremal_edge_count:<9} {adv.z_bound:.6g}")
+    print(f"{m}  {res.z:<6} {res.extremal_edge_count}")
 
 res = zarankiewicz(2, 4, 2)
 print(f"\nwitness for m=4 ({res.extremal_edge_count} edges):")
@@ -32,8 +29,6 @@ print(f"free of 2x2 boxes: {not contains_complete_partite(res.extremal_witness, 
 # a starved budget cannot invent an exact answer: it brackets the threshold
 starved = zarankiewicz(2, 4, 2, node_budget=3)
 print(f"\nwith node_budget=3: {starved.z} <= z <= {starved.z_upper} [{starved.status}]")
-
-print(f"\nbalanced advisory lower bound at m=9: {z22_lower_bound(9):.6g}")
 
 # extremal families: power sets of witnesses on disjoint blocks
 fam = build_extremal_family(2, 1, [2])

@@ -20,8 +20,8 @@ _EXPORTS = {
         SelectionStuckError WalkStuckError""",
     "setsys": """BoxSpec GroundFamily ProductUniverse SetSystem is_shattered
         iter_boxes sauer_binomial_bound shatter_fn shift trace vc_n_dim""",
-    "zar": """ErdosBound PartiteHypergraph ZarResult build_extremal_family
-        contains_complete_partite erdos_bound z22_lower_bound zarankiewicz""",
+    "zar": """PartiteHypergraph ZarResult build_extremal_family
+        contains_complete_partite zarankiewicz""",
     "fmodel": """FiniteStructure IndexedFamily QfFormula Relation TypeCount
         build_counterexample_structure check_encodes check_indiscernible
         conjoin count_types dim_phi eval_formula format_formula negate

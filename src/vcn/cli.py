@@ -3,7 +3,7 @@
 Every verb reads JSON inputs, writes CSV or JSON to stdout or --out, and
 is deterministic byte for byte.  Exit codes: 0 success, 1 malformed input
 or arguments, 2 an explicit refusal (budget exhausted, generation or walk
-or selection gave up).  Floats print with %.6g.
+or selection gave up).
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ def _parse_range(text: str) -> list[int]:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6g}"
     return str(value)
 
 
@@ -89,14 +87,13 @@ def _load_structure(path: str):
 
 
 def cmd_zar_table(args) -> str:
-    from .zar import erdos_bound, zarankiewicz
+    from .zar import zarankiewicz
 
     rows = []
     for m in _parse_range(args.m):
         res = zarankiewicz(args.n, m, args.d, args.budget)
-        bound = erdos_bound(args.n, m, args.d)
-        rows.append([args.n, m, args.d, res.z, res.status, bound.z_bound, res.z_upper])
-    return _table(["n", "m", "d", "z", "status", "erdos_bound", "z_upper"], rows, args.format)
+        rows.append([args.n, m, args.d, res.z, res.status, res.z_upper])
+    return _table(["n", "m", "d", "z", "status", "z_upper"], rows, args.format)
 
 
 def _bound_rows(args, refusal: str) -> list[list[int]]:

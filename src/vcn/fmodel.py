@@ -54,6 +54,8 @@ class FiniteStructure(Record):
             raise InputError("domain must be nonempty")
         rels = dict(self.relations)
         for name, rel in rels.items():
+            if not isinstance(rel, Relation):
+                raise InputError(f"relation {name} is not a Relation")
             for t in rel.tuples:
                 if any(not 0 <= v < self.domain_size for v in t):
                     raise InputError(f"relation {name} tuple {t} leaves the domain")

@@ -83,18 +83,14 @@ _HYPERGRAPH_SHAPE = {"n": int, "part_sizes": [int], "edges": [[int]], "t": int, 
 
 
 class ZarResult(Record):
+    """z <= threshold <= z_upper, status "exact" exactly when they are equal;
+    the box-free witness has extremal_edge_count = z - 1 edges."""
+
     z: int
     extremal_edge_count: int
     extremal_witness: PartiteHypergraph
     status: str
     z_upper: int
-
-
-class ErdosBound(Record):
-    ex_bound: float
-    z_bound: float
-    epsilon: float
-    degenerate: bool
 
 
 def _box_from(
@@ -344,31 +340,6 @@ def zarankiewicz(
     witness = PartiteHypergraph(n, (m,) * n, edges)
     status = _LOWER if capped else _EXACT
     return ZarResult(best_total + 1, best_total, witness, status, upper + 1)
-
-
-def erdos_bound(n: int, m: int, d: int) -> ErdosBound:
-    """Power-saving upper bounds for box-free edge counts; advisory only.
-
-    epsilon = 1 / d**(n-1); the extremal count is at most m**(n-epsilon)
-    and the threshold at most (n*m)**(n-epsilon).  For n = 1 the exponent
-    degenerates and the record says so.
-    """
-    if n < 1 or m < 1 or d < 1:
-        raise InputError("n, m, d must be positive")
-    eps = 1.0 / d ** (n - 1)
-    return ErdosBound(
-        ex_bound=float(m) ** (n - eps),
-        z_bound=float(n * m) ** (n - eps),
-        epsilon=eps,
-        degenerate=(n == 1),
-    )
-
-
-def z22_lower_bound(m: int) -> float:
-    """Advisory lower bound for the 2 x 2 box threshold in the balanced case."""
-    if m < 1:
-        raise InputError("m must be positive")
-    return m**1.5 * (1.0 - m ** (-1.0 / 6.0))
 
 
 def build_extremal_family(

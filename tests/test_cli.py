@@ -27,7 +27,7 @@ def test_zar_table_csv(capsys):
     code, out, err = run(capsys, "zar-table", "--n", "2", "--m", "1..3", "--d", "2")
     assert code == 0 and not err
     lines = out.strip().splitlines()
-    assert lines[0] == "n,m,d,z,status,erdos_bound,z_upper"
+    assert lines[0] == "n,m,d,z,status,z_upper"
     assert lines[1].startswith("2,1,2,2,exact,")
     assert lines[3].startswith("2,3,2,7,exact,")
 
@@ -37,6 +37,18 @@ def test_zar_table_json_and_range_forms(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [row["z"] for row in doc] == [2, 2]
+
+
+def test_zar_table_json_rows_hold_the_proven_bracket_only(capsys):
+    # a budget of 20 nodes settles m <= 5 and caps m = 6
+    argv = ("zar-table", "--n", "2", "--m", "1..6", "--d", "2", "--budget", "20")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert all(set(row) == {"n", "m", "d", "z", "status", "z_upper"} for row in doc)
+    assert [row["status"] for row in doc] == ["exact"] * 5 + ["lower_bound_only"]
+    assert all(row["z"] == row["z_upper"] for row in doc if row["status"] == "exact")
+    assert doc[-1]["z"] < doc[-1]["z_upper"]
 
 
 def test_zar_table_deterministic(capsys):
@@ -122,7 +134,7 @@ def test_dimension_zero_needs_no_budget(verb, header, tmp_path, capsys):
 def test_d1_row_is_exact_at_zero_budget(capsys):
     code, out, _ = run(capsys, "zar-table", "--n", "4", "--m", "3", "--d", "1", "--budget", "0")
     assert code == 0
-    assert out.splitlines()[1] == "4,3,1,1,exact,1728,1"
+    assert out.splitlines()[1] == "4,3,1,1,exact,1"
 
 
 def test_shift_round_trip(tmp_path, capsys):
@@ -361,7 +373,7 @@ def test_negative_budget_is_input_error(verb, tmp_path, capsys):
 def test_zero_budget_keeps_its_meaning(capsys):
     code, out, _ = run(capsys, "zar-table", "--n", "2", "--m", "2", "--d", "2", "--budget", "0")
     assert code == 0
-    assert out.splitlines()[1] == "2,2,2,1,lower_bound_only,8,4"
+    assert out.splitlines()[1] == "2,2,2,1,lower_bound_only,4"
 
 
 def test_unwritable_out_is_input_error(tmp_path, capsys):

@@ -41,8 +41,7 @@ def _inputs(tmp_path):
 CASES = {
     "zar-table": (
         ["zar-table", "--n", "2", "--m", "2..4", "--d", "2"], 0,
-        "n,m,d,z,status,erdos_bound,z_upper\n2,2,2,4,exact,8,4\n2,3,2,7,exact,14.6969,7\n"
-        "2,4,2,10,exact,22.6274,10\n", "",
+        "n,m,d,z,status,z_upper\n2,2,2,4,exact,4\n2,3,2,7,exact,7\n2,4,2,10,exact,10\n", "",
     ),
     "extremal": (["extremal", "--n", "2", "--d", "1", "--m", "2"], 0, EXTREMAL, ""),
     "dim": (["dim", "fam.json"], 0, "1\n", ""),

@@ -392,6 +392,9 @@ def test_structure_constructors_keep_their_messages():
             lambda: FiniteStructure(2, {"R": Relation(2, {(0, 1)}), "S": Relation(1, [(2,)])}),
             "relation S tuple (2,) leaves the domain",
         ),
+        # a relation given as its tuples, or a mapping given as pairs
+        (lambda: FiniteStructure(3, {"R": [(0, 1)]}), "relation R is not a Relation"),
+        (lambda: FiniteStructure(3, [("R", 1)]), "relation R is not a Relation"),
         (lambda: RelStructure(-1), "size must be nonnegative"),
         (lambda: RelStructure(3, None, 0, frozenset()), "edge arity must be positive"),
     ]:

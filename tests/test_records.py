@@ -60,7 +60,6 @@ def _samples() -> dict[str, list[tuple]]:
             (2, [2, 3], [[0, 2], ["1", 0.0]]), (1, (3,), ()), (2, (2, 3), {(0, 2)})
         ],
         "ZarResult": [(4, 3, h, "exact", 4), (4, 3, h, "lower_bound_only", 9)],
-        "ErdosBound": [(8.0, 14.7, 0.5, False), (1.0, 1.0, 1.0, True)],
         "Relation": [(2, [(0, 1), ("1", 0)]), (1, ())],
         "FiniteStructure": [(3, {"R": rel}), (2, {})],
         "QfFormula": [([1, 1], phi.body), ((1, 2), ("eq", (0, 0), (1, 1)))],

@@ -20,12 +20,10 @@ from vcn import (
     InputError,
     PartiteHypergraph,
     contains_complete_partite,
-    erdos_bound,
     build_counterexample_structure,
     build_extremal_family,
     shatter_fn,
     vc_n_dim,
-    z22_lower_bound,
     zarankiewicz,
 )
 from vcn.zar import _adjacent_swaps, _degree_cap, _same_popcount
@@ -259,20 +257,26 @@ def test_descent_reaches_the_frontier(m, want):
     assert not ref_has_box(set(res.extremal_witness.edges), 2, m, 2)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-@pytest.mark.parametrize("d", [2, 3])
-def test_every_budget_brackets_the_reference(m, d):
-    # the exhaustive reference up to m = 4, where it takes about a second;
-    # the published values (Guy 1969) above
-    published = {(5, 2): 13, (6, 2): 17, (5, 3): 21, (6, 3): 27}
-    want = published[m, d] if m > 4 else ref_zar(2, m, d)
+@pytest.mark.parametrize(
+    "n,m,d",
+    [pytest.param(2, m, d, id=f"{d}-{m}") for d in (2, 3) for m in range(1, 7)]
+    + [pytest.param(3, m, 2, id=f"n3-{m}") for m in (2, 3, 4)],
+)
+def test_every_budget_brackets_the_reference(n, m, d):
+    # the exhaustive reference while m**n <= 16, where it takes about a
+    # second; above it the published values (Guy 1969) for n = 2 and the
+    # exact n = 3 values, m = 4 as in test_three_partite_m4_is_exact
+    known = {
+        (2, 5, 2): 13, (2, 6, 2): 17, (2, 5, 3): 21, (2, 6, 3): 27, (3, 3, 2): 23, (3, 4, 2): 50
+    }
+    want = known[n, m, d] if m**n > 16 else ref_zar(n, m, d)
     for budget in range(201):
-        res = zarankiewicz(2, m, d, budget)
+        res = zarankiewicz(n, m, d, budget)
         assert res.z <= want <= res.z_upper
         assert res.status == ("exact" if res.z == res.z_upper else "lower_bound_only")
         edges = set(res.extremal_witness.edges)
         assert len(edges) == res.extremal_edge_count == res.z - 1
-        assert not ref_has_box(edges, 2, m, d)
+        assert not ref_has_box(edges, n, m, d)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -414,18 +418,6 @@ def test_contains_complete_partite_matches_reference(seed):
 def test_hypergraph_json_round_trip():
     h = zarankiewicz(2, 3, 2).extremal_witness
     assert PartiteHypergraph.from_json(h.to_json()) == h
-
-
-def test_erdos_bound_shape():
-    b = erdos_bound(2, 4, 2)
-    assert b.epsilon == 0.5
-    assert b.ex_bound == pytest.approx(4**1.5)
-    assert b.z_bound == pytest.approx(8**1.5)
-    assert not b.degenerate
-    assert erdos_bound(1, 4, 2).degenerate
-    # the advisory lower bound stays below the bipartite upper bound
-    for m in range(2, 12):
-        assert z22_lower_bound(m) <= erdos_bound(2, m, 2).ex_bound
 
 
 def test_extremal_family_small():
