@@ -44,7 +44,7 @@ print(f"  negation keeps pi: {pi_phi(structure, [negate(phi)], 2)}")
 # value at m=2 meets 2**(z-1), above any fixed polynomial in m
 ce = build_counterexample_structure([2])
 psi = parse_formula("(R x y0 y1)", (1, 1, 1))
-print(f"\ncounterexample structure: domain {ce.domain_size}")
+print(f"\ncounterexample structure: domain {ce.size}")
 print(f"  dim = {dim_phi(ce, psi)}, pi(2) = {pi_phi(ce, [psi], 2)}")
 
 # no 2x2 parameter grid realizes all 16 patterns on it

@@ -15,6 +15,7 @@ from vcn import (
     copies,
     direct_sum,
     encode_tilde,
+    flatten,
     hereditary_closure,
     points,
 )
@@ -40,7 +41,7 @@ print(f"tagged pattern: {direct_sum(pt, pt).part_sizes}")
 # the partite double: each part is a copy of the domain; restriction
 # along the identity recovers the original graph exactly
 graph = RelStructure(4, (2, 2), 2, frozenset({frozenset({0, 2}), frozenset({1, 3})}))
-double = encode_tilde(RelStructure(4, None, 2, graph.edges))
+double = encode_tilde(flatten(graph))
 print(f"\ndouble of a 4-vertex graph: {double.size} vertices, parts {double.part_sizes}")
 bar = bar_restrict(graph)
 print(f"restriction reproduces the input: {bar == graph}")

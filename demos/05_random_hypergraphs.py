@@ -50,4 +50,5 @@ for cross in product(*parts):
     print(f"  {cross}: {dichotomy_verdict(big, v, g, cross)}")
 
 diag = diagonal_hypergraph(h)
-print(f"\ndiagonal structure: {diag.size} vertices, arity {diag.edge_arity}, {len(diag.edges)} edges")
+edges = diag.relations["R"]
+print(f"\ndiagonal structure: {diag.size} vertices, arity {edges.arity}, {len(edges.tuples)} edges")

@@ -16,16 +16,16 @@ __version__ = "0.1.0"
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "errors": """BudgetExceededError GenerationError InputError
-        SelectionStuckError WalkStuckError""",
+    "errors": """BudgetExceededError FiniteStructure GenerationError InputError
+        Relation SelectionStuckError WalkStuckError""",
     "setsys": """BoxSpec GroundFamily ProductUniverse SetSystem is_shattered
         iter_boxes sauer_binomial_bound shatter_fn shift trace vc_n_dim""",
     "zar": """PartiteHypergraph ZarResult build_extremal_family
         contains_complete_partite zarankiewicz""",
-    "fmodel": """FiniteStructure IndexedFamily QfFormula Relation TypeCount
-        build_counterexample_structure check_encodes check_indiscernible
-        conjoin count_types dim_phi eval_formula format_formula negate
-        parse_formula permute_blocks phi_class pi_phi verify_ipn_witness""",
+    "fmodel": """IndexedFamily QfFormula TypeCount build_counterexample_structure
+        check_encodes check_indiscernible conjoin count_types dim_phi
+        eval_formula format_formula negate parse_formula permute_blocks
+        phi_class pi_phi verify_ipn_witness""",
     "ramsey": """ColoringProblem EmbeddingSet RelStructure arrow_check
         arrow_scan bar_restrict build_direct_sum_witness copies direct_sum
         encode_tilde flatten hereditary_closure induced ordered_set_oracle

@@ -16,6 +16,7 @@ import sys
 
 from .errors import (
     BudgetExceededError,
+    FiniteStructure,
     GenerationError,
     InputError,
     SelectionStuckError,
@@ -81,9 +82,12 @@ def _load_system(path: str):
 
 
 def _load_structure(path: str):
+    """A structure document as the arrow verbs read it: R alone, each tuple a vertex set."""
     from .ramsey import RelStructure
 
-    return RelStructure.from_json(_read_text(path))
+    s = FiniteStructure.from_json(_read_text(path))
+    r = s.relations.get("R")
+    return RelStructure(s.size, s.part_sizes, *((r.arity, r.tuples) if r else ()))
 
 
 def cmd_zar_table(args) -> str:

@@ -5,17 +5,17 @@ Refusals are always explicit: an operation that cannot honestly finish
 raises instead of degrading to a sampled or truncated answer.  The
 library's value types are Records: frozen, compared and hashed by their
 fields, without the import and class-creation cost of dataclasses.  The
-structure document that ramsey.RelStructure and fmodel.FiniteStructure
-share has its one reader and writer here, beside Relation: the reader
-builds every relation as a Relation, checked once, and neither kernel
-loads the other to read or write the document.
+one structure type, FiniteStructure, lives here beside Relation with the
+reader and writer of its document: fmodel evaluates formulas in it,
+ramsey checks arrows on it, and neither loads the other to build, read
+or write one.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import Callable, TypeVar
+from itertools import accumulate, chain
+from typing import Callable, Mapping, TypeVar
 
 _T = TypeVar("_T")
 
@@ -189,7 +189,7 @@ def _decode(text: str, what: str, build: Callable[[dict], _T], shape: dict) -> _
         raise InputError(f"bad {what} document: {exc}") from exc
 
 
-# The "structure" document of ramsey.RelStructure and fmodel.FiniteStructure.
+# The structure document: FiniteStructure reads and writes it.
 _STRUCTURE_SHAPE = {
     "domain": int,
     "order": [int],
@@ -198,49 +198,98 @@ _STRUCTURE_SHAPE = {
 }
 
 
-def _structure_doc(size: int, relations: dict[str, Relation]) -> dict:
-    """The structure document of {name: Relation} on {0..size-1}."""
-    return {
-        "domain": size,
-        "relations": {
-            name: {"arity": rel.arity, "tuples": sorted(map(list, rel.tuples))}
-            for name, rel in sorted(relations.items())
-        },
-    }
+class _Relations(dict):
+    """A structure's relations by name, hashed by their items; never changed."""
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
 
 
-def _decode_structure(text: str, build: Callable[[int, tuple | None, dict], _T]) -> _T:
-    """build(size, part_sizes, {name: Relation}) of a structure document.
+class FiniteStructure(Record):
+    """The one structure type: the domain {0..size-1} in ascending order,
+    named relations on it, and optional convex parts of the given sizes."""
 
-    Every vertex is renamed to its position in the order, which must
-    enumerate the domain (default: ascending).  Parts, where given, must
-    be convex in the order and cover the domain; part_sizes is None
-    without them.  Every vertex of every relation is renamed before any
-    Relation checks its arity and tuple lengths.
-    """
+    size: int
+    relations: Mapping[str, Relation]
+    part_sizes: tuple[int, ...] | None = None
 
-    def read(doc):
-        size = doc["domain"]
-        order = doc.get("order", list(range(size)))
-        if sorted(order) != list(range(size)):
-            raise InputError("order must enumerate the whole domain")
-        position = {v: i for i, v in enumerate(order)}
+    def __post_init__(self):
+        if self.size < 0:
+            raise InputError("size must be nonnegative")
+        if self.part_sizes is not None:
+            sizes = tuple(int(s) for s in self.part_sizes)
+            if any(s < 0 for s in sizes) or sum(sizes) != self.size:
+                raise InputError("part sizes must be nonnegative and cover the domain")
+            object.__setattr__(self, "part_sizes", sizes)
+        try:
+            rels = _Relations(self.relations)
+        except (TypeError, ValueError):
+            raise InputError("relations must map names to Relations") from None
+        for name, rel in rels.items():
+            if not isinstance(rel, Relation):
+                raise InputError(f"relation {name} is not a Relation")
+            for t in rel.tuples:
+                if min(t) < 0 or max(t) >= self.size:
+                    raise InputError(f"relation {name} tuple {t} leaves the domain")
+        object.__setattr__(self, "relations", rels)
 
-        def vertex(v: int) -> int:
-            if v not in position:
-                raise InputError(f"vertex {v} is not in the domain")
-            return position[v]
+    @property
+    def domain_size(self) -> int:
+        """The size, under the name that traced benchmark runs read."""
+        return self.size
 
-        part_sizes = None
-        if "parts" in doc:
-            parts = [sorted(map(vertex, part)) for part in doc["parts"]]
-            if list(chain.from_iterable(parts)) != list(range(size)):
-                raise InputError("parts must be convex in the order and cover the domain")
-            part_sizes = tuple(map(len, parts))
-        relations = {
-            name: (spec["arity"], [tuple(map(vertex, t)) for t in spec["tuples"]])
-            for name, spec in doc.get("relations", {}).items()
+    def part_ids(self) -> tuple[int, ...] | None:
+        """The part of each vertex, or None without parts."""
+        if self.part_sizes is None:
+            return None
+        return tuple(p for p, s in enumerate(self.part_sizes) for _ in range(s))
+
+    def to_json(self) -> str:
+        """The structure document; it lists the order and the parts only with parts."""
+        doc = {
+            "domain": self.size,
+            "relations": {
+                name: {"arity": rel.arity, "tuples": sorted(map(list, rel.tuples))}
+                for name, rel in sorted(self.relations.items())
+            },
         }
-        return build(size, part_sizes, {name: Relation(*r) for name, r in relations.items()})
+        if self.part_sizes is not None:
+            ends = list(accumulate(self.part_sizes, initial=0))
+            doc["order"] = list(range(self.size))
+            doc["parts"] = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+        return json.dumps(doc, sort_keys=True)
 
-    return _decode(text, "structure", read, _STRUCTURE_SHAPE)
+    @classmethod
+    def from_json(cls, text: str) -> "FiniteStructure":
+        """Read a structure document, each vertex renamed to its position in the order.
+
+        The order must enumerate the domain (default: ascending), and parts,
+        where given, be convex in it and cover the domain.  Every vertex of
+        every relation is renamed before any Relation checks its arity.
+        """
+
+        def read(doc):
+            size = doc["domain"]
+            order = doc.get("order", list(range(size)))
+            if sorted(order) != list(range(size)):
+                raise InputError("order must enumerate the whole domain")
+            position = {v: i for i, v in enumerate(order)}
+
+            def vertex(v: int) -> int:
+                if v not in position:
+                    raise InputError(f"vertex {v} is not in the domain")
+                return position[v]
+
+            part_sizes = None
+            if "parts" in doc:
+                parts = [sorted(map(vertex, part)) for part in doc["parts"]]
+                if list(chain.from_iterable(parts)) != list(range(size)):
+                    raise InputError("parts must be convex in the order and cover the domain")
+                part_sizes = tuple(map(len, parts))
+            relations = {
+                name: (spec["arity"], [tuple(map(vertex, t)) for t in spec["tuples"]])
+                for name, spec in doc.get("relations", {}).items()
+            }
+            return cls(size, {name: Relation(*r) for name, r in relations.items()}, part_sizes)
+
+        return _decode(text, "structure", read, _STRUCTURE_SHAPE)

@@ -1,5 +1,9 @@
 """Finite structures, quantifier-free formulas, and parameter-type counting.
 
+A structure is the library's one FiniteStructure (defined in errors,
+with its document): a domain, named relations and optional parts.  Its
+parts and order matter only where it indexes a family of indiscernibles.
+
 A formula here is quantifier-free with positional variable blocks: block 0
 is the object block (rendered "x"), blocks 1..n are parameter blocks
 (rendered "y0", "y1", ...).  Every block has a declared length, so a block
@@ -27,7 +31,6 @@ arities and variable ranges, however a formula was built.
 
 from __future__ import annotations
 
-import json
 import re
 from functools import reduce
 from itertools import chain, combinations, product
@@ -37,37 +40,8 @@ from typing import Iterable, Mapping, Sequence
 
 import vcn
 
-from .errors import (
-    BudgetExceededError, InputError, Record, Relation, _decode_structure, _structure_doc
-)
+from .errors import BudgetExceededError, FiniteStructure, InputError, Record, Relation
 from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
-
-
-class FiniteStructure(Record):
-    """Finite relational structure on domain {0..domain_size-1}."""
-
-    domain_size: int
-    relations: Mapping[str, Relation]
-
-    def __post_init__(self):
-        if self.domain_size < 1:
-            raise InputError("domain must be nonempty")
-        rels = dict(self.relations)
-        for name, rel in rels.items():
-            if not isinstance(rel, Relation):
-                raise InputError(f"relation {name} is not a Relation")
-            for t in rel.tuples:
-                if any(not 0 <= v < self.domain_size for v in t):
-                    raise InputError(f"relation {name} tuple {t} leaves the domain")
-        object.__setattr__(self, "relations", rels)
-
-    def to_json(self) -> str:
-        return json.dumps(_structure_doc(self.domain_size, self.relations), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteStructure":
-        """Read a structure document; its parts are checked, then dropped."""
-        return _decode_structure(text, lambda size, part_sizes, relations: cls(size, relations))
 
 
 def build_counterexample_structure(
@@ -284,7 +258,7 @@ def eval_formula(
 
 def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...]]:
     """All length-long domain tuples in row-major order."""
-    return list(product(range(structure.domain_size), repeat=length))
+    return list(product(range(structure.size), repeat=length))
 
 
 def _bits(offsets: Iterable[int], space: int) -> int:
@@ -307,7 +281,7 @@ def _formula_masks(
     strides = [prod(sizes[j + 1 :]) for j in range(len(sizes))]
     space = prod(sizes)
     full = (1 << space) - 1
-    diagonal = frozenset((v, v) for v in range(structure.domain_size))
+    diagonal = frozenset((v, v) for v in range(structure.size))
 
     def cylinder(vars_, tuples) -> int:
         """The assignments whose values at vars_ form a tuple in tuples."""
@@ -424,7 +398,7 @@ def _block_lists(
         for t in lst:
             if len(t) != length:
                 raise InputError(f"{kind} tuple {t} does not match block length {length}")
-            if any(not 0 <= v < structure.domain_size for v in t):
+            if any(not 0 <= v < structure.size for v in t):
                 raise InputError(f"{kind} tuple {t} leaves the domain")
         if len(set(lst)) != len(lst):
             raise InputError(f"{kind} tuples must be distinct")
@@ -459,7 +433,7 @@ def pi_phi(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> in
         raise InputError(f"box size {m} exceeds a parameter tuple space")
     types = list(set(_types(structure, delta, spaces)))
     if m == 0:
-        return 1  # every object tuple has the one empty pattern
+        return min(len(types), 1)  # every object tuple has the one empty pattern
     sizes = (len(delta), *(len(s) for s in spaces[1:]))
     pools = [[tuple(range(len(delta)))], *(combinations(range(s), m) for s in sizes[1:])]
     cap = min(len(types), 1 << len(delta) * m ** (len(sizes) - 1))
@@ -503,7 +477,7 @@ class IndexedFamily(Record):
     """Equal-length element tuples indexed by the vertices of a partite
     hypergraph or an ordered structure."""
 
-    index: vcn.zar.PartiteHypergraph | vcn.ramsey.RelStructure
+    index: vcn.zar.PartiteHypergraph | FiniteStructure
     tuples: Mapping[object, tuple[int, ...]]
 
     def __post_init__(self):
@@ -518,7 +492,7 @@ class IndexedFamily(Record):
         return len(next(iter(self.tuples.values()))) if self.tuples else 0
 
 
-def _index_view(index: vcn.zar.PartiteHypergraph | vcn.ramsey.RelStructure):
+def _index_view(index: vcn.zar.PartiteHypergraph | FiniteStructure):
     """The vertices of an index in order, and the ordered structure it is.
 
     A structure is its own view, on the vertices 0..size-1.  A partite
@@ -526,18 +500,17 @@ def _index_view(index: vcn.zar.PartiteHypergraph | vcn.ramsey.RelStructure):
     vertices in part-major order, its parts convex, and each edge shifted
     to the positions of the vertices it picks.
     """
-    from .ramsey import RelStructure
     from .zar import PartiteHypergraph
 
-    if isinstance(index, RelStructure):
+    if isinstance(index, FiniteStructure):
         return range(index.size), index
     if not isinstance(index, PartiteHypergraph):
         raise InputError("unsupported index structure")
     sizes = index.part_sizes
     vertices = [(p, i) for p in range(index.n) for i in range(sizes[p])]
     starts = [sum(sizes[:p]) for p in range(index.n)]
-    edges = [[s + v for s, v in zip(starts, e)] for e in index.edges]
-    return vertices, RelStructure(len(vertices), sizes, index.n, edges)
+    edges = [tuple(s + v for s, v in zip(starts, e)) for e in index.edges]
+    return vertices, FiniteStructure(len(vertices), {"R": Relation(index.n, edges)}, sizes)
 
 
 def _check_family(
@@ -555,7 +528,7 @@ def _check_family(
     if any(length != fam.tuple_length for length in lengths):
         raise InputError("indexed tuple length must match every block length")
     for v in vertices:
-        if any(not 0 <= x < structure.domain_size for x in fam.tuples[v]):
+        if any(not 0 <= x < structure.size for x in fam.tuples[v]):
             raise InputError(f"indexed tuple {fam.tuples[v]} of vertex {v} leaves the domain")
 
 
@@ -617,7 +590,8 @@ def check_indiscernible(
     masks = _formula_masks(structure, delta, [list(slot)] * blocks)
     data = [mask.to_bytes(len(slot) ** blocks // 8 + 1, "little") for mask in masks]
     part = (view.part_ids() or [0] * view.size) if "parts" in reduct else None
-    arity = view.edge_arity if "edge" in reduct else None
+    rel = view.relations.get("R") if "edge" in reduct else None
+    edges = rel and {frozenset(t) for t in rel.tuples}
 
     def reduct_type(w):
         # a rank pattern fixes every pairwise sign, an equality pattern every
@@ -625,8 +599,8 @@ def check_indiscernible(
         # every edge
         pattern = tuple(map((sorted(set(w)) if "order" in reduct else w).index, w))
         parts = tuple(part[x] for x in w) if part is not None else None
-        edges = arity and tuple(frozenset(s) in view.edges for s in combinations(w, arity))
-        return (pattern, parts, edges)
+        hits = rel and tuple(frozenset(s) in edges for s in combinations(w, rel.arity))
+        return (pattern, parts, hits)
 
     def delta_type(w):
         cols = [column[x] for x in w]

@@ -35,17 +35,16 @@ cross edge through it is the one allowed to change.
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-import vcn
-
 from .errors import (
+    FiniteStructure,
     GenerationError,
     InputError,
     Record,
+    Relation,
     SelectionStuckError,
     WalkStuckError,
     _decode,
@@ -66,8 +65,17 @@ class ExtensionHypergraph(Record):
     t: int
     seed: int
 
+    def __post_init__(self):
+        if not isinstance(self.base, PartiteHypergraph):
+            raise InputError("base must be a PartiteHypergraph")
+        if type(self.t) is not int or self.t < 0:  # exact: True is no level
+            raise InputError("t must be a nonnegative integer")
+        if type(self.seed) is not int:
+            raise InputError("seed must be an integer")
+
     def to_json(self) -> str:
-        return json.dumps({**self.base._doc(), "t": self.t, "seed": self.seed}, sort_keys=True)
+        # "seed" and "t" sort after the hypergraph document's keys
+        return f'{self.base.to_json()[:-1]}, "seed": {self.seed}, "t": {self.t}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "ExtensionHypergraph":
@@ -467,16 +475,14 @@ def random_subgraph(
     return chosen
 
 
-def diagonal_hypergraph(h: PartiteHypergraph) -> vcn.ramsey.RelStructure:
+def diagonal_hypergraph(h: PartiteHypergraph) -> FiniteStructure:
     """Ordered uniform hypergraph read along aligned part positions.
 
     Parts must share one size s; an increasing index tuple is an edge of
     the output exactly when feeding position q_i to part i hits an edge.
     """
-    from .ramsey import RelStructure
-
     sizes = set(h.part_sizes)
     if len(sizes) != 1:
         raise InputError("parts must share one size")
     edges = [e for e in h.edges if all(a < b for a, b in zip(e, e[1:]))]
-    return RelStructure(h.part_sizes[0], None, h.n, edges)
+    return FiniteStructure(h.part_sizes[0], {"R": Relation(h.n, edges)})

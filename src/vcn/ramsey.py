@@ -1,12 +1,12 @@
 """Ordered relational structures and exhaustive partition-arrow checking.
 
-Structures carry their domain in a fixed linear order, optional convex
-part predicates, and an optional symmetric uniform edge relation.  Order
-rigidity makes substructure copies and embeddings the same thing: a copy
-of A inside B is an increasing vertex selection whose induced
-substructure equals A.  A structure is its value: its fields are
-normalised on construction, so copies and hereditary closures compare
-structures with == and collect them in dicts.
+A structure is the one FiniteStructure: a linearly ordered domain, convex
+parts and named relations; the encodings read R as a uniform hypergraph,
+each edge an increasing tuple, as RelStructure builds it from edge sets.
+Order rigidity makes substructure copies and embeddings the same thing:
+a copy of A inside B is an increasing vertex selection whose induced
+substructure equals A.  A structure is its value, so copies and closures
+compare structures with == and collect them in dicts.
 
 The arrow predicate C -> (B)^A_k is decided by a pruned depth-first
 search for a bad coloring: the A-copies of C are colored in index order,
@@ -25,94 +25,54 @@ tagged disjoint union.
 
 from __future__ import annotations
 
-import json
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    BudgetExceededError, InputError, Record, Relation, _decode_structure, _structure_doc
-)
+from .errors import BudgetExceededError, FiniteStructure, InputError, Record, Relation
 
 
-class RelStructure(Record):
-    """Ordered structure: convex optional parts, optional uniform edges."""
+def RelStructure(
+    size: int,
+    part_sizes: Sequence[int] | None = None,
+    edge_arity: int | None = None,
+    edges: Iterable[Iterable[int]] | None = None,
+) -> FiniteStructure:
+    """The structure whose relation R holds each edge, a vertex set, as an increasing tuple.
 
-    size: int
-    part_sizes: tuple[int, ...] | None = None
-    edge_arity: int | None = None
-    edges: frozenset[frozenset[int]] | None = None
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise InputError("size must be nonnegative")
-        if self.part_sizes is not None:
-            sizes = tuple(int(s) for s in self.part_sizes)
-            if any(s < 0 for s in sizes) or sum(sizes) != self.size:
-                raise InputError("part sizes must be nonnegative and cover the domain")
-            object.__setattr__(self, "part_sizes", sizes)
-        if (self.edge_arity is None) != (self.edges is None):
-            raise InputError("edge arity and edge set must be declared together")
-        if self.edges is not None:
-            if self.edge_arity < 1:
-                raise InputError("edge arity must be positive")
-            edges = frozenset(frozenset(map(int, e)) for e in self.edges)
-            # one pass over the edges; only a failing edge set is walked, in
-            # sorted order, so the error names its least bad edge
-            vertices = frozenset().union(*edges)
-            if set(map(len, edges)) - {self.edge_arity} or vertices - frozenset(range(self.size)):
-                for e in sorted(map(sorted, edges)):
-                    if len(e) != self.edge_arity:
-                        raise InputError(f"edge {e} does not match the arity")
-                    if any(not 0 <= v < self.size for v in e):
-                        raise InputError(f"edge {e} leaves the domain")
-            object.__setattr__(self, "edges", edges)
-
-    def part_ids(self) -> tuple[int, ...] | None:
-        if self.part_sizes is None:
-            return None
-        out = []
-        for p, s in enumerate(self.part_sizes):
-            out.extend([p] * s)
-        return tuple(out)
-
-    def to_json(self) -> str:
-        rels = {}
-        if self.edges is not None:
-            rels["R"] = Relation(self.edge_arity, map(sorted, self.edges))
-        doc = _structure_doc(self.size, rels)
-        doc["order"] = list(range(self.size))
-        if self.part_sizes is not None:
-            parts, start = [], 0
-            for s in self.part_sizes:
-                parts.append(list(range(start, start + s)))
-                start += s
-            doc["parts"] = parts
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RelStructure":
-        """Read a structure document; of its relations only R is kept, as the edges."""
-
-        def build(size, part_sizes, relations):
-            r = relations.get("R")
-            if r is None:
-                return cls(size, part_sizes)
-            return cls(size, part_sizes, r.arity, r.tuples)
-
-        return _decode_structure(text, build)
+    Without an edge arity and edge set the structure has no relation.
+    """
+    plain = FiniteStructure(size, {}, part_sizes)  # the size and the parts are checked first
+    if (edge_arity is None) != (edges is None):
+        raise InputError("edge arity and edge set must be declared together")
+    if edges is None:
+        return plain
+    if edge_arity < 1:
+        raise InputError("edge arity must be positive")
+    edges = {tuple(sorted(set(map(int, e)))) for e in edges}
+    # one pass over the edges; only a failing edge set is walked, in sorted
+    # order, so the error names its least bad edge
+    vertices = set(chain.from_iterable(edges))
+    if set(map(len, edges)) - {edge_arity} or vertices - set(range(size)):
+        for e in sorted(edges):
+            if len(e) != edge_arity:
+                raise InputError(f"edge {list(e)} does not match the arity")
+            if any(not 0 <= v < size for v in e):
+                raise InputError(f"edge {list(e)} leaves the domain")
+    return FiniteStructure(size, {"R": Relation(edge_arity, edges)}, plain.part_sizes)
 
 
-def points(k: int) -> RelStructure:
+def points(k: int) -> FiniteStructure:
     """Plain ordered set on k vertices."""
-    return RelStructure(k)
+    return FiniteStructure(k, {})
 
 
-def induced(structure: RelStructure, subset: Sequence[int]) -> RelStructure:
+def induced(structure: FiniteStructure, subset: Sequence[int]) -> FiniteStructure:
     """Substructure on the given vertices, relabeled along the order."""
-    subset = sorted(set(int(v) for v in subset))
-    if any(not 0 <= v < structure.size for v in subset):
+    subset = sorted(set(map(int, subset)))
+    if subset and (subset[0] < 0 or subset[-1] >= structure.size):
         raise InputError("subset leaves the domain")
     pos = {v: i for i, v in enumerate(subset)}
+    keep = set(subset)
     part_sizes = None
     part_ids = structure.part_ids()
     if part_ids is not None:
@@ -120,33 +80,36 @@ def induced(structure: RelStructure, subset: Sequence[int]) -> RelStructure:
         for v in subset:
             counts[part_ids[v]] += 1
         part_sizes = tuple(counts)
-    edges = None
-    if structure.edges is not None:
-        keep = set(subset)
-        edges = frozenset(
-            frozenset(pos[v] for v in e) for e in structure.edges if e <= keep
-        )
-    return RelStructure(len(subset), part_sizes, structure.edge_arity, edges)
+    relations = {}
+    for name, rel in structure.relations.items():
+        kept = [tuple(map(pos.get, t)) for t in rel.tuples if keep.issuperset(t)]
+        relations[name] = Relation(rel.arity, kept)
+    return FiniteStructure(len(subset), relations, part_sizes)
 
 
 class EmbeddingSet(Record):
     """Increasing vertex selections of the target realizing the source."""
 
-    source: RelStructure
-    target: RelStructure
+    source: FiniteStructure
+    target: FiniteStructure
     embeddings: tuple[tuple[int, ...], ...]
 
 
-def _check_signatures(a: RelStructure, b: RelStructure) -> None:
+def _arities(s: FiniteStructure) -> dict[str, int]:
+    """The arity of each relation by name: a structure's signature beside its parts."""
+    return {name: rel.arity for name, rel in s.relations.items()}
+
+
+def _check_signatures(a: FiniteStructure, b: FiniteStructure) -> None:
     if (a.part_sizes is None) != (b.part_sizes is None):
         raise InputError("structures disagree on having parts")
     if a.part_sizes is not None and len(a.part_sizes) != len(b.part_sizes):
         raise InputError("structures disagree on the number of parts")
-    if a.edge_arity != b.edge_arity:
+    if _arities(a) != _arities(b):
         raise InputError("structures disagree on the edge arity")
 
 
-def copies(target: RelStructure, source: RelStructure) -> EmbeddingSet:
+def copies(target: FiniteStructure, source: FiniteStructure) -> EmbeddingSet:
     """All copies of source inside target, in lexicographic order."""
     _check_signatures(target, source)
     found = []
@@ -165,9 +128,9 @@ _ARROW_BUDGET = 1 << 20  # default cap on the k**N colorings of one arrow check
 
 
 class ColoringProblem(Record):
-    a: RelStructure
-    b: RelStructure
-    c: RelStructure
+    a: FiniteStructure
+    b: FiniteStructure
+    c: FiniteStructure
     k: int
 
     def __post_init__(self):
@@ -237,11 +200,11 @@ def arrow_check(problem: ColoringProblem, budget: int = _ARROW_BUDGET) -> bool:
     return arrow_scan(problem, budget)[0]
 
 
-def hereditary_closure(structures: Iterable[RelStructure]) -> list[RelStructure]:
+def hereditary_closure(structures: Iterable[FiniteStructure]) -> list[FiniteStructure]:
     """All induced substructures up to order isomorphism, empty one included.
 
-    Sorted by size, part sizes (none first), edge arity (none first),
-    then the sorted list of sorted edges.
+    Sorted by size, part sizes (none first), then the relations by name,
+    each by its arity and its sorted tuples (no relation first).
     """
     seen = dict.fromkeys(
         induced(s, subset)
@@ -254,23 +217,25 @@ def hereditary_closure(structures: Iterable[RelStructure]) -> list[RelStructure]
         key=lambda s: (
             s.size,
             s.part_sizes or (),
-            -1 if s.edge_arity is None else s.edge_arity,
-            sorted(sorted(e) for e in s.edges or ()),
+            [(name, rel.arity, sorted(rel.tuples)) for name, rel in sorted(s.relations.items())],
         ),
     )
 
 
-def direct_sum(a0: RelStructure, a1: RelStructure) -> RelStructure:
+def direct_sum(a0: FiniteStructure, a1: FiniteStructure) -> FiniteStructure:
     """Disjoint union with two fresh convex part tags, a0 before a1."""
     if a0.part_sizes is not None or a1.part_sizes is not None:
         raise InputError("summands must not already carry parts")
-    if a0.edge_arity != a1.edge_arity:
+    if _arities(a0) != _arities(a1):
         raise InputError("summands disagree on the edge arity")
-    edges = None
-    if a0.edges is not None:
-        shifted = {frozenset(v + a0.size for v in e) for e in a1.edges}
-        edges = frozenset(a0.edges | shifted)
-    return RelStructure(a0.size + a1.size, (a0.size, a1.size), a0.edge_arity, edges)
+    relations = {
+        name: Relation(
+            rel.arity,
+            rel.tuples | {tuple(v + a0.size for v in t) for t in a1.relations[name].tuples},
+        )
+        for name, rel in a0.relations.items()
+    }
+    return FiniteStructure(a0.size + a1.size, relations, (a0.size, a1.size))
 
 
 def ordered_set_oracle(budget: int = _ARROW_BUDGET) -> Callable:
@@ -280,7 +245,7 @@ def ordered_set_oracle(budget: int = _ARROW_BUDGET) -> Callable:
     exhaustive search that refuses past its budget.
     """
 
-    def oracle(a: RelStructure, b: RelStructure, k: int) -> RelStructure:
+    def oracle(a: FiniteStructure, b: FiniteStructure, k: int) -> FiniteStructure:
         if a != points(a.size) or b != points(b.size):
             raise InputError("the default oracle handles plain ordered sets only")
         if a.size == b.size:
@@ -303,13 +268,13 @@ def ordered_set_oracle(budget: int = _ARROW_BUDGET) -> Callable:
 
 
 def build_direct_sum_witness(
-    a0: RelStructure,
-    b0: RelStructure,
-    a1: RelStructure,
-    b1: RelStructure,
+    a0: FiniteStructure,
+    b0: FiniteStructure,
+    a1: FiniteStructure,
+    b1: FiniteStructure,
     k: int,
     witness_oracle: Callable | None = None,
-) -> RelStructure:
+) -> FiniteStructure:
     """Construct C with C -> (B0 + B1) for the direct-sum arrow problem.
 
     Following the chain argument: pick C1 solving the second problem, let
@@ -328,12 +293,12 @@ def build_direct_sum_witness(
     return direct_sum(c, c1)
 
 
-def flatten(structure: RelStructure) -> RelStructure:
-    """Forget the parts, keep order and edges."""
-    return RelStructure(structure.size, None, structure.edge_arity, structure.edges)
+def flatten(structure: FiniteStructure) -> FiniteStructure:
+    """Forget the parts, keep order and relations."""
+    return FiniteStructure(structure.size, structure.relations)
 
 
-def encode_tilde(x0: RelStructure) -> RelStructure:
+def encode_tilde(x0: FiniteStructure) -> FiniteStructure:
     """Partite double of an ordered uniform hypergraph.
 
     Each part is a full copy of the domain; an edge joins position-tagged
@@ -343,28 +308,29 @@ def encode_tilde(x0: RelStructure) -> RelStructure:
     """
     if x0.part_sizes is not None:
         raise InputError("source must be partless")
-    if x0.edges is None or x0.edge_arity not in (2, 3):
+    rel = x0.relations.get("R")
+    if rel is None or rel.arity not in (2, 3):
         raise InputError("source needs a declared edge relation of arity 2 or 3")
-    m = x0.size
-    r = x0.edge_arity
-    edges = [[p * m + v for p, v in enumerate(sorted(e))] for e in x0.edges]
-    return RelStructure(r * m, (m,) * r, r, edges)
+    m, r = x0.size, rel.arity
+    edges = [tuple(p * m + v for p, v in enumerate(sorted(e))) for e in rel.tuples]
+    return FiniteStructure(r * m, {"R": Relation(r, edges)}, (m,) * r)
 
 
-def bar_restrict(x: RelStructure) -> RelStructure:
+def bar_restrict(x: FiniteStructure) -> FiniteStructure:
     """Recover a partite hypergraph from the double of its flattening.
 
     Selects, inside encode_tilde(flatten(x)), the part-p copy of each
     part-p vertex of x; the induced substructure must equal x, anything
     else indicates an encoding bug.
     """
-    if x.part_sizes is None or x.edges is None:
+    rel = x.relations.get("R")
+    if x.part_sizes is None or rel is None:
         raise InputError("input must carry parts and an edge relation")
-    if len(x.part_sizes) != x.edge_arity:
+    if len(x.part_sizes) != rel.arity:
         raise InputError("parts must match the edge arity")
     part_ids = x.part_ids()
-    for e in x.edges:
-        if len({part_ids[v] for v in e}) != x.edge_arity:
+    for e in sorted(rel.tuples):
+        if len({part_ids[v] for v in e}) != rel.arity:
             raise InputError(f"edge {sorted(e)} is not cross-part")
     m = x.size
     bar = induced(encode_tilde(flatten(x)), [part_ids[v] * m + v for v in range(m)])

@@ -20,7 +20,6 @@ system into a ternary structure whose definable family reproduces it.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from itertools import product
 from math import comb, isqrt, prod
@@ -61,11 +60,12 @@ class PartiteHypergraph(Record):
         object.__setattr__(self, "part_sizes", sizes)
         object.__setattr__(self, "edges", edges)
 
-    def _doc(self) -> dict:
-        return {"n": self.n, "part_sizes": self.part_sizes, "edges": sorted(self.edges)}
-
     def to_json(self) -> str:
-        return json.dumps(self._doc(), sort_keys=True)
+        # the edge list is the repr of the sorted edge tuples, parentheses made
+        # brackets: byte for byte what json.dumps writes, without the list of
+        # one string per token that json.dumps holds until it joins them
+        edges = repr(sorted(self.edges)).replace(",)", ")").replace("(", "[").replace(")", "]")
+        return f'{{"edges": {edges}, "n": {self.n}, "part_sizes": {list(self.part_sizes)}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "PartiteHypergraph":

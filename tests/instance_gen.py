@@ -159,6 +159,13 @@ def ref_encodes(structure: FiniteStructure, phi: QfFormula, fam, hypergraph) -> 
     return True
 
 
+def _ref_edges(s: FiniteStructure):
+    """The arity of a structure's relation R and its tuples as vertex sets,
+    or (None, None) without R."""
+    r = s.relations.get("R")
+    return (None, None) if r is None else (r.arity, {frozenset(t) for t in r.tuples})
+
+
 def ref_indiscernible(fam, reduct, structure: FiniteStructure, delta, arity_cap: int):
     """True, or the first pair of index tuples (lengths 1..arity_cap, each in
     product order) with equal reduct types and unequal delta types.
@@ -177,8 +184,7 @@ def ref_indiscernible(fam, reduct, structure: FiniteStructure, delta, arity_cap:
         vertices = list(range(index.size))
         sizes = index.part_sizes or (index.size,)
         part = dict(enumerate(p for p, size in enumerate(sizes) for _ in range(size)))
-        arity = index.edge_arity
-        edges = index.edges or set()
+        arity, edges = _ref_edges(index)
     blocks = len(delta[0].block_lengths)
 
     def reduct_type(w):
@@ -217,7 +223,7 @@ def ref_indiscernible(fam, reduct, structure: FiniteStructure, delta, arity_cap:
 def ref_types(structure: FiniteStructure, delta, lists) -> set[tuple[bool, ...]]:
     """Distinct truth patterns of the object tuples on the product of lists,
     evaluated one assignment at a time."""
-    objects = product(range(structure.domain_size), repeat=delta[0].block_lengths[0])
+    objects = product(range(structure.size), repeat=delta[0].block_lengths[0])
     cells = list(product(*lists))
     return {
         tuple(ref_eval(structure, phi, (b, *cell)) for phi in delta for cell in cells)
@@ -228,7 +234,7 @@ def ref_types(structure: FiniteStructure, delta, lists) -> set[tuple[bool, ...]]
 def ref_pi_phi(structure: FiniteStructure, delta, m: int) -> int:
     """Maximum type count over all parameter boxes of size m, box by box."""
     spaces = [
-        list(product(range(structure.domain_size), repeat=length))
+        list(product(range(structure.size), repeat=length))
         for length in delta[0].block_lengths[1:]
     ]
     return max(
@@ -429,7 +435,7 @@ def ref_arrow_scan(problem: ColoringProblem, budget: int = 1 << 20) -> tuple[boo
 
 def random_ordered(
     rng: random.Random, size: int, arity: int | None, parts: int | None
-) -> RelStructure:
+) -> FiniteStructure:
     """Ordered structure with random convex parts and random edges."""
     part_sizes = None
     if parts is not None:
@@ -443,7 +449,7 @@ def random_ordered(
     return RelStructure(size, part_sizes, arity, edges)
 
 
-def _ref_part_of(structure: RelStructure, v: int) -> int | None:
+def _ref_part_of(structure: FiniteStructure, v: int) -> int | None:
     if structure.part_sizes is None:
         return None
     start = 0
@@ -453,33 +459,34 @@ def _ref_part_of(structure: RelStructure, v: int) -> int | None:
             return p
 
 
-def ref_copies(target: RelStructure, source: RelStructure) -> tuple | None:
+def ref_copies(target: FiniteStructure, source: FiniteStructure) -> tuple | None:
     """Copies of source in target, pointwise; None when signatures disagree.
 
     An increasing selection counts when each selected vertex lies in the
     part of the source vertex it stands for, and an index tuple of the
     source is an edge exactly when the target vertices it selects are.
     """
+    (arity, source_edges), (target_arity, target_edges) = _ref_edges(source), _ref_edges(target)
     if (
         (target.part_sizes is None) != (source.part_sizes is None)
         or len(target.part_sizes or ()) != len(source.part_sizes or ())
-        or target.edge_arity != source.edge_arity
+        or target_arity != arity
     ):
         return None
     found = []
     for sel in combinations(range(target.size), source.size):
         if any(_ref_part_of(target, v) != _ref_part_of(source, i) for i, v in enumerate(sel)):
             continue
-        if source.edges is not None and any(
-            (frozenset(idx) in source.edges) != (frozenset(sel[i] for i in idx) in target.edges)
-            for idx in combinations(range(source.size), source.edge_arity)
+        if source_edges is not None and any(
+            (frozenset(idx) in source_edges) != (frozenset(sel[i] for i in idx) in target_edges)
+            for idx in combinations(range(source.size), arity)
         ):
             continue
         found.append(sel)
     return tuple(found)
 
 
-def ref_closure(structures) -> list[RelStructure]:
+def ref_closure(structures) -> list[FiniteStructure]:
     """Induced substructures deduplicated by an explicit key, in the documented order.
 
     The structures must share one signature.  The key is (size, part
@@ -496,14 +503,15 @@ def ref_closure(structures) -> list[RelStructure]:
                         sum(_ref_part_of(s, v) == p for v in sub)
                         for p in range(len(s.part_sizes))
                     )
+                arity, s_edges = _ref_edges(s)
                 edges = ()
-                if s.edges is not None:
+                if s_edges is not None:
                     edges = tuple(
                         idx
-                        for idx in combinations(range(r), s.edge_arity)
-                        if frozenset(sub[i] for i in idx) in s.edges
+                        for idx in combinations(range(r), arity)
+                        if frozenset(sub[i] for i in idx) in s_edges
                     )
-                arity = -1 if s.edge_arity is None else s.edge_arity
+                arity = -1 if arity is None else arity
                 keys.add((r, parts, arity, edges))
     return [
         RelStructure(
@@ -538,7 +546,7 @@ def random_arrow_problem(seed: int) -> ColoringProblem:
     return ColoringProblem(a, b, c, k)
 
 
-def random_copy_pair(seed: int) -> tuple[RelStructure, RelStructure]:
+def random_copy_pair(seed: int) -> tuple[FiniteStructure, FiniteStructure]:
     """Target and source; the source is usually induced, else drawn anew.
 
     One source in five gets its own signature, which may disagree with

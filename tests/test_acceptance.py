@@ -341,7 +341,7 @@ def test_criterion_12_witness_verification():
     assert dim_phi(witness, phi) >= 2
 
     counterexample = build_counterexample_structure([2])
-    elements = range(counterexample.domain_size)
+    elements = range(counterexample.size)
     for pair0 in combinations(elements, 2):
         for pair1 in combinations(elements, 2):
             params = [[(v,) for v in pair0], [(v,) for v in pair1]]

@@ -151,7 +151,7 @@ def test_counterexample_verb(capsys):
     code, out, _ = run(capsys, "counterexample", "--m", "2")
     assert code == 0
     s = FiniteStructure.from_json(out.strip())
-    assert s.domain_size == 10
+    assert s.size == 10
 
 
 @pytest.mark.parametrize("m", ["0", "2,0"])
@@ -219,7 +219,7 @@ def test_direct_sum_verb(tmp_path, capsys):
         str(tmp_path / "pt.json"), str(tmp_path / "two.json"), "--k", "2",
     )
     assert code == 0
-    witness = RelStructure.from_json(out.strip())
+    witness = FiniteStructure.from_json(out.strip())
     assert witness.part_sizes == (17, 3)
 
 
@@ -238,9 +238,9 @@ def test_encode_partite_verb(tmp_path, capsys):
     path.write_text(g.to_json())
     code, out, _ = run(capsys, "encode-partite", str(path))
     assert code == 0
-    d = RelStructure.from_json(out.strip())
+    d = FiniteStructure.from_json(out.strip())
     assert d.part_sizes == (3, 3)
-    assert d.edges == frozenset({frozenset({0, 4})})
+    assert d.relations["R"].tuples == {(0, 4)}
 
 
 def test_gen_random_verb_and_outfile(tmp_path, capsys):

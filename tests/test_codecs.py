@@ -2,6 +2,9 @@
 
 import json
 import random
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,9 +19,25 @@ from vcn import (
     SetSystem,
     gen_extension_hypergraph,
 )
+from vcn import cli
 
+
+
+def _read_as_the_verbs(text: str):
+    """The structure that the arrow, direct-sum and encode-partite verbs read
+    from a document: the one reader's structure, with R alone passed through
+    RelStructure, each tuple a vertex set."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "s.json")
+        path.write_text(text, encoding="utf-8")
+        return cli._load_structure(str(path))
+
+
+# The test ids name this reading after RelStructure, the constructor it ends in.
+EDGE_READER = SimpleNamespace(__name__="RelStructure", from_json=_read_as_the_verbs)
 CODECS = [
-    SetSystem, GroundFamily, FiniteStructure, RelStructure, PartiteHypergraph, ExtensionHypergraph
+    SetSystem, GroundFamily, FiniteStructure, EDGE_READER, PartiteHypergraph,
+    ExtensionHypergraph,
 ]
 
 
@@ -40,9 +59,9 @@ def test_document_must_be_a_json_object(codec, text):
         (PartiteHypergraph, {"n": 2, "part_sizes": "22", "edges": []}),
         (PartiteHypergraph, {"n": 1, "part_sizes": [2], "edges": "1"}),
         (ExtensionHypergraph, {"n": 2, "part_sizes": "22", "edges": [], "t": 0, "seed": 0}),
-        (RelStructure, {"domain": 2, "parts": "01"}),
-        (RelStructure, {"domain": 3, "order": "012"}),
-        (RelStructure, {"domain": 2, "relations": [["R"]]}),
+        (EDGE_READER, {"domain": 2, "parts": "01"}),
+        (EDGE_READER, {"domain": 3, "order": "012"}),
+        (EDGE_READER, {"domain": 2, "relations": [["R"]]}),
     ],
 )
 def test_wrong_shapes_are_input_errors(codec, doc):
@@ -70,7 +89,7 @@ def test_wrong_shape_names_the_field():
          "edge (5,) leaves its parts"),
         (FiniteStructure, {"domain": 2, "relations": {"R": {"arity": 0, "tuples": []}}},
          "relation arity must be positive"),
-        (RelStructure, {"domain": 2, "parts": [[0], [3]]}, "vertex 3 is not in the domain"),
+        (EDGE_READER, {"domain": 2, "parts": [[0], [3]]}, "vertex 3 is not in the domain"),
         # both structure types read the order, the parts and every relation
         (FiniteStructure, {"domain": 2, "relations": {"R": {"arity": 2, "tuples": [[5, 0]]}}},
          "vertex 5 is not in the domain"),
@@ -78,7 +97,7 @@ def test_wrong_shape_names_the_field():
          "order must enumerate the whole domain"),
         (FiniteStructure, {"domain": 2, "parts": [[1], [0]], "relations": {}},
          "parts must be convex in the order and cover the domain"),
-        (RelStructure, {"domain": 2, "relations": {"S": {"arity": 1, "tuples": [[9]]}}},
+        (EDGE_READER, {"domain": 2, "relations": {"S": {"arity": 1, "tuples": [[9]]}}},
          "vertex 9 is not in the domain"),
     ],
 )
@@ -102,9 +121,10 @@ def test_input_errors_pass_through_unchanged(codec, doc, message):
          "'t' must be a JSON integer"),
         (FiniteStructure, '{"domain": 2, "relations": {"R": {"arity": 2, "tuples": ["01"]}}}',
          "'relations'['R']['tuples'][0] must be a JSON array"),
-        (RelStructure, '{"domain": 2, "relations": {"R": {"arity": 2, "tuples": ["01"]}}}',
+        (EDGE_READER, '{"domain": 2, "relations": {"R": {"arity": 2, "tuples": ["01"]}}}',
          "'relations'['R']['tuples'][0] must be a JSON array"),
-        (RelStructure, '{"domain": 2, "parts": [[0, 1.0]]}', "'parts'[0][1] must be a JSON integer"),
+        (EDGE_READER, '{"domain": 2, "parts": [[0, 1.0]]}',
+         "'parts'[0][1] must be a JSON integer"),
         (SetSystem, '{"part_sizes": [2], "members": [3]}', "'members'[0] must be a JSON string"),
     ],
 )
@@ -325,14 +345,15 @@ def test_structure_documents_cover_each_outcome():
 def test_structure_readers_agree():
     for doc in STRUCTURE_DOCS:
         text = json.dumps(doc)
-        rel, fin = _read(RelStructure, text), _read(FiniteStructure, text)
+        rel, fin = _read(EDGE_READER, text), _read(FiniteStructure, text)
         if isinstance(rel, str) or isinstance(fin, str):
             assert rel == fin, doc
             continue
-        assert rel.size == fin.domain_size, doc
-        assert rel.edges == {frozenset(t) for t in fin.relations["R"].tuples}, doc
-        # what each type writes reads back to an equal object
-        assert RelStructure.from_json(rel.to_json()) == rel
+        assert (rel.size, rel.part_sizes) == (fin.size, fin.part_sizes), doc
+        edges = {tuple(sorted(t)) for t in fin.relations["R"].tuples}
+        assert rel.relations == {"R": Relation(2, edges)}, doc
+        # what each reading writes reads back to an equal structure
+        assert EDGE_READER.from_json(rel.to_json()) == rel
         assert FiniteStructure.from_json(fin.to_json()) == fin
     # arity faults in any relation, with tuples read along the order
     for relations, message in [
@@ -356,11 +377,11 @@ def test_structure_readers_agree():
          "tuple (2,) does not match arity 2"),
     ]:
         text = json.dumps({"domain": 3, "order": [1, 2, 0], "relations": relations})
-        assert _read(RelStructure, text) == _read(FiniteStructure, text) == message
+        assert _read(EDGE_READER, text) == _read(FiniteStructure, text) == message
     # A repeated vertex makes a tuple of the right length but an edge of one
-    # vertex: RelStructure, whose edges are vertex sets, alone refuses it.
+    # vertex: the verbs, which read R's tuples as vertex sets, alone refuse it.
     text = json.dumps({"domain": 2, "relations": {"R": {"arity": 2, "tuples": [[1, 1]]}}})
-    assert _read(RelStructure, text) == "edge [1] does not match the arity"
+    assert _read(EDGE_READER, text) == "edge [1] does not match the arity"
     assert _read(FiniteStructure, text).relations["R"].tuples == {(1, 1)}
 
 
@@ -379,7 +400,7 @@ def test_structure_edge_check_names_the_least_bad_edge():
     # vertices renamed along the order: 4, 3, 1, 2, 0 become 0, 1, 2, 3, 4
     doc = {"domain": 5, "order": [4, 3, 1, 2, 0],
            "relations": {"R": {"arity": 2, "tuples": [[4, 4], [3, 1], [0, 0]]}}}
-    assert _read(RelStructure, json.dumps(doc)) == "edge [0] does not match the arity"
+    assert _read(EDGE_READER, json.dumps(doc)) == "edge [0] does not match the arity"
 
 
 def test_structure_constructors_keep_their_messages():
@@ -387,7 +408,7 @@ def test_structure_constructors_keep_their_messages():
     for build, message in [
         (lambda: Relation(0, ()), "relation arity must be positive"),
         (lambda: Relation(2, [(0, 1), (1,), (2, 0, 1)]), "tuple (1,) does not match arity 2"),
-        (lambda: FiniteStructure(0, {}), "domain must be nonempty"),
+        (lambda: FiniteStructure(-1, {}), "size must be nonnegative"),
         (
             lambda: FiniteStructure(2, {"R": Relation(2, {(0, 1)}), "S": Relation(1, [(2,)])}),
             "relation S tuple (2,) leaves the domain",
@@ -395,9 +416,77 @@ def test_structure_constructors_keep_their_messages():
         # a relation given as its tuples, or a mapping given as pairs
         (lambda: FiniteStructure(3, {"R": [(0, 1)]}), "relation R is not a Relation"),
         (lambda: FiniteStructure(3, [("R", 1)]), "relation R is not a Relation"),
+        # relations that are neither a mapping nor a list of pairs
+        (lambda: FiniteStructure(3, 5), "relations must map names to Relations"),
+        (lambda: FiniteStructure(3, [1]), "relations must map names to Relations"),
+        (lambda: FiniteStructure(3, None), "relations must map names to Relations"),
         (lambda: RelStructure(-1), "size must be nonnegative"),
         (lambda: RelStructure(3, None, 0, frozenset()), "edge arity must be positive"),
     ]:
         with pytest.raises(InputError) as exc:
             build()
         assert str(exc.value) == message
+
+
+def _random_structures():
+    """Seeded structures on domains of 0 to 5, with and without parts, and
+    with up to three relations of arities 1 to 3."""
+    rng = random.Random(5)
+    for _ in range(300):
+        size = rng.randint(0, 5)
+        relations = {}
+        for name in rng.sample("RST", rng.randint(0, 3)):
+            arity = rng.randint(1, 3)
+            count = rng.randint(0, 4) if size else 0
+            relations[name] = Relation(
+                arity, [[rng.randrange(size) for _ in range(arity)] for _ in range(count)]
+            )
+        part_sizes = None
+        if rng.random() < 0.5:
+            cuts = sorted(rng.choices(range(size + 1), k=rng.randint(0, 2)))
+            part_sizes = [b - a for a, b in zip([0, *cuts], [*cuts, size])]
+        yield FiniteStructure(size, relations, part_sizes)
+
+
+RANDOM_STRUCTURES = list(_random_structures())
+
+
+def test_structure_documents_round_trip():
+    assert {s.size for s in RANDOM_STRUCTURES} == set(range(6))
+    assert {s.part_sizes is None for s in RANDOM_STRUCTURES} == {True, False}
+    assert {len(s.relations) for s in RANDOM_STRUCTURES} == {0, 1, 2, 3}
+    for s in RANDOM_STRUCTURES:
+        text = s.to_json()
+        assert FiniteStructure.from_json(text) == s
+        # the order is listed only beside the parts it orders
+        assert ("order" in json.loads(text)) == (s.part_sizes is not None)
+    for partless in (RelStructure(3, None, 2, [{0, 2}]), RelStructure(0)):
+        assert set(json.loads(partless.to_json())) == {"domain", "relations"}
+
+
+def test_structures_are_dict_keys():
+    seen = {}
+    for s in RANDOM_STRUCTURES:
+        seen.setdefault(s, s)
+    assert len(seen) < len(RANDOM_STRUCTURES)  # equal structures were drawn
+    for s in RANDOM_STRUCTURES:
+        # an equal structure, built anew, finds the first one drawn
+        assert seen[FiniteStructure.from_json(s.to_json())] == s
+
+
+@pytest.mark.parametrize(
+    "n, sizes, edges",
+    [
+        (1, (4,), [(3,), (0,)]),
+        (2, (2, 3), []),
+        (3, (2, 2, 2), [(1, 0, 1), (0, 1, 1)]),
+        (2, (30, 30), [(a, b) for a in range(30) for b in range(30) if (a * b) % 7 < 3]),
+    ],
+)
+def test_hypergraph_documents_are_what_json_dumps_writes(n, sizes, edges):
+    h = PartiteHypergraph(n, sizes, edges)
+    doc = {"n": n, "part_sizes": list(sizes), "edges": sorted(edges)}
+    assert h.to_json() == json.dumps(doc, sort_keys=True)
+    sample = ExtensionHypergraph(h, 2, -5)
+    assert sample.to_json() == json.dumps({**doc, "t": 2, "seed": -5}, sort_keys=True)
+    assert ExtensionHypergraph.from_json(sample.to_json()) == sample

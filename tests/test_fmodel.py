@@ -34,6 +34,7 @@ from vcn import (
     QfFormula,
     Relation,
     RelStructure,
+    TypeCount,
     build_counterexample_structure,
     check_encodes,
     check_indiscernible,
@@ -47,11 +48,13 @@ from vcn import (
     permute_blocks,
     phi_class,
     pi_phi,
+    points,
     shatter_fn,
     vc_n_dim,
     verify_ipn_witness,
     zarankiewicz,
 )
+from vcn.fmodel import block_tuples
 
 
 def edge_formula(n: int = 2) -> QfFormula:
@@ -275,7 +278,7 @@ def test_pi_phi_when_a_formula_ignores_the_object(seed):
         QfFormula(shape, ("eq", (0, 0), (0, 0))),
     ][seed % 2]
     delta = [blind, delta[0]] if seed % 4 < 2 else [delta[0], blind]
-    spaces = [list(product(range(structure.domain_size), repeat=l)) for l in shape[1:]]
+    spaces = [list(product(range(structure.size), repeat=l)) for l in shape[1:]]
     for m in range(3):
         if m <= min(map(len, spaces)):
             assert pi_phi(structure, delta, m) == ref_pi_phi(structure, delta, m)
@@ -285,7 +288,7 @@ def test_pi_phi_when_a_formula_ignores_the_object(seed):
 def test_type_counting_matches_pointwise_evaluation(seed):
     rng, structure, delta = random_instance(seed)
     lengths = delta[0].block_lengths
-    spaces = [list(product(range(structure.domain_size), repeat=l)) for l in lengths[1:]]
+    spaces = [list(product(range(structure.size), repeat=l)) for l in lengths[1:]]
     for m in range(3):
         if m <= min(map(len, spaces)):
             assert pi_phi(structure, delta, m) == ref_pi_phi(structure, delta, m)
@@ -297,7 +300,7 @@ def test_type_counting_matches_pointwise_evaluation(seed):
         want = len(ref_types(structure, delta[:1], grid)) == 1 << cells
         assert verify_ipn_witness(structure, delta[0], grid) == want
     # phi_class: one member per object tuple, the cells where phi holds
-    objects = product(range(structure.domain_size), repeat=lengths[0])
+    objects = product(range(structure.size), repeat=lengths[0])
     want = {
         frozenset(
             tuple(space.index(t) for space, t in zip(spaces, cell))
@@ -328,7 +331,7 @@ def test_random_formulas_cover_every_node():
 def test_eval_formula_matches_reference(seed):
     _, structure, delta = random_instance(seed)
     for phi in delta:
-        spaces = [product(range(structure.domain_size), repeat=l) for l in phi.block_lengths]
+        spaces = [product(range(structure.size), repeat=l) for l in phi.block_lengths]
         for assignment in product(*spaces):
             assert eval_formula(structure, phi, assignment) == ref_eval(structure, phi, assignment)
 
@@ -516,6 +519,55 @@ def test_structure_json_round_trip():
         FiniteStructure.from_json("{}")
 
 
+def test_empty_domain_answers_or_refuses():
+    # every entry point given a structure on no elements answers, or refuses
+    # with InputError: no tuple of a positive length lies in an empty domain
+    s = FiniteStructure(0, {"R": Relation(2, ())})
+    phi = parse_formula("(R x y0)", (1, 1))
+    h = PartiteHypergraph(2, (1, 1), {(0, 0)})
+    calls = {
+        "eval_formula": lambda: eval_formula(s, phi, [(0,), (0,)]),
+        "block_tuples": lambda: block_tuples(s, 2),
+        "phi_class": lambda: phi_class(s, phi),
+        "count_types": lambda: count_types(s, [phi], [[]]),
+        "pi_phi m=0": lambda: pi_phi(s, [phi], 0),
+        "pi_phi m=1": lambda: pi_phi(s, [phi], 1),
+        "dim_phi": lambda: dim_phi(s, phi),
+        "verify_ipn_witness": lambda: verify_ipn_witness(s, phi, [[(0,)]]),
+        "check_encodes": lambda: check_encodes(
+            s, phi, IndexedFamily(h, {(0, 0): (0,), (1, 0): (0,)}), h
+        ),
+        "check_indiscernible": lambda: check_indiscernible(
+            IndexedFamily(points(1), {0: (0,)}), {"order"}, s, [phi], 2
+        ),
+        "check_indiscernible on an empty index": lambda: check_indiscernible(
+            IndexedFamily(s, {}), {"edge"}, s, [phi], 2
+        ),
+    }
+    outcomes = {}
+    for name, call in calls.items():
+        try:
+            outcomes[name] = call()
+        except InputError as exc:
+            outcomes[name] = str(exc)
+    assert outcomes == {
+        "eval_formula": "assignment tuple (0,) leaves the domain",
+        "block_tuples": [],
+        "phi_class": "part sizes must be positive",
+        "count_types": TypeCount(((),), 0),
+        # no object tuple, so no pattern, as shatter_fn reads an empty system
+        "pi_phi m=0": 0,
+        "pi_phi m=1": "box size 1 exceeds a parameter tuple space",
+        "dim_phi": "part sizes must be positive",
+        "verify_ipn_witness": "parameter tuple (0,) leaves the domain",
+        "check_encodes": "indexed tuple (0,) of vertex (0, 0) leaves the domain",
+        "check_indiscernible": "indexed tuple (0,) of vertex 0 leaves the domain",
+        "check_indiscernible on an empty index": (
+            "indexed tuple length must match every block length"
+        ),
+    }
+
+
 # --- indexed families over hypergraphs --------------------------------------
 
 
@@ -603,8 +655,9 @@ def test_check_indiscernible_on_ordered_graph_without_parts():
 
 
 def test_check_indiscernible_rejects_other_index_types():
+    # an index is a structure or a partite hypergraph, not a plain vertex list
     s = FiniteStructure(2, {"R": Relation(2, frozenset())})
-    fam = IndexedFamily(s, {0: (0,), 1: (1,)})
+    fam = IndexedFamily((0, 1), {0: (0,), 1: (1,)})
     with pytest.raises(InputError, match="unsupported index structure"):
         check_indiscernible(fam, {"order"}, s, [parse_formula("(R x y0)", (1, 1))], 1)
 
@@ -741,8 +794,8 @@ def test_indexed_cases_reach_every_outcome():
     assert any(len(set(fam.tuples.values())) < len(fam.tuples) for _, fam, _ in indexed)
     partite = [fam.index for _, fam, _ in indexed if isinstance(fam.index, PartiteHypergraph)]
     assert {h.n for h in partite} == {1, 2, 3}
-    ordered = [fam.index for _, fam, _ in indexed if isinstance(fam.index, RelStructure)]
-    assert {(r.part_sizes is None, r.edges is None) for r in ordered} == {
+    ordered = [fam.index for _, fam, _ in indexed if isinstance(fam.index, FiniteStructure)]
+    assert {(r.part_sizes is None, "R" not in r.relations) for r in ordered} == {
         (True, True), (True, False), (False, True), (False, False)
     }
     assert {len(delta[0].block_lengths) for _, _, delta in indexed} == {2, 3}

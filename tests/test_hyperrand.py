@@ -16,6 +16,7 @@ from vcn import (
     GenerationError,
     InputError,
     PartiteHypergraph,
+    Relation,
     SelectionStuckError,
     WalkStuckError,
     achieved_extension_level,
@@ -132,6 +133,25 @@ def test_a_sample_labels_its_hypergraph():
     assert eh != h and h != eh and not isinstance(eh, PartiteHypergraph)
     sample = gen_extension_hypergraph(2, 6, 0, seed=5)
     assert type(sample.base) is PartiteHypergraph and sample.base is sample.base
+
+
+def test_a_sample_checks_its_fields():
+    # each of these used to build a sample whose document its own reader
+    # refuses, or whose to_json ends in a traceback
+    h = PartiteHypergraph(1, [2], [[0]])
+    for args, message in [
+        ((None, 1, 2), "base must be a PartiteHypergraph"),
+        ((h.to_json(), 1, 2), "base must be a PartiteHypergraph"),
+        ((h, -1, 2), "t must be a nonnegative integer"),
+        ((h, True, 2), "t must be a nonnegative integer"),
+        ((h, 1.0, 2), "t must be a nonnegative integer"),
+        ((h, 1, "x"), "seed must be an integer"),
+        ((h, 1, 2.0), "seed must be an integer"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            ExtensionHypergraph(*args)
+        assert str(exc.value) == message
+    assert ExtensionHypergraph(h, 0, -3).to_json().endswith('"seed": -3, "t": 0}')
 
 
 # --- V-adjacency ---------------------------------------------------------------
@@ -437,9 +457,9 @@ def test_random_subgraph_level_check_failure():
 def test_diagonal_hypergraph_example():
     h = PartiteHypergraph(2, (4, 4), frozenset({(0, 1), (2, 3), (3, 2)}))
     d = diagonal_hypergraph(h)
-    assert d.size == 4 and d.edge_arity == 2
+    assert d.size == 4 and d.part_sizes is None
     # only increasing index tuples count: (3,2) is skipped
-    assert d.edges == frozenset({frozenset({0, 1}), frozenset({2, 3})})
+    assert d.relations == {"R": Relation(2, {(0, 1), (2, 3)})}
 
 
 def test_diagonal_requires_equal_parts():
@@ -450,4 +470,4 @@ def test_diagonal_requires_equal_parts():
 def test_diagonal_three_parts():
     h = PartiteHypergraph(3, (3, 3, 3), frozenset({(0, 1, 2), (0, 2, 1)}))
     d = diagonal_hypergraph(h)
-    assert d.edges == frozenset({frozenset({0, 1, 2})})
+    assert d.relations == {"R": Relation(3, {(0, 1, 2)})}

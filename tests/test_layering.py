@@ -68,10 +68,13 @@ LOADED = {
     "zar-table": {"cli", "errors", "zar"},
     "shatter": {"cli", "errors", "setsys", "zar"},
     "arrow": {"cli", "errors", "ramsey"},
+    "encode-partite": {"cli", "errors", "ramsey"},
+    "direct-sum": {"cli", "errors", "ramsey"},
     "gen-random": {"cli", "errors", "zar", "hyperrand"},
     "walk": {"cli", "errors", "zar", "hyperrand"},
     "counterexample": {"cli", "errors", "fmodel", "setsys", "zar"},
-    "FiniteStructure.from_json": {"errors", "fmodel", "setsys"},
+    # the one structure type and its document live in errors
+    "FiniteStructure.from_json": {"errors"},
     # the one hypergraph document reader lives in zar, a sample's in hyperrand
     "PartiteHypergraph.from_json": {"errors", "zar"},
     "ExtensionHypergraph.from_json": {"errors", "zar", "hyperrand"},
@@ -80,6 +83,8 @@ ARGV = {
     "zar-table": ["zar-table", "--n", "2", "--m", "2..3", "--d", "2"],
     "shatter": ["shatter", "fam.json", "--m", "1..2"],
     "arrow": ["arrow", "p1.json", "p2.json", "p3.json", "--k", "2"],
+    "encode-partite": ["encode-partite", "g.json"],
+    "direct-sum": ["direct-sum", "p1.json", "p2.json", "p1.json", "p2.json", "--k", "2"],
     "gen-random": ["gen-random", "--n", "2", "--m", "6", "--t", "1", "--seed", "4"],
     "walk": ["walk", "h.json", "pair.json"],
     "counterexample": ["counterexample", "--m", "2"],
@@ -106,6 +111,9 @@ def test_modules_load_on_first_use(case, tmp_path):
     (tmp_path / "fam.json").write_text(build_extremal_family(2, 1, [2]).to_json())
     (tmp_path / "h.json").write_text(gen_extension_hypergraph(2, 6, 1, 4).to_json())
     (tmp_path / "pair.json").write_text('{"w": [[0, 1], [1, 1]], "w_prime": [[0, 2], [1, 1]]}')
+    (tmp_path / "g.json").write_text(
+        '{"domain": 3, "relations": {"R": {"arity": 2, "tuples": [[0, 2]]}}}'
+    )
     (tmp_path / "s.json").write_text(
         '{"domain": 3, "order": [2, 0, 1], "parts": [[2, 0], [1]],'
         ' "relations": {"R": {"arity": 2, "tuples": [[2, 1]]}}}'

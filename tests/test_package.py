@@ -9,8 +9,8 @@ import vcn
 # The public names of the package; a change here is an API change.
 PUBLIC = {
     "errors": [
-        "BudgetExceededError", "GenerationError", "InputError", "SelectionStuckError",
-        "WalkStuckError",
+        "BudgetExceededError", "FiniteStructure", "GenerationError", "InputError", "Relation",
+        "SelectionStuckError", "WalkStuckError",
     ],
     "setsys": [
         "BoxSpec", "GroundFamily", "ProductUniverse", "SetSystem", "is_shattered",
@@ -21,10 +21,10 @@ PUBLIC = {
         "contains_complete_partite", "zarankiewicz",
     ],
     "fmodel": [
-        "FiniteStructure", "IndexedFamily", "QfFormula", "Relation", "TypeCount",
-        "build_counterexample_structure", "check_encodes", "check_indiscernible", "conjoin",
-        "count_types", "dim_phi", "eval_formula", "format_formula", "negate",
-        "parse_formula", "permute_blocks", "phi_class", "pi_phi", "verify_ipn_witness",
+        "IndexedFamily", "QfFormula", "TypeCount", "build_counterexample_structure",
+        "check_encodes", "check_indiscernible", "conjoin", "count_types", "dim_phi",
+        "eval_formula", "format_formula", "negate", "parse_formula", "permute_blocks",
+        "phi_class", "pi_phi", "verify_ipn_witness",
     ],
     "ramsey": [
         "ColoringProblem", "EmbeddingSet", "RelStructure", "arrow_check", "arrow_scan",

@@ -23,6 +23,7 @@ from instance_gen import (
 from vcn import (
     BudgetExceededError,
     ColoringProblem,
+    FiniteStructure,
     InputError,
     RelStructure,
     arrow_check,
@@ -40,16 +41,16 @@ from vcn import (
 )
 
 
-def ordered_graph(size: int, edges) -> RelStructure:
+def ordered_graph(size: int, edges) -> FiniteStructure:
     return RelStructure(size, None, 2, frozenset(frozenset(e) for e in edges))
 
 
 def test_points_and_induced():
     p = points(4)
-    assert p.size == 4 and p.edges is None and p.part_sizes is None
+    assert p.size == 4 and p.relations == {} and p.part_sizes is None
     sub = induced(ordered_graph(4, [(0, 1), (1, 3)]), [1, 3])
     assert sub.size == 2
-    assert sub.edges == frozenset({frozenset({0, 1})})
+    assert sub.relations["R"].tuples == {(0, 1)}
 
 
 def test_structure_validation():
@@ -111,16 +112,16 @@ def test_copies_respect_parts():
 
 def test_json_round_trip_and_relabel():
     g = RelStructure(4, (2, 2), 2, frozenset({frozenset({0, 2})}))
-    assert RelStructure.from_json(g.to_json()) == g
+    assert FiniteStructure.from_json(g.to_json()) == g
     # a permuted order relabels back to the canonical presentation
     doc = (
         '{"domain": 3, "order": [2, 0, 1], "parts": [[2, 0], [1]],'
         ' "relations": {"R": {"arity": 2, "tuples": [[2, 1]]}}}'
     )
-    s = RelStructure.from_json(doc)
+    s = FiniteStructure.from_json(doc)
     assert s.size == 3
     assert s.part_sizes == (2, 1)
-    assert s.edges == frozenset({frozenset({0, 2})})
+    assert s.relations["R"].tuples == {(0, 2)}
 
 
 def test_ramsey_triangle_arrow():
@@ -227,7 +228,7 @@ def test_direct_sum_tags_parts():
     s = direct_sum(a, b)
     assert s.size == 3
     assert s.part_sizes == (2, 1)
-    assert s.edges == frozenset({frozenset({0, 1})})
+    assert s.relations["R"].tuples == {(0, 1)}
     with pytest.raises(InputError):
         direct_sum(s, b)  # already carries parts
 
@@ -284,7 +285,7 @@ def test_direct_sum_witness_shape_for_larger_instance():
 def test_flatten_forgets_parts():
     s = RelStructure(3, (2, 1), 2, frozenset({frozenset({0, 2})}))
     f = flatten(s)
-    assert f.part_sizes is None and f.size == 3 and f.edges == s.edges
+    assert f.part_sizes is None and f.size == 3 and f.relations == s.relations
 
 
 # --- partite double ----------------------------------------------------------
@@ -303,16 +304,14 @@ def test_encode_tilde_small_graph():
     g = ordered_graph(3, [(0, 1), (1, 2)])
     d = encode_tilde(g)
     assert d.size == 6 and d.part_sizes == (3, 3)
-    assert d.edges == frozenset(
-        {frozenset({0, 3 + 1}), frozenset({1, 3 + 2})}
-    )
+    assert d.relations["R"].tuples == {(0, 3 + 1), (1, 3 + 2)}
 
 
 def test_encode_tilde_arity_three():
     g = RelStructure(3, None, 3, frozenset({frozenset({0, 1, 2})}))
     d = encode_tilde(g)
     assert d.size == 9 and d.part_sizes == (3, 3, 3)
-    assert d.edges == frozenset({frozenset({0, 3 + 1, 6 + 2})})
+    assert d.relations["R"].tuples == {(0, 3 + 1, 6 + 2)}
 
 
 def test_encode_tilde_validation():

@@ -61,11 +61,10 @@ def _samples() -> dict[str, list[tuple]]:
         ],
         "ZarResult": [(4, 3, h, "exact", 4), (4, 3, h, "lower_bound_only", 9)],
         "Relation": [(2, [(0, 1), ("1", 0)]), (1, ())],
-        "FiniteStructure": [(3, {"R": rel}), (2, {})],
+        "FiniteStructure": [(3, {"R": rel}), (2, {}), (3, [("R", rel)], [1, 2]), (0, {})],
         "QfFormula": [([1, 1], phi.body), ((1, 2), ("eq", (0, 0), (1, 1)))],
         "TypeCount": [(((0,), (1,)), 2), ((), 1)],
         "IndexedFamily": [(h, {(0, 0): ["1"], (1, 2): (0,)}), (points(2), {})],
-        "RelStructure": [(3, [1, 2], 2, [[0, 2]]), (3,), (2, None, 2, [{0, 1}])],
         "EmbeddingSet": [(points(2), points(3), ((0, 1),)), (points(1), points(1), ())],
         "ColoringProblem": [
             (points(1), points(2), points(3), 2), (points(1), points(2), points(3), 3)
@@ -151,8 +150,8 @@ def test_records_of_different_classes_never_compare_equal():
     plain = PartiteHypergraph(*args)
     ref_plain = reference(PartiteHypergraph)(*args)
     for other, ref_other in [
-        # a sample is not the hypergraph it labels
-        (ExtensionHypergraph(plain, 1, 7), reference(ExtensionHypergraph)(ref_plain, 1, 7)),
+        # a sample is not the hypergraph it labels (whose class its base must have)
+        (ExtensionHypergraph(plain, 1, 7), reference(ExtensionHypergraph)(plain, 1, 7)),
         (Subclass(*args), ref_subclass(*args)),
     ]:
         got = [plain == other, other == plain, plain != other]

@@ -448,7 +448,7 @@ def test_extremal_family_validation():
 
 def test_counterexample_structure_shape():
     s = build_counterexample_structure([2])
-    assert s.domain_size == 10  # 8 members plus 2 shared ground elements
+    assert s.size == 10  # 8 members plus 2 shared ground elements
     rel = s.relations["R"]
     assert rel.arity == 3
     # member 0 is the empty set: no triples start with 0
