@@ -9,9 +9,6 @@ or selection gave up).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from .errors import (
@@ -24,7 +21,8 @@ from .errors import (
     _decode,
 )
 
-# Each verb imports the kernel modules it calls, so a process loads only those.
+# Each verb imports the kernel modules it calls, and json or csv where it
+# reads or writes that format, so a process loads only those.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +63,13 @@ def _read_text(path: str) -> str:
 
 def _table(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         doc = [dict(zip(header, row)) for row in rows]
         return json.dumps(doc, sort_keys=True)
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -130,6 +133,8 @@ def cmd_dim(args) -> str:
 
     value = vc_n_dim(_load_system(args.path))
     if args.format == "json":
+        import json
+
         return json.dumps({"dim": value}, sort_keys=True)
     return str(value)
 
@@ -193,6 +198,8 @@ def cmd_gen_random(args) -> str:
 
 
 def cmd_walk(args) -> str:
+    import json
+
     from .hyperrand import adjacency_walk
     from .zar import PartiteHypergraph
 
@@ -225,12 +232,11 @@ class _Budget(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _add_common(sub, fmt_choices=None, fmt_default=None):
+def _add_common(sub, formats: tuple[str, ...]) -> None:
+    """--out, --format where the verb has formats (the first is the default), --budget."""
     sub.add_argument("--out", help="write the output here instead of stdout")
-    if fmt_choices:
-        sub.add_argument(
-            "--format", choices=fmt_choices, default=fmt_default, help="output format"
-        )
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0], help="output format")
     sub.add_argument(
         "--budget",
         type=int,
@@ -239,96 +245,122 @@ def _add_common(sub, fmt_choices=None, fmt_default=None):
     )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="vcn", description=__doc__)
-    subs = parser.add_subparsers(dest="verb", required=True)
-
-    s = subs.add_parser("zar-table", help="box-threshold table over a range of m")
+def _zar_table_args(s):
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--m", required=True, help="M, LO..HI, or A,B,C")
     s.add_argument("--d", type=int, required=True)
-    _add_common(s, ("csv", "json"), "csv")
-    s.set_defaults(func=cmd_zar_table)
 
-    s = subs.add_parser("shatter", help="shatter function vs the binomial bound")
+
+def _bound_args(s):
     s.add_argument("path", help="set system JSON")
     s.add_argument("--m", required=True)
     s.add_argument("--d", type=int, help="assume this dimension; default: compute it")
-    _add_common(s, ("csv", "json"), "csv")
-    s.set_defaults(func=cmd_shatter)
 
-    s = subs.add_parser("dim", help="box dimension of a set system")
+
+def _dim_args(s):
     s.add_argument("path", help="set system JSON")
-    _add_common(s, ("text", "json"), "text")
-    s.set_defaults(func=cmd_dim)
 
-    s = subs.add_parser("shift", help="down-shift a ground family to its fixpoint")
+
+def _shift_args(s):
     s.add_argument("path", help="ground family JSON")
-    _add_common(s)
-    s.set_defaults(func=cmd_shift)
 
-    s = subs.add_parser("extremal", help="family meeting the binomial bound's order")
+
+def _extremal_args(s):
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--m", required=True, help="block sizes")
-    _add_common(s)
-    s.set_defaults(func=cmd_extremal)
 
-    s = subs.add_parser(
-        "counterexample", help="structure separating formula types from traces"
-    )
+
+def _counterexample_args(s):
     s.add_argument("--m", required=True, help="block sizes")
-    _add_common(s)
-    s.set_defaults(func=cmd_counterexample)
 
-    s = subs.add_parser("arrow", help="exhaustive partition arrow check")
+
+def _arrow_args(s):
     s.add_argument("a", help="pattern structure JSON")
     s.add_argument("b", help="target structure JSON")
     s.add_argument("c", help="ambient structure JSON")
     s.add_argument("--k", type=int, required=True, help="number of colors")
-    _add_common(s, ("csv", "json"), "csv")
-    s.set_defaults(func=cmd_arrow)
 
-    s = subs.add_parser("direct-sum", help="witness for a tagged-sum arrow problem")
-    s.add_argument("a0")
-    s.add_argument("b0")
-    s.add_argument("a1")
-    s.add_argument("b1")
+
+def _direct_sum_args(s):
+    for name in ("a0", "b0", "a1", "b1"):
+        s.add_argument(name)
     s.add_argument("--k", type=int, required=True)
-    _add_common(s)
-    s.set_defaults(func=cmd_direct_sum)
 
-    s = subs.add_parser("encode-partite", help="partite double of an ordered hypergraph")
+
+def _encode_partite_args(s):
     s.add_argument("path", help="partless structure JSON with an edge relation")
-    _add_common(s)
-    s.set_defaults(func=cmd_encode_partite)
 
-    s = subs.add_parser("gen-random", help="sample a hypergraph with a verified level")
+
+def _gen_random_args(s):
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--m", type=int, required=True, help="size of every part")
     s.add_argument("--t", type=int, required=True, help="extension level to certify")
     s.add_argument("--seed", type=int, required=True)
-    _add_common(s)
-    s.set_defaults(func=cmd_gen_random)
 
-    s = subs.add_parser("walk", help="adjacency walk between two vertex sets")
+
+def _walk_args(s):
     s.add_argument("hypergraph", help="hypergraph JSON")
     s.add_argument("pair", help='JSON {"w": [[part, pos], ...], "w_prime": [...]}')
-    _add_common(s)
-    s.set_defaults(func=cmd_walk)
 
-    s = subs.add_parser("verify-bounds", help="certify the shatter bound on a system")
-    s.add_argument("path", help="set system JSON")
-    s.add_argument("--m", required=True)
-    s.add_argument("--d", type=int, help="assume this dimension; default: compute it")
-    _add_common(s, ("csv", "json"), "csv")
-    s.set_defaults(func=cmd_verify_bounds)
 
+# verb: (help line, command, argument builder, output formats), in the order
+# the help lists them
+_VERBS = {
+    "zar-table": (
+        "box-threshold table over a range of m", cmd_zar_table, _zar_table_args, ("csv", "json")
+    ),
+    "shatter": (
+        "shatter function vs the binomial bound", cmd_shatter, _bound_args, ("csv", "json")
+    ),
+    "dim": ("box dimension of a set system", cmd_dim, _dim_args, ("text", "json")),
+    "shift": ("down-shift a ground family to its fixpoint", cmd_shift, _shift_args, ()),
+    "extremal": (
+        "family meeting the binomial bound's order", cmd_extremal, _extremal_args, ()
+    ),
+    "counterexample": (
+        "structure separating formula types from traces",
+        cmd_counterexample,
+        _counterexample_args,
+        (),
+    ),
+    "arrow": ("exhaustive partition arrow check", cmd_arrow, _arrow_args, ("csv", "json")),
+    "direct-sum": (
+        "witness for a tagged-sum arrow problem", cmd_direct_sum, _direct_sum_args, ()
+    ),
+    "encode-partite": (
+        "partite double of an ordered hypergraph", cmd_encode_partite, _encode_partite_args, ()
+    ),
+    "gen-random": (
+        "sample a hypergraph with a verified level", cmd_gen_random, _gen_random_args, ()
+    ),
+    "walk": ("adjacency walk between two vertex sets", cmd_walk, _walk_args, ()),
+    "verify-bounds": (
+        "certify the shatter bound on a system", cmd_verify_bounds, _bound_args, ("csv", "json")
+    ),
+}
+
+
+def build_parser(verb: str | None = None) -> _Parser:
+    """The parser with the named verb's subparser alone, or with every verb's.
+
+    Without a known verb (help, no verb, an unknown one) every subparser
+    is built, so the usage and the error text list them all.
+    """
+    parser = _Parser(prog="vcn", description=__doc__)
+    subs = parser.add_subparsers(dest="verb", required=True)
+    for name in [verb] if verb in _VERBS else _VERBS:
+        help_line, func, add_args, formats = _VERBS[name]
+        s = subs.add_parser(name, help=help_line)
+        add_args(s)
+        _add_common(s, formats)
+        s.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         text = args.func(args)

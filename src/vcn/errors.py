@@ -13,7 +13,6 @@ or write one.
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate, chain
 from typing import Callable, Mapping, TypeVar
 
@@ -179,6 +178,8 @@ def _decode(text: str, what: str, build: Callable[[dict], _T], shape: dict) -> _
     Any other failure to read the document becomes InputError("bad <what>
     document: ..."); an InputError from build passes through unchanged.
     """
+    import json  # here, not at module level: a verb that reads no JSON never loads it
+
     try:
         doc = json.loads(text)
         _check_shape(doc, shape)
@@ -246,6 +247,8 @@ class FiniteStructure(Record):
 
     def to_json(self) -> str:
         """The structure document; it lists the order and the parts only with parts."""
+        import json
+
         doc = {
             "domain": self.size,
             "relations": {

@@ -117,6 +117,8 @@ def find_extension_violation(h: PartiteHypergraph, t: int):
     """
     if t < 0:
         raise InputError("extension level must be nonnegative")
+    if t == 0:
+        return None  # a cost-0 instance names no tuple, and every part holds a vertex
     for j in range(h.n):
         size = h.part_sizes[j]
         # adj[x]: the part-j vertices that close the other-part tuple x into an edge
@@ -126,20 +128,17 @@ def find_extension_violation(h: PartiteHypergraph, t: int):
         for e in h.edges:
             adj[e[:j] + e[j + 1 :]] |= 1 << e[j]
         others = list(adj)
+        # the windows of cost at most t that strictly contain a vertex
         windows: list[tuple[int | None, int | None, int]] = [(None, None, 0)]
         windows += [(None, hi, 1) for hi in range(1, size)]
         windows += [(lo, None, 1) for lo in range(size - 1)]
-        windows += [
-            (lo, hi, 2)
-            for lo in range(size)
-            for hi in range(lo + 2, size)
-        ]
+        if t >= 2:
+            windows += [(lo, hi, 2) for lo in range(size) for hi in range(lo + 2, size)]
         for lo, hi, wcost in windows:
-            if wcost > t:
-                continue
             start = 0 if lo is None else lo + 1
             inside = (1 << (size if hi is None else hi)) - (1 << start)
-            for total in range(t - wcost + 1):
+            # an instance without tuples is realized by any vertex inside
+            for total in range(1, t - wcost + 1):
                 for s0 in range(total + 1):
                     for a0 in combinations(others, s0):
                         pos = inside

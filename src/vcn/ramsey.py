@@ -2,7 +2,8 @@
 
 A structure is the one FiniteStructure: a linearly ordered domain, convex
 parts and named relations; the encodings read R as a uniform hypergraph,
-each edge an increasing tuple, as RelStructure builds it from edge sets.
+each edge an increasing tuple, as RelStructure builds it from edge sets,
+and refuse any other tuple.
 Order rigidity makes substructure copies and embeddings the same thing:
 a copy of A inside B is an increasing vertex selection whose induced
 substructure equals A.  A structure is its value, so copies and closures
@@ -72,7 +73,6 @@ def induced(structure: FiniteStructure, subset: Sequence[int]) -> FiniteStructur
     if subset and (subset[0] < 0 or subset[-1] >= structure.size):
         raise InputError("subset leaves the domain")
     pos = {v: i for i, v in enumerate(subset)}
-    keep = set(subset)
     part_sizes = None
     part_ids = structure.part_ids()
     if part_ids is not None:
@@ -80,11 +80,17 @@ def induced(structure: FiniteStructure, subset: Sequence[int]) -> FiniteStructur
         for v in subset:
             counts[part_ids[v]] += 1
         part_sizes = tuple(counts)
-    relations = {}
-    for name, rel in structure.relations.items():
-        kept = [tuple(map(pos.get, t)) for t in rel.tuples if keep.issuperset(t)]
-        relations[name] = Relation(rel.arity, kept)
+    relations = {
+        name: Relation(rel.arity, _relabel(rel.tuples, pos))
+        for name, rel in structure.relations.items()
+    }
     return FiniteStructure(len(subset), relations, part_sizes)
+
+
+def _relabel(tuples: Iterable[tuple[int, ...]], pos: dict[int, int]) -> set[tuple[int, ...]]:
+    """The tuples inside pos's keys, each vertex renamed to its position pos[v]."""
+    keep = set(pos)
+    return {tuple(map(pos.get, t)) for t in tuples if keep.issuperset(t)}
 
 
 class EmbeddingSet(Record):
@@ -110,16 +116,23 @@ def _check_signatures(a: FiniteStructure, b: FiniteStructure) -> None:
 
 
 def copies(target: FiniteStructure, source: FiniteStructure) -> EmbeddingSet:
-    """All copies of source inside target, in lexicographic order."""
+    """All copies of source inside target, in lexicographic order.
+
+    A selection is a copy when its parts follow source's and, for every
+    relation, the target tuples inside it, relabeled along it, are
+    exactly source's: the test induced(target, selection) == source,
+    without building the substructure.
+    """
     _check_signatures(target, source)
     found = []
     want_parts = source.part_ids()
     target_parts = target.part_ids()
+    relations = [(target.relations[name].tuples, r.tuples) for name, r in source.relations.items()]
     for subset in combinations(range(target.size), source.size):
-        if want_parts is not None:
-            if tuple(target_parts[v] for v in subset) != want_parts:
-                continue  # cheap prefilter before building the substructure
-        if induced(target, subset) == source:
+        if want_parts is not None and tuple(target_parts[v] for v in subset) != want_parts:
+            continue
+        pos = dict(zip(subset, range(source.size)))
+        if all(_relabel(tuples, pos) == want for tuples, want in relations):
             found.append(subset)
     return EmbeddingSet(source, target, tuple(found))
 
@@ -298,21 +311,30 @@ def flatten(structure: FiniteStructure) -> FiniteStructure:
     return FiniteStructure(structure.size, structure.relations)
 
 
+def _check_increasing(rel: Relation) -> None:
+    """Refuse an edge relation holding a tuple that is not strictly increasing."""
+    bad = [t for t in rel.tuples if any(u >= v for u, v in zip(t, t[1:]))]
+    if bad:
+        raise InputError(f"edge {list(min(bad))} is not strictly increasing")
+
+
 def encode_tilde(x0: FiniteStructure) -> FiniteStructure:
     """Partite double of an ordered uniform hypergraph.
 
     Each part is a full copy of the domain; an edge joins position-tagged
     copies (i in part 0, j in part 1, ...) exactly when the index tuple is
     strictly increasing and forms an edge of the source.  Supports arity 2
-    and 3.
+    and 3; every tuple of R must be strictly increasing, as RelStructure
+    writes each edge.
     """
     if x0.part_sizes is not None:
         raise InputError("source must be partless")
     rel = x0.relations.get("R")
     if rel is None or rel.arity not in (2, 3):
         raise InputError("source needs a declared edge relation of arity 2 or 3")
+    _check_increasing(rel)
     m, r = x0.size, rel.arity
-    edges = [tuple(p * m + v for p, v in enumerate(sorted(e))) for e in rel.tuples]
+    edges = [tuple(p * m + v for p, v in enumerate(e)) for e in rel.tuples]
     return FiniteStructure(r * m, {"R": Relation(r, edges)}, (m,) * r)
 
 
@@ -328,10 +350,11 @@ def bar_restrict(x: FiniteStructure) -> FiniteStructure:
         raise InputError("input must carry parts and an edge relation")
     if len(x.part_sizes) != rel.arity:
         raise InputError("parts must match the edge arity")
+    _check_increasing(rel)
     part_ids = x.part_ids()
     for e in sorted(rel.tuples):
         if len({part_ids[v] for v in e}) != rel.arity:
-            raise InputError(f"edge {sorted(e)} is not cross-part")
+            raise InputError(f"edge {list(e)} is not cross-part")
     m = x.size
     bar = induced(encode_tilde(flatten(x)), [part_ids[v] * m + v for v in range(m)])
     if bar != x:

@@ -1,7 +1,8 @@
 """Golden output of the vcn command: one pinned run of every verb.
 
 Each case pins stdout and the exit code byte for byte (and stderr for the
-refusal and the error), so any change to what a verb prints shows here.
+refusal and the error), so any change to what a verb prints shows here;
+so do the usage cases for help, a missing verb and an unknown one.
 The inputs follow the README examples; set systems and hypergraphs are
 the pinned outputs of the extremal and gen-random cases themselves, and
 the larger extremal family is built by the library.
@@ -11,6 +12,7 @@ import json
 
 import pytest
 
+import vcn.cli
 from vcn import GroundFamily, RelStructure, build_extremal_family, points
 from vcn.cli import main
 
@@ -121,3 +123,95 @@ def test_golden_cases_cover_every_verb():
 
     verbs = set(build_parser()._subparsers._group_actions[0].choices)
     assert {argv[0] for argv, *_ in CASES.values()} == verbs
+
+
+VERBS = (
+    "zar-table,shatter,dim,shift,extremal,counterexample,arrow,direct-sum,"
+    "encode-partite,gen-random,walk,verify-bounds"
+)
+# (argv, exit code, stdout, stderr) at 80 columns
+USAGE_CASES = {
+    "help": (
+        ["--help"], 0,
+        "usage: vcn [-h]\n"
+        f"           {{{VERBS}}}\n"
+        "           ...\n"
+        "\n"
+        "Command line front end. Every verb reads JSON inputs, writes CSV or JSON to\n"
+        "stdout or --out, and is deterministic byte for byte. Exit codes: 0 success, 1\n"
+        "malformed input or arguments, 2 an explicit refusal (budget exhausted,\n"
+        "generation or walk or selection gave up).\n"
+        "\n"
+        "positional arguments:\n"
+        f"  {{{VERBS}}}\n"
+        "    zar-table           box-threshold table over a range of m\n"
+        "    shatter             shatter function vs the binomial bound\n"
+        "    dim                 box dimension of a set system\n"
+        "    shift               down-shift a ground family to its fixpoint\n"
+        "    extremal            family meeting the binomial bound's order\n"
+        "    counterexample      structure separating formula types from traces\n"
+        "    arrow               exhaustive partition arrow check\n"
+        "    direct-sum          witness for a tagged-sum arrow problem\n"
+        "    encode-partite      partite double of an ordered hypergraph\n"
+        "    gen-random          sample a hypergraph with a verified level\n"
+        "    walk                adjacency walk between two vertex sets\n"
+        "    verify-bounds       certify the shatter bound on a system\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    "verb-help": (
+        ["zar-table", "--help"], 0,
+        "usage: vcn zar-table [-h] --n N --m M --d D [--out OUT] [--format {csv,json}]\n"
+        "                     [--budget BUDGET]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --n N\n"
+        "  --m M                M, LO..HI, or A,B,C\n"
+        "  --d D\n"
+        "  --out OUT            write the output here instead of stdout\n"
+        "  --format {csv,json}  output format\n"
+        "  --budget BUDGET      search/enumeration budget; refusals exit with code 2\n",
+        "",
+    ),
+    "no-verb": ([], 1, "", "error: the following arguments are required: verb\n"),
+    "unknown-verb": (
+        ["bogus"], 1, "",
+        "error: argument verb: invalid choice: 'bogus' (choose from "
+        + ", ".join(f"'{verb}'" for verb in VERBS.split(","))
+        + ")\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(USAGE_CASES))
+def test_usage_output(name, monkeypatch, capsys):
+    argv, code, out, err = USAGE_CASES[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse exits after printing help
+        got = exc.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("argv", [["zar-table", "--help"], ["dim", "missing.json"], ["walk"]])
+def test_main_builds_only_the_invoked_verb(argv, monkeypatch):
+    built, build_parser = [], vcn.cli.build_parser
+
+    def spy(*args):
+        parser = build_parser(*args)
+        built.append(list(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(vcn.cli, "build_parser", spy)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert built == [[argv[0]]]

@@ -84,6 +84,52 @@ def test_violation_is_a_real_violation():
         assert not realized
 
 
+def _every_graph(n: int, size: int):
+    cells = list(product(range(size), repeat=n))
+    for mask in range(1 << len(cells)):
+        edges = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+        yield mask, PartiteHypergraph(n, (size,) * n, edges)
+
+
+@pytest.mark.parametrize("n, size", [(1, 7), (2, 3)])
+def test_every_small_graph_violates_as_the_reference_says(n, size):
+    for _, h in _every_graph(n, size):
+        for t in (1, 2, 3):
+            v = find_extension_violation(h, t)
+            assert (v is None) == ref_extension_ok(h, t)
+            if v is None:
+                continue
+            j, a0, a1, (lo, hi) = v
+            assert len(a0) + len(a1) + (lo is not None) + (hi is not None) <= t
+            inside = range(0 if lo is None else lo + 1, size if hi is None else hi)
+            assert inside
+
+            def relates(b, a):
+                return (*a[:j], b, *a[j:]) in h.edges
+
+            assert not any(
+                all(relates(b, a) for a in a0) and not any(relates(b, a) for a in a1)
+                for b in inside
+            )
+
+
+# (n, size, mask, t): the first violation, as the check has always returned it
+FIRST_VIOLATIONS = {
+    (1, 7, 1, 2): (0, (), ((),), (None, 1)),
+    (1, 7, 2, 2): (0, ((),), (), (None, 1)),
+    (2, 3, 454, 2): (0, ((0,),), ((1,),), (None, None)),
+    (2, 3, 167, 2): (0, (), ((1,), (2,)), (None, None)),
+    (2, 3, 490, 3): (0, (), ((0,), (1,)), (None, None)),
+    (2, 3, 453, 1): (1, (), ((2,),), (None, None)),
+}
+
+
+def test_first_violation_is_pinned():
+    for (n, size, mask, t), want in FIRST_VIOLATIONS.items():
+        h = dict(_every_graph(n, size))[mask]
+        assert find_extension_violation(h, t) == want
+
+
 def test_generation_deterministic_and_verified():
     eh = gen_extension_hypergraph(2, 10, 1, seed=7)
     eh2 = gen_extension_hypergraph(2, 10, 1, seed=7)

@@ -1,5 +1,6 @@
 """The modules of the package import each other in layers, without cycles,
-and each is loaded only when a name or a verb needs it."""
+and each of them, like json and csv, is loaded only when a name or a verb
+needs it."""
 
 import ast
 import os
@@ -102,8 +103,9 @@ STATEMENT = {
 NEVER_LOADED = ("dataclasses", "inspect")
 
 
-@pytest.mark.parametrize("case", list(LOADED))
-def test_modules_load_on_first_use(case, tmp_path):
+@pytest.fixture
+def work(tmp_path):
+    """A directory holding every input file the cases read."""
     from vcn import build_extremal_family, gen_extension_hypergraph, points
 
     for k in (1, 2, 3):
@@ -118,18 +120,45 @@ def test_modules_load_on_first_use(case, tmp_path):
         '{"domain": 3, "order": [2, 0, 1], "parts": [[2, 0], [1]],'
         ' "relations": {"R": {"arity": 2, "tuples": [[2, 1]]}}}'
     )
+    return tmp_path
+
+
+def _run(work: Path, script: str, *flags: str) -> list[str]:
+    """The lines a fresh interpreter prints running script in work."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], cwd=work, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")[:-1]
+
+
+@pytest.mark.parametrize("case", list(LOADED))
+def test_modules_load_on_first_use(case, work):
     script = (
         "import sys, vcn\n"
         f"{STATEMENT[case]}\n"
         f"print(' '.join(m for m in {NEVER_LOADED!r} if m in sys.modules))\n"
         "print(' '.join(sorted(m[4:] for m in sys.modules if m.startswith('vcn.'))))\n"
     )
-    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    *_, never, loaded = proc.stdout.split("\n")[:-1]
+    *_, never, loaded = _run(work, script)
     assert never == ""
     assert set(loaded.split()) == LOADED[case]
+
+
+# A verb loads json or csv only where it reads or writes that format:
+# (the one it loads, the one it does not).
+FORMATS = {"zar-table": ("csv", "json"), "encode-partite": ("json", "csv")}
+
+
+@pytest.mark.parametrize("case", list(FORMATS))
+def test_verbs_load_only_the_formats_they_use(case, work):
+    script = (
+        "import sys, vcn\n"
+        f"{STATEMENT[case]}\n"
+        f"print(*[m in sys.modules for m in {FORMATS[case]!r}])\n"
+    )
+    # -S: no site hook preloads standard-library modules
+    *_, loaded = _run(work, script, "-S")
+    assert loaded == "True False"

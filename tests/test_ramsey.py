@@ -26,6 +26,7 @@ from vcn import (
     FiniteStructure,
     InputError,
     RelStructure,
+    Relation,
     arrow_check,
     arrow_scan,
     bar_restrict,
@@ -87,6 +88,47 @@ def test_copies_match_pointwise_reference():
         found += bool(want)
         assert copies(target, source).embeddings == want, seed
     assert mismatched >= 40 and found >= 150
+
+
+def _random_relations(rng: random.Random, size: int) -> FiniteStructure:
+    """Two convex parts or none, and up to two relations of arity 1-3 whose
+    tuples may repeat or reverse vertices."""
+    cut = rng.randint(0, size)
+    parts = rng.choice([None, (cut, size - cut)])
+    relations = {}
+    for name, arity in zip("RS", rng.sample([1, 2, 3], rng.randint(0, 2))):
+        cells = product(range(size), repeat=arity)
+        relations[name] = Relation(arity, {t for t in cells if rng.random() < 0.3})
+    return FiniteStructure(size, relations, parts)
+
+
+def _thinned(rng: random.Random, s: FiniteStructure) -> FiniteStructure:
+    """s with about half of each relation's tuples dropped."""
+    relations = {
+        name: Relation(r.arity, {t for t in sorted(r.tuples) if rng.random() < 0.5})
+        for name, r in s.relations.items()
+    }
+    return FiniteStructure(s.size, relations, s.part_sizes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_copies_equal_the_induced_definition(seed):
+    rng = random.Random(seed)
+    # a 4-vertex ordered path in a random 12-vertex ordered graph
+    graph = random_ordered(rng, 12, 2, None)
+    path = ordered_graph(4, [(0, 1), (1, 2), (2, 3)])
+    pairs = [(graph, path), (graph, induced(graph, rng.sample(range(12), 4)))]
+    for _ in range(20):
+        target = _random_relations(rng, rng.randint(0, 6))
+        source = induced(target, rng.sample(range(target.size), min(target.size, 3)))
+        pairs.append((target, rng.choice([source, _thinned(rng, source)])))
+    for target, source in pairs:
+        want = tuple(
+            sel
+            for sel in combinations(range(target.size), source.size)
+            if induced(target, sel) == source
+        )
+        assert copies(target, source).embeddings == want
 
 
 def test_hereditary_closure_order_matches_reference():
@@ -321,6 +363,28 @@ def test_encode_tilde_validation():
         encode_tilde(RelStructure(3, None, 4, frozenset()))
     with pytest.raises(InputError):
         encode_tilde(RelStructure(3, (3,), 2, frozenset()))
+
+
+def _r(size, tuples, parts=None):
+    return FiniteStructure(size, {"R": Relation(len(tuples[0]), set(tuples))}, parts)
+
+
+@pytest.mark.parametrize(
+    "encode, structure, least",
+    [
+        (encode_tilde, _r(4, [(3, 1), (2, 0), (0, 1)]), "[2, 0]"),
+        (encode_tilde, _r(4, [(0, 0), (1, 2)]), "[0, 0]"),
+        (encode_tilde, _r(4, [(0, 3), (3, 3), (2, 1)]), "[2, 1]"),
+        (encode_tilde, _r(3, [(0, 2, 1), (0, 1, 2), (1, 1, 2)]), "[0, 2, 1]"),
+        (bar_restrict, _r(4, [(2, 0)], (2, 2)), "[2, 0]"),
+        (bar_restrict, _r(4, [(3, 1), (0, 2), (2, 0)], (2, 2)), "[2, 0]"),
+        (bar_restrict, _r(4, [(1, 1), (0, 2)], (2, 2)), "[1, 1]"),
+    ],
+)
+def test_encodings_refuse_a_tuple_that_is_not_increasing(encode, structure, least):
+    with pytest.raises(InputError) as err:
+        encode(structure)
+    assert str(err.value) == f"edge {least} is not strictly increasing"
 
 
 @pytest.mark.parametrize("l,r", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
