@@ -1,8 +1,8 @@
 """Workbench for box shattering over product universes and its relatives.
 
 Submodules: setsys (set systems, shattering, shifts), zar (box-free
-thresholds and extremal families), fmodel (quantifier-free formulas and
-type counting over finite structures), ramsey (ordered substructure
+thresholds, extremal families and the counterexample structure), fmodel
+(quantifier-free formulas and type counting over finite structures), ramsey (ordered substructure
 arrows and partite encodings), hyperrand (random hypergraphs with
 verified extension levels, adjacency walks), cli (the vcn command).
 
@@ -17,15 +17,15 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "errors": """BudgetExceededError FiniteStructure GenerationError InputError
-        Relation SelectionStuckError WalkStuckError""",
+        PartiteHypergraph Relation SelectionStuckError WalkStuckError""",
     "setsys": """BoxSpec GroundFamily ProductUniverse SetSystem is_shattered
         iter_boxes sauer_binomial_bound shatter_fn shift trace vc_n_dim""",
-    "zar": """PartiteHypergraph ZarResult build_extremal_family
+    "zar": """ZarResult build_counterexample_structure build_extremal_family
         contains_complete_partite zarankiewicz""",
-    "fmodel": """IndexedFamily QfFormula TypeCount build_counterexample_structure
-        check_encodes check_indiscernible conjoin count_types dim_phi
-        eval_formula format_formula negate parse_formula permute_blocks
-        phi_class pi_phi verify_ipn_witness""",
+    "fmodel": """IndexedFamily QfFormula TypeCount check_encodes
+        check_indiscernible conjoin count_types dim_phi eval_formula
+        format_formula negate parse_formula permute_blocks phi_class pi_phi
+        verify_ipn_witness""",
     "ramsey": """ColoringProblem EmbeddingSet RelStructure arrow_check
         arrow_scan bar_restrict build_direct_sum_witness copies direct_sum
         encode_tilde flatten hereditary_closure induced ordered_set_oracle

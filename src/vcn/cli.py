@@ -16,6 +16,7 @@ from .errors import (
     FiniteStructure,
     GenerationError,
     InputError,
+    PartiteHypergraph,
     SelectionStuckError,
     WalkStuckError,
     _decode,
@@ -154,7 +155,7 @@ def cmd_extremal(args) -> str:
 
 
 def cmd_counterexample(args) -> str:
-    from .fmodel import build_counterexample_structure
+    from .zar import build_counterexample_structure
 
     return build_counterexample_structure(_parse_range(args.m), args.budget).to_json()
 
@@ -201,7 +202,6 @@ def cmd_walk(args) -> str:
     import json
 
     from .hyperrand import adjacency_walk
-    from .zar import PartiteHypergraph
 
     h = PartiteHypergraph.from_json(_read_text(args.hypergraph))
 

@@ -5,16 +5,19 @@ Refusals are always explicit: an operation that cannot honestly finish
 raises instead of degrading to a sampled or truncated answer.  The
 library's value types are Records: frozen, compared and hashed by their
 fields, without the import and class-creation cost of dataclasses.  The
-one structure type, FiniteStructure, lives here beside Relation with the
-reader and writer of its document: fmodel evaluates formulas in it,
-ramsey checks arrows on it, and neither loads the other to build, read
-or write one.
+paper's two index types live here with the readers and writers of their
+documents: the one structure type, FiniteStructure, beside Relation, and
+PartiteHypergraph.  fmodel evaluates formulas in a structure, ramsey
+checks arrows on it, zar searches hypergraphs and hyperrand samples and
+walks them, and none of them loads another to build, read or write one.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
-from typing import Callable, Mapping, TypeVar
+from functools import reduce
+from itertools import accumulate, chain, repeat
+from operator import add, mul
+from typing import Callable, Iterable, Mapping, TypeVar
 
 _T = TypeVar("_T")
 
@@ -226,12 +229,12 @@ class FiniteStructure(Record):
             rels = _Relations(self.relations)
         except (TypeError, ValueError):
             raise InputError("relations must map names to Relations") from None
-        for name, rel in rels.items():
+        for name, rel in sorted(rels.items()):  # the first bad relation by name is named
             if not isinstance(rel, Relation):
                 raise InputError(f"relation {name} is not a Relation")
-            for t in rel.tuples:
-                if min(t) < 0 or max(t) >= self.size:
-                    raise InputError(f"relation {name} tuple {t} leaves the domain")
+            off = [t for t in rel.tuples if min(t) < 0 or max(t) >= self.size]
+            if off:
+                raise InputError(f"relation {name} tuple {min(off)} leaves the domain")
         object.__setattr__(self, "relations", rels)
 
     @property
@@ -296,3 +299,69 @@ class FiniteStructure(Record):
             return cls(size, {name: Relation(*r) for name, r in relations.items()}, part_sizes)
 
         return _decode(text, "structure", read, _STRUCTURE_SHAPE)
+
+
+def _bits(offsets: Iterable[int], space: int) -> int:
+    """The mask over space positions whose set bits are the offsets."""
+    buf = bytearray(space // 8 + 1)
+    for o in offsets:
+        buf[o >> 3] |= 1 << (o & 7)
+    return int.from_bytes(buf, "little")
+
+
+class PartiteHypergraph(Record):
+    """n-partite n-uniform hypergraph; an edge picks one vertex per part."""
+
+    n: int
+    part_sizes: tuple[int, ...]
+    edges: frozenset[tuple[int, ...]]
+
+    def __post_init__(self):
+        if type(self.n) is not int:  # exact: True is no part count
+            raise InputError("n must be an integer")
+        if self.n < 1:
+            raise InputError("n must be positive")
+        sizes = tuple(int(s) for s in self.part_sizes)
+        if len(sizes) != self.n or any(s < 1 for s in sizes):
+            raise InputError("need one positive size per part")
+        edges = frozenset(tuple(map(int, e)) for e in self.edges)
+        # one pass per part; only a failing edge set is walked, in sorted
+        # order, so the error names its least bad edge
+        if set(map(len, edges)) - {self.n} or any(
+            min(col) < 0 or max(col) >= s for col, s in zip(zip(*edges), sizes)
+        ):
+            for e in sorted(edges):
+                if len(e) != self.n:
+                    raise InputError(f"edge {e} does not pick one vertex per part")
+                if any(not 0 <= v < s for v, s in zip(e, sizes)):
+                    raise InputError(f"edge {e} leaves its parts")
+        object.__setattr__(self, "part_sizes", sizes)
+        object.__setattr__(self, "edges", edges)
+
+    def _cell_mask(self) -> int:
+        """The edges as a mask over the row-major grid: Horner's rule, part by part."""
+        cells = [0] * len(self.edges)
+        for col, size in zip(zip(*self.edges), self.part_sizes):
+            cells = list(map(add, map(mul, cells, repeat(size)), col))
+        return _bits(cells, reduce(mul, self.part_sizes))
+
+    def to_json(self) -> str:
+        # the edge list is the repr of the sorted edge tuples, parentheses made
+        # brackets: byte for byte what json.dumps writes, without the list of
+        # one string per token that json.dumps holds until it joins them
+        edges = repr(sorted(self.edges)).replace(",)", ")").replace("(", "[").replace(")", "]")
+        return f'{{"edges": {edges}, "n": {self.n}, "part_sizes": {list(self.part_sizes)}}}'
+
+    @classmethod
+    def from_json(cls, text: str) -> "PartiteHypergraph":
+        """Read a hypergraph document; a sample's "t" and "seed" are checked, then dropped."""
+
+        def build(doc):
+            return cls(doc["n"], doc["part_sizes"], doc["edges"])
+
+        return _decode(text, "hypergraph", build, _HYPERGRAPH_SHAPE)
+
+
+# The hypergraph document, keys in field order: PartiteHypergraph reads the first
+# three, hyperrand.ExtensionHypergraph all five; each is checked where present.
+_HYPERGRAPH_SHAPE = {"n": int, "part_sizes": [int], "edges": [[int]], "t": int, "seed": int}

@@ -1,8 +1,8 @@
 """Finite structures, quantifier-free formulas, and parameter-type counting.
 
-A structure is the library's one FiniteStructure (defined in errors,
-with its document): a domain, named relations and optional parts.  Its
-parts and order matter only where it indexes a family of indiscernibles.
+A structure is the library's one FiniteStructure, defined in errors
+beside PartiteHypergraph: a domain, named relations and optional parts.
+Its parts and order matter only where it indexes a family of indiscernibles.
 
 A formula here is quantifier-free with positional variable blocks: block 0
 is the object block (rendered "x"), blocks 1..n are parameter blocks
@@ -35,41 +35,12 @@ import re
 from functools import reduce
 from itertools import chain, combinations, product
 from math import prod
-from operator import and_, mul, or_
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-import vcn
-
-from .errors import BudgetExceededError, FiniteStructure, InputError, Record, Relation
+from .errors import BudgetExceededError, FiniteStructure, InputError, PartiteHypergraph
+from .errors import Record, Relation, _bits
 from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
-
-
-def build_counterexample_structure(
-    m_range: Sequence[int], node_budget: int | None = None
-) -> FiniteStructure:
-    """Ternary structure whose definable family is the n=2, d=1 extremal system.
-
-    The domain lists one element per family member (in sorted member
-    order) followed by the shared ground part; R(b, a0, a1) holds exactly
-    when the pair (a0, a1) lies in the member named b.  The formula
-    R(x, y0, y1) then defines the family, with every ground element
-    contributing the empty member.
-    """
-    from .zar import build_extremal_family
-
-    sizes = [int(m) for m in m_range]
-    if any(m < 1 for m in sizes):
-        raise InputError("block sizes must be positive")
-    fam = build_extremal_family(2, 1, sizes, node_budget)
-    ground = fam.universe.part_sizes[0]
-    count = len(fam.members)
-    tuples = set()
-    for idx, member in enumerate(fam.members):
-        for a0, a1 in fam.member_tuples(member):
-            tuples.add((idx, count + a0, count + a1))
-    return FiniteStructure(
-        count + ground, {"R": Relation(3, frozenset(tuples))}
-    )
 
 
 # Formula AST nodes are nested tuples:
@@ -259,14 +230,6 @@ def eval_formula(
 def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...]]:
     """All length-long domain tuples in row-major order."""
     return list(product(range(structure.size), repeat=length))
-
-
-def _bits(offsets: Iterable[int], space: int) -> int:
-    """The mask over space assignments whose set bits are the offsets."""
-    buf = bytearray(space // 8 + 1)
-    for o in offsets:
-        buf[o >> 3] |= 1 << (o & 7)
-    return int.from_bytes(buf, "little")
 
 
 def _formula_masks(
@@ -477,7 +440,7 @@ class IndexedFamily(Record):
     """Equal-length element tuples indexed by the vertices of a partite
     hypergraph or an ordered structure."""
 
-    index: vcn.zar.PartiteHypergraph | FiniteStructure
+    index: PartiteHypergraph | FiniteStructure
     tuples: Mapping[object, tuple[int, ...]]
 
     def __post_init__(self):
@@ -492,7 +455,7 @@ class IndexedFamily(Record):
         return len(next(iter(self.tuples.values()))) if self.tuples else 0
 
 
-def _index_view(index: vcn.zar.PartiteHypergraph | FiniteStructure):
+def _index_view(index: PartiteHypergraph | FiniteStructure):
     """The vertices of an index in order, and the ordered structure it is.
 
     A structure is its own view, on the vertices 0..size-1.  A partite
@@ -500,8 +463,6 @@ def _index_view(index: vcn.zar.PartiteHypergraph | FiniteStructure):
     vertices in part-major order, its parts convex, and each edge shifted
     to the positions of the vertices it picks.
     """
-    from .zar import PartiteHypergraph
-
     if isinstance(index, FiniteStructure):
         return range(index.size), index
     if not isinstance(index, PartiteHypergraph):
@@ -536,7 +497,7 @@ def check_encodes(
     structure: FiniteStructure,
     phi: QfFormula,
     fam: IndexedFamily,
-    hypergraph: vcn.zar.PartiteHypergraph,
+    hypergraph: PartiteHypergraph,
 ) -> bool:
     """True when phi on the indexed tuples reproduces the hypergraph's edges.
 
@@ -549,9 +510,7 @@ def check_encodes(
     vertices = [(p, i) for p, size in enumerate(sizes) for i in range(size)]
     _check_family(structure, fam, vertices, phi.block_lengths)
     lists = [[fam.tuples[p, i] for i in range(size)] for p, size in enumerate(sizes)]
-    strides = [prod(sizes[p + 1 :]) for p in range(len(sizes))]
-    edges = _bits((sum(map(mul, e, strides)) for e in hypergraph.edges), prod(sizes))
-    return _formula_masks(structure, [phi], lists)[0] == edges
+    return _formula_masks(structure, [phi], lists)[0] == hypergraph._cell_mask()
 
 
 def check_indiscernible(

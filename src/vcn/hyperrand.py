@@ -40,16 +40,17 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import (
+    _HYPERGRAPH_SHAPE,
     FiniteStructure,
     GenerationError,
     InputError,
+    PartiteHypergraph,
     Record,
     Relation,
     SelectionStuckError,
     WalkStuckError,
     _decode,
 )
-from .zar import _HYPERGRAPH_SHAPE, PartiteHypergraph
 
 Vertex = tuple[int, int]  # (part, position)
 _RETRIES = 50  # default number of sampling attempts of gen_extension_hypergraph

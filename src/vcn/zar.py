@@ -14,8 +14,8 @@ as the current upper bound, and one that finds none lowers it by one.
 
 The extremal witnesses feed a set system made of the power sets of
 box-free witnesses placed on disjoint blocks: its box dimension collapses
-to d while its shatter function stays exponential.  fmodel turns that
-system into a ternary structure whose definable family reproduces it.
+to d while its shatter function stays exponential; the counterexample
+structure is its ternary relation, so R(x, y0, y1) defines that system.
 """
 
 from __future__ import annotations
@@ -27,59 +27,11 @@ from typing import Iterator, Sequence
 
 import vcn
 
-from .errors import BudgetExceededError, InputError, Record, _decode
+from .errors import BudgetExceededError, FiniteStructure, InputError, PartiteHypergraph
+from .errors import Record, Relation
 
 _EXACT = "exact"
 _LOWER = "lower_bound_only"
-
-
-class PartiteHypergraph(Record):
-    """n-partite n-uniform hypergraph; an edge picks one vertex per part."""
-
-    n: int
-    part_sizes: tuple[int, ...]
-    edges: frozenset[tuple[int, ...]]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError("n must be positive")
-        sizes = tuple(int(s) for s in self.part_sizes)
-        if len(sizes) != self.n or any(s < 1 for s in sizes):
-            raise InputError("need one positive size per part")
-        edges = frozenset(tuple(map(int, e)) for e in self.edges)
-        # one pass per part; only a failing edge set is walked, in sorted
-        # order, so the error names its least bad edge
-        if set(map(len, edges)) - {self.n} or any(
-            min(col) < 0 or max(col) >= s for col, s in zip(zip(*edges), sizes)
-        ):
-            for e in sorted(edges):
-                if len(e) != self.n:
-                    raise InputError(f"edge {e} does not pick one vertex per part")
-                if any(not 0 <= v < s for v, s in zip(e, sizes)):
-                    raise InputError(f"edge {e} leaves its parts")
-        object.__setattr__(self, "part_sizes", sizes)
-        object.__setattr__(self, "edges", edges)
-
-    def to_json(self) -> str:
-        # the edge list is the repr of the sorted edge tuples, parentheses made
-        # brackets: byte for byte what json.dumps writes, without the list of
-        # one string per token that json.dumps holds until it joins them
-        edges = repr(sorted(self.edges)).replace(",)", ")").replace("(", "[").replace(")", "]")
-        return f'{{"edges": {edges}, "n": {self.n}, "part_sizes": {list(self.part_sizes)}}}'
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartiteHypergraph":
-        """Read a hypergraph document; a sample's "t" and "seed" are checked, then dropped."""
-
-        def build(doc):
-            return cls(doc["n"], doc["part_sizes"], doc["edges"])
-
-        return _decode(text, "hypergraph", build, _HYPERGRAPH_SHAPE)
-
-
-# The hypergraph document, keys in field order: PartiteHypergraph reads the first
-# three, hyperrand.ExtensionHypergraph all five; each is checked where present.
-_HYPERGRAPH_SHAPE = {"n": int, "part_sizes": [int], "edges": [[int]], "t": int, "seed": int}
 
 
 class ZarResult(Record):
@@ -135,13 +87,7 @@ def contains_complete_partite(h: PartiteHypergraph, d: int) -> bool:
         raise InputError("d must be positive")
     if any(d > s for s in h.part_sizes):
         return False
-    mask = 0
-    for e in h.edges:
-        cell = 0
-        for v, s in zip(e, h.part_sizes):
-            cell = cell * s + v
-        mask |= 1 << cell
-    return _mask_has_box(mask, d, h.part_sizes)
+    return _mask_has_box(h._cell_mask(), d, h.part_sizes)
 
 
 def _same_popcount(mask: int) -> Iterator[int]:
@@ -382,3 +328,27 @@ def build_extremal_family(
         members.update(subsets)
         offset += m
     return SetSystem(universe, tuple(sorted(members)))
+
+
+def build_counterexample_structure(
+    m_range: Sequence[int], node_budget: int | None = None
+) -> FiniteStructure:
+    """Ternary structure whose definable family is the n=2, d=1 extremal system.
+
+    The domain lists one element per family member (in sorted member
+    order) followed by the shared ground part; R(b, a0, a1) holds exactly
+    when the pair (a0, a1) lies in the member named b.  The formula
+    R(x, y0, y1) then defines the family, with every ground element
+    contributing the empty member.
+    """
+    sizes = [int(m) for m in m_range]
+    if any(m < 1 for m in sizes):
+        raise InputError("block sizes must be positive")
+    fam = build_extremal_family(2, 1, sizes, node_budget)
+    ground = fam.universe.part_sizes[0]
+    count = len(fam.members)
+    tuples = set()
+    for idx, member in enumerate(fam.members):
+        for a0, a1 in fam.member_tuples(member):
+            tuples.add((idx, count + a0, count + a1))
+    return FiniteStructure(count + ground, {"R": Relation(3, frozenset(tuples))})

@@ -3,6 +3,7 @@
 import json
 import random
 import tempfile
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -263,6 +264,30 @@ def test_edge_check_keeps_its_readings():
         PartiteHypergraph(2, (2, 2), [("x", 0)])
 
 
+def test_part_count_is_an_integer_and_documents_round_trip():
+    # a float or bool n would reach a document that the reader refuses
+    for n, message in [
+        (2.0, "n must be an integer"),
+        (True, "n must be an integer"),
+        ("2", "n must be an integer"),
+        (0, "n must be positive"),
+        (-1, "n must be positive"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            PartiteHypergraph(n, (2, 2), [(0, 1)])
+        assert str(exc.value) == message
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        sizes = tuple(rng.randint(1, 4) for _ in range(n))
+        edges = {tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(0, 12))}
+        h = PartiteHypergraph(n, sizes, edges)
+        assert PartiteHypergraph.from_json(h.to_json()) == h
+        # the cell mask reads the grid row-major, the last part fastest
+        cells = product(*map(range, sizes))
+        assert h._cell_mask() == sum(1 << i for i, e in enumerate(cells) if e in edges)
+
+
 def _structure_docs():
     """Seeded structure documents on domains of 1 to 5.
 
@@ -412,6 +437,15 @@ def test_structure_constructors_keep_their_messages():
         (
             lambda: FiniteStructure(2, {"R": Relation(2, {(0, 1)}), "S": Relation(1, [(2,)])}),
             "relation S tuple (2,) leaves the domain",
+        ),
+        # the least tuple off the domain, of the first such relation by name
+        (
+            lambda: FiniteStructure(3, {"R": Relation(2, {(3, 1), (10, 0), (0, 4)})}),
+            "relation R tuple (0, 4) leaves the domain",
+        ),
+        (
+            lambda: FiniteStructure(1, {"S": Relation(1, [(1,)]), "R": Relation(1, [(2,)])}),
+            "relation R tuple (2,) leaves the domain",
         ),
         # a relation given as its tuples, or a mapping given as pairs
         (lambda: FiniteStructure(3, {"R": [(0, 1)]}), "relation R is not a Relation"),

@@ -9,19 +9,19 @@ import vcn
 # The public names of the package; a change here is an API change.
 PUBLIC = {
     "errors": [
-        "BudgetExceededError", "FiniteStructure", "GenerationError", "InputError", "Relation",
-        "SelectionStuckError", "WalkStuckError",
+        "BudgetExceededError", "FiniteStructure", "GenerationError", "InputError",
+        "PartiteHypergraph", "Relation", "SelectionStuckError", "WalkStuckError",
     ],
     "setsys": [
         "BoxSpec", "GroundFamily", "ProductUniverse", "SetSystem", "is_shattered",
         "iter_boxes", "sauer_binomial_bound", "shatter_fn", "shift", "trace", "vc_n_dim",
     ],
     "zar": [
-        "PartiteHypergraph", "ZarResult", "build_extremal_family",
+        "ZarResult", "build_counterexample_structure", "build_extremal_family",
         "contains_complete_partite", "zarankiewicz",
     ],
     "fmodel": [
-        "IndexedFamily", "QfFormula", "TypeCount", "build_counterexample_structure",
+        "IndexedFamily", "QfFormula", "TypeCount",
         "check_encodes", "check_indiscernible", "conjoin", "count_types", "dim_phi",
         "eval_formula", "format_formula", "negate", "parse_formula", "permute_blocks",
         "phi_class", "pi_phi", "verify_ipn_witness",
