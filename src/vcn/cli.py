@@ -161,13 +161,12 @@ def cmd_counterexample(args) -> str:
 
 
 def cmd_arrow(args) -> str:
-    from .ramsey import _ARROW_BUDGET, ColoringProblem, arrow_scan
+    from .ramsey import ColoringProblem, arrow_scan
 
     a = _load_structure(args.a)
     b = _load_structure(args.b)
     c = _load_structure(args.c)
-    budget = args.budget if args.budget is not None else _ARROW_BUDGET
-    result, checked = arrow_scan(ColoringProblem(a, b, c, args.k), budget)
+    result, checked = arrow_scan(ColoringProblem(a, b, c, args.k), args.budget)
     rows = [[a.size, b.size, c.size, args.k, result, checked]]
     header = ["a_size", "b_size", "c_size", "k", "result", "colorings_checked"]
     return _table(header, rows, args.format)
@@ -177,11 +176,8 @@ def cmd_direct_sum(args) -> str:
     from .ramsey import build_direct_sum_witness, ordered_set_oracle
 
     parts = [_load_structure(p) for p in (args.a0, args.b0, args.a1, args.b1)]
-    oracle = None
-    if args.budget is not None:
-        oracle = ordered_set_oracle(args.budget)
-    witness = build_direct_sum_witness(*parts, args.k, witness_oracle=oracle)
-    return witness.to_json()
+    oracle = ordered_set_oracle(args.budget)
+    return build_direct_sum_witness(*parts, args.k, witness_oracle=oracle).to_json()
 
 
 def cmd_encode_partite(args) -> str:
@@ -191,10 +187,9 @@ def cmd_encode_partite(args) -> str:
 
 
 def cmd_gen_random(args) -> str:
-    from .hyperrand import _RETRIES, gen_extension_hypergraph
+    from .hyperrand import gen_extension_hypergraph
 
-    retries = args.budget if args.budget is not None else _RETRIES
-    eh = gen_extension_hypergraph(args.n, args.m, args.t, args.seed, retries)
+    eh = gen_extension_hypergraph(args.n, args.m, args.t, args.seed, args.budget)
     return eh.to_json()
 
 

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, FiniteStructure, InputError, PartiteHypergraph
 from .errors import Record, Relation, _bits
-from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
+from .setsys import ProductUniverse, SetSystem, _max_trace, _rows, vc_n_dim
 
 
 # Formula AST nodes are nested tuples:
@@ -313,8 +313,15 @@ def _types(
     masks = _formula_masks(structure, delta, lists)
     cells = prod(len(lst) for lst in lists[1:])
     low = (1 << cells) - 1
+    data = [mask.to_bytes(len(lists[0]) * cells // 8 + 1, "little") for mask in masks]
+
+    def piece(bits: bytes, start: int) -> int:
+        # the cells bits from start on, cut from the bytes that hold them
+        word = int.from_bytes(bits[start >> 3 : start + cells + 7 >> 3], "little")
+        return word >> (start & 7) & low
+
     return [
-        sum((mask >> p * cells & low) << f * cells for f, mask in enumerate(masks))
+        sum(piece(bits, p * cells) << f * cells for f, bits in enumerate(data))
         for p in range(len(lists[0]))
     ]
 
@@ -395,8 +402,6 @@ def pi_phi(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> in
     if any(m > len(s) for s in spaces[1:]):
         raise InputError(f"box size {m} exceeds a parameter tuple space")
     types = list(set(_types(structure, delta, spaces)))
-    if m == 0:
-        return min(len(types), 1)  # every object tuple has the one empty pattern
     sizes = (len(delta), *(len(s) for s in spaces[1:]))
     pools = [[tuple(range(len(delta)))], *(combinations(range(s), m) for s in sizes[1:])]
     cap = min(len(types), 1 << len(delta) * m ** (len(sizes) - 1))
@@ -545,7 +550,6 @@ def check_indiscernible(
     slot: dict = {}
     column = [slot.setdefault(fam.tuples[v], len(slot)) for v in vertices]
     blocks = len(shape)
-    strides = [len(slot) ** (blocks - 1 - j) for j in range(blocks)]
     masks = _formula_masks(structure, delta, [list(slot)] * blocks)
     data = [mask.to_bytes(len(slot) ** blocks // 8 + 1, "little") for mask in masks]
     part = (view.part_ids() or [0] * view.size) if "parts" in reduct else None
@@ -563,9 +567,8 @@ def check_indiscernible(
 
     def delta_type(w):
         cols = [column[x] for x in w]
-        offsets = [0]  # one bit offset per block map into w, block 0 outermost
-        for stride in strides:
-            offsets = [o + c * stride for o in offsets for c in cols]
+        # one bit offset per block map into w, block 0 outermost
+        offsets = _rows([len(slot)] * blocks, [cols] * blocks)
         return tuple(bits[o >> 3] >> (o & 7) & 1 for o in offsets for bits in data)
 
     for length in range(1, arity_cap + 1):

@@ -168,16 +168,18 @@ def achieved_extension_level(h: PartiteHypergraph, cap: int) -> int:
 
 
 def gen_extension_hypergraph(
-    n: int, part_size: int, t: int, seed: int, retries: int = _RETRIES
+    n: int, part_size: int, t: int, seed: int, retries: int | None = None
 ) -> ExtensionHypergraph:
     """Sample edges at density 1/2 until the level-t check passes.
 
     Attempt i derives its generator deterministically from the seed
     (seed * 1000003 + i, feeding the standard generator), and edges are
     drawn one bit per cross tuple in row-major order, so results are
-    reproducible byte for byte.  Raises after the retry budget, carrying
-    the best level any attempt achieved (-1 after zero attempts).
+    reproducible byte for byte.  Raises after the retry budget (None
+    means the default of 50 attempts), carrying the best level any
+    attempt achieved (-1 after zero attempts).
     """
+    retries = _RETRIES if retries is None else retries
     if n < 1 or part_size < 1 or retries < 0:
         raise InputError("n and part_size must be positive, retries nonnegative")
     if t < 0:
@@ -470,7 +472,7 @@ def random_subgraph(
     if not check_extension_level(sub, t_prime):
         raise GenerationError(
             f"selected subgraph failed the level-{t_prime} extension check",
-            best_t=achieved_extension_level(sub, t_prime - 1) if t_prime else -1,
+            best_t=achieved_extension_level(sub, t_prime - 1),
         )
     return chosen
 

@@ -151,13 +151,15 @@ class ColoringProblem(Record):
             raise InputError("number of colors must be positive")
 
 
-def arrow_scan(problem: ColoringProblem, budget: int = _ARROW_BUDGET) -> tuple[bool, int]:
+def arrow_scan(problem: ColoringProblem, budget: int | None = None) -> tuple[bool, int]:
     """Like arrow_check but also reports how many colorings were decided.
 
     The count is every coloring, k**N for N A-copies, when the arrow
     holds, and the lexicographic rank of the first bad coloring plus one
-    when it fails.  The budget caps k**N up front, before any search.
+    when it fails.  The budget caps k**N up front, before any search;
+    None means the default of 2**20.
     """
+    budget = _ARROW_BUDGET if budget is None else budget
     a_copies = copies(problem.c, problem.a).embeddings
     b_copies = copies(problem.c, problem.b).embeddings
     inner = copies(problem.b, problem.a).embeddings
@@ -203,12 +205,12 @@ def arrow_scan(problem: ColoringProblem, budget: int = _ARROW_BUDGET) -> tuple[b
     return False, rank + 1
 
 
-def arrow_check(problem: ColoringProblem, budget: int = _ARROW_BUDGET) -> bool:
+def arrow_check(problem: ColoringProblem, budget: int | None = None) -> bool:
     """Exhaustively decide C -> (B)^A_k.
 
     True when every k-coloring of the A-copies of C admits a B-copy whose
     A-copies are monochromatic.  Refuses when the coloring count exceeds
-    the budget.
+    the budget; None means arrow_scan's default.
     """
     return arrow_scan(problem, budget)[0]
 
@@ -251,20 +253,19 @@ def direct_sum(a0: FiniteStructure, a1: FiniteStructure) -> FiniteStructure:
     return FiniteStructure(a0.size + a1.size, relations, (a0.size, a1.size))
 
 
-def ordered_set_oracle(budget: int = _ARROW_BUDGET) -> Callable:
+def ordered_set_oracle(budget: int | None = None) -> Callable:
     """Arrow witness oracle for plain ordered sets.
 
-    Exact pigeonhole sizes where classical, otherwise an incremental
-    exhaustive search that refuses past its budget.
+    B itself where every B-copy holds at most one A-copy, exact pigeonhole
+    sizes where classical, otherwise an incremental exhaustive search that
+    refuses past its budget (None: arrow_scan's default).
     """
 
     def oracle(a: FiniteStructure, b: FiniteStructure, k: int) -> FiniteStructure:
         if a != points(a.size) or b != points(b.size):
             raise InputError("the default oracle handles plain ordered sets only")
-        if a.size == b.size:
-            return b
-        if a.size == 0:
-            return b  # every coloring is constant on the single empty copy
+        if a.size == 0 or a.size >= b.size:
+            return b  # every coloring is constant on a B-copy's one A-copy, or on none
         if a.size == 1:
             return points(k * (b.size - 1) + 1)
         if (a.size, b.size, k) == (2, 3, 2):

@@ -163,7 +163,7 @@ class BoxSpec(Record):
     def cell_indices(self, universe: ProductUniverse) -> list[int]:
         """Universe tuple indices of the box grid, row-major in the box."""
         self.validate(universe)
-        return [universe.tuple_index(t) for t in product(*self.selections)]
+        return _rows(universe.part_sizes, self.selections)
 
 
 class GroundFamily(Record):
@@ -209,13 +209,11 @@ def iter_boxes(universe: ProductUniverse, m: int) -> Iterator[BoxSpec]:
     """All boxes of size m, selections in lexicographic order per part."""
     if m < 0:
         raise InputError("box size must be nonnegative")
-    if any(m > s for s in universe.part_sizes):
-        return iter(())
     return (BoxSpec(sels) for sels in product(*_box_pools(universe, m)))
 
 
 def _rows(sizes: Sequence[int], selections: Sequence[Sequence[int]]) -> list[int]:
-    """Rows, in box order, of the index tuples picked from the first n-1 parts."""
+    """Row-major indices, in box order, of the tuples picked; from n-1 parts, the rows."""
     rows = [0]
     for size, sel in zip(sizes, selections):
         rows = [r * size + v for r in rows for v in sel]
@@ -321,8 +319,6 @@ def shatter_fn(system: SetSystem, m: int) -> int:
         raise InputError("box size must be nonnegative")
     if any(m > s for s in system.universe.part_sizes):
         raise InputError(f"box size {m} exceeds a part size")
-    if m == 0:
-        return 1 if system.members else 0
     cap = min(len(system.members), 1 << m ** system.universe.n)
     pools = _box_pools(system.universe, m)
     return _max_trace(system.members, system.universe.part_sizes, pools, 0, cap)

@@ -85,8 +85,6 @@ def contains_complete_partite(h: PartiteHypergraph, d: int) -> bool:
     """True when h contains the complete sub-hypergraph on d vertices per part."""
     if d < 1:
         raise InputError("d must be positive")
-    if any(d > s for s in h.part_sizes):
-        return False
     return _mask_has_box(h._cell_mask(), d, h.part_sizes)
 
 
@@ -228,8 +226,6 @@ def zarankiewicz(
                 stop = True
                 return
         remaining = m - len(layers)
-        if not remaining:
-            return
         top = start.bit_count()
         for count in range(top, -1, -1):
             if total + most(remaining, count, left) <= floor:

@@ -232,6 +232,26 @@ def test_direct_sum_oracle_budget_refuses(tmp_path, capsys):
     assert err == "refused: 27 colorings exceed the budget of 10; refusing to sample\n"
 
 
+@pytest.mark.parametrize(
+    "sizes, budget, parts",
+    [
+        ((1, 0, 1, 0), [], (0, 0)),
+        ((3, 2, 1, 2), ["--budget", "0"], (2, 3)),
+        ((0, 2, 2, 2), ["--budget", "0"], (2, 2)),
+        ((2, 2, 0, 3), ["--budget", "0"], (2, 3)),
+    ],
+    ids=["point-over-empty", "a-above-b-budget-0", "a-empty-then-a-is-b", "a-is-b-then-a-empty"],
+)
+def test_direct_sum_where_b_holds_one_a_copy_at_most(tmp_path, capsys, sizes, budget, parts):
+    """B is the oracle's witness there, with no search, so no budget refuses."""
+    for size in sizes:
+        (tmp_path / f"p{size}.json").write_text(points(size).to_json())
+    paths = [str(tmp_path / f"p{size}.json") for size in sizes]
+    code, out, err = run(capsys, "direct-sum", *paths, "--k", "2", *budget)
+    assert (code, err) == (0, "")
+    assert FiniteStructure.from_json(out) == FiniteStructure(sum(parts), {}, parts)
+
+
 def test_encode_partite_verb(tmp_path, capsys):
     g = RelStructure(3, None, 2, frozenset({frozenset({0, 1})}))
     path = tmp_path / "g.json"

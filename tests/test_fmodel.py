@@ -284,6 +284,23 @@ def test_pi_phi_when_a_formula_ignores_the_object(seed):
             assert pi_phi(structure, delta, m) == ref_pi_phi(structure, delta, m)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_patterns_that_straddle_bytes_match_pointwise_evaluation(seed):
+    """No cell count here is a multiple of 8, so most object tuples'
+    patterns start and end inside a byte of the formula masks."""
+    rng = random.Random(seed)
+    lengths = rng.choice([(1, 1), (2, 1), (1, 2), (1, 1, 1)])
+    domain = rng.choice([3, 5, 6, 7] if lengths == (1, 1) else [3, 5])
+    structure = random_structure(seed, domain=domain, signature=SIGNATURE)
+    delta = [random_formula(rng, lengths, SIGNATURE) for _ in range(2)]
+    spaces = [block_tuples(structure, l) for l in lengths[1:]]
+    assert len(list(product(*spaces))) % 8
+    for phi in delta:
+        want = {sum(b << i for i, b in enumerate(t)) for t in ref_types(structure, [phi], spaces)}
+        assert set(phi_class(structure, phi).members) == want
+    assert count_types(structure, delta, spaces).count == len(ref_types(structure, delta, spaces))
+
+
 @pytest.mark.parametrize("seed", range(48))
 def test_type_counting_matches_pointwise_evaluation(seed):
     rng, structure, delta = random_instance(seed)

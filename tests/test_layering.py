@@ -44,6 +44,20 @@ def test_import_graph_is_acyclic():
     assert graph["fmodel"] == {"errors", "setsys"}
 
 
+def test_cli_imports_no_private_kernel_name():
+    """A kernel's private names, its defaults among them, stay in the kernel;
+    errors' shared codec is the one private name cli reads."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {("errors", "_decode")}
+
+
 def test_no_import_hides_under_type_checking():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -280,6 +280,9 @@ def test_ordered_set_oracle_pigeonhole():
     assert oracle(points(1), points(3), 4).size == 4 * 2 + 1
     assert oracle(points(2), points(2), 5).size == 2
     assert oracle(points(2), points(3), 2).size == 6
+    # the classical sizes need no search, so a budget too small for one still answers
+    assert ordered_set_oracle(0)(points(1), points(3), 4).size == 4 * 2 + 1
+    assert ordered_set_oracle(100)(points(2), points(3), 2).size == 6
     # anything but a plain ordered set is refused, parts as well as edges
     for a, b in [
         (ordered_graph(2, [(0, 1)]), points(3)),
@@ -288,6 +291,15 @@ def test_ordered_set_oracle_pigeonhole():
     ]:
         with pytest.raises(InputError, match="plain ordered sets only"):
             oracle(a, b, 2)
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+def test_ordered_set_oracle_answers_b_where_it_holds_one_a_copy_at_most(budget):
+    """A empty, A = B and A larger than B: B is the witness, found without a search."""
+    oracle = ordered_set_oracle(budget)
+    for a, b in [(0, 0), (0, 3), (2, 2), (3, 2), (1, 0), (4, 1)]:
+        assert oracle(points(a), points(b), 2) == points(b)
+        assert arrow_check(ColoringProblem(points(a), points(b), points(b), 2))
 
 
 def test_direct_sum_witness_small_exhaustive():

@@ -290,6 +290,7 @@ def test_single_member_system_has_dim_zero():
     assert vc_n_dim(s) == 0
     assert shatter_fn(s, 0) == 1
     assert shatter_fn(s, 1) == 1
+    assert shatter_fn(SetSystem(u, ()), 0) == 0  # no member, so no trace, not even on the empty box
 
 
 def test_shatter_rejects_oversized_box():
@@ -303,6 +304,7 @@ def test_iter_boxes_counts():
 
     u = ProductUniverse((4, 3))
     assert sum(1 for _ in iter_boxes(u, 2)) == comb(4, 2) * comb(3, 2)
+    assert list(iter_boxes(ProductUniverse((4, 1)), 2)) == []  # no pair in the second part
     spec = next(iter_boxes(u, 2))
     assert spec.m == 2
     assert spec.cell_indices(u) == [

@@ -413,6 +413,12 @@ def test_contains_complete_partite_matches_reference(seed):
     edges = {t for t in product(range(m), repeat=n) if rng.random() < density}
     h = PartiteHypergraph(n, (m,) * n, frozenset(edges))
     assert contains_complete_partite(h, d) == ref_has_box(edges, n, m, d)
+    if 1 < d <= m:
+        # one part cut below d, the others kept: no box fits the cut part
+        sizes = [m] * n
+        sizes[rng.randrange(n)] = d - 1
+        kept = frozenset(e for e in edges if all(v < s for v, s in zip(e, sizes)))
+        assert not contains_complete_partite(PartiteHypergraph(n, tuple(sizes), kept), d)
 
 
 def test_hypergraph_json_round_trip():
