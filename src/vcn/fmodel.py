@@ -14,8 +14,9 @@ object tuples against finite parameter boxes counts realized types.  The
 two views agree cell by cell, and the test suite checks that agreement
 directly.  Every evaluation here, from one assignment (eval_formula) to
 the encoding and indiscernibility checks, reads one evaluator, which
-turns each formula into one bitmask over an assignment space, so type
-counting over all boxes is the shatter function of the delta-type system.
+compiles each formula once and builds one object tuple's truth pattern
+at a time; type counting over all boxes is the shatter function of the
+delta-type system.
 
 Formulas are exchanged as s-expressions, e.g.::
 
@@ -32,11 +33,11 @@ arities and variable ranges, however a formula was built.
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations, product
 from math import prod
-from operator import and_, or_
-from typing import Iterable, Mapping, Sequence
+from operator import and_, getitem, or_
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, FiniteStructure, InputError, PartiteHypergraph
 from .errors import Record, Relation, _bits
@@ -224,7 +225,7 @@ def eval_formula(
 ) -> bool:
     """Evaluate phi under one tuple per block."""
     lists = _block_lists(structure, [[t] for t in assignment], phi.block_lengths, "assignment")
-    return _formula_masks(structure, [phi], lists)[0] == 1
+    return _types(structure, [phi], lists)(lists[0][0]) == 1
 
 
 def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...]]:
@@ -232,26 +233,27 @@ def block_tuples(structure: FiniteStructure, length: int) -> list[tuple[int, ...
     return list(product(range(structure.size), repeat=length))
 
 
-def _formula_masks(
+def _types(
     structure: FiniteStructure, delta: Sequence[QfFormula], lists: Sequence[Sequence]
-) -> list[int]:
-    """One bitmask per formula over an assignment space.
+) -> Callable[[tuple], int]:
+    """The truth pattern, as an int, of an object tuple of lists[0].
 
-    The space is the row-major product of lists, one list of tuples per
-    block, object block first: bit i holds the formula at assignment i.
+    Each formula is compiled once; a pattern is built when it is asked
+    for, one object tuple at a time.  Bit f * cells + g holds formula f on
+    cell g of the row-major product of the parameter lists.
     """
     sizes = [len(lst) for lst in lists]
     strides = [prod(sizes[j + 1 :]) for j in range(len(sizes))]
-    space = prod(sizes)
-    full = (1 << space) - 1
+    cells = strides[0]
+    full = (1 << cells) - 1
     diagonal = frozenset((v, v) for v in range(structure.size))
 
-    def cylinder(vars_, tuples) -> int:
-        """The assignments whose values at vars_ form a tuple in tuples."""
-        if not space:
-            return 0
-        # comps[b]: the components of block b that vars_ reads, for each block it reads
-        blocks = sorted({b for b, _ in vars_})
+    def cylinder(vars_, tuples):
+        """The cells whose values at vars_ form a tuple in tuples, by object tuple."""
+        if not cells:
+            return lambda t: 0
+        # comps[b]: the components of block b that vars_ reads, for block 0 and each it reads
+        blocks = sorted({0, *(b for b, _ in vars_)})
         comps = {b: sorted({c for bb, c in vars_ if bb == b}) for b in blocks}
         # offsets[b][key]: bit offsets of the block-b tuples whose values at comps[b] are key
         offsets = {}
@@ -259,28 +261,39 @@ def _formula_masks(
             groups = offsets[b] = {}
             for p, t in enumerate(lists[b]):
                 groups.setdefault(tuple(t[c] for c in cs), []).append(p * strides[b])
-        keys = []  # one key per mentioned block, for each satisfying assignment of vars_
+        # keys[k]: the parameter-block keys of the satisfying assignments, by object key k
+        keys = {k: [] for k in offsets[0]}
         if len(tuples) < prod(map(len, offsets.values())):
+            # a key reads each component where vars_ first names it; repeats must agree
+            pos = [[vars_.index((b, c)) for c in cs] for b, cs in comps.items()]
+            same = [(i, vars_.index(var)) for i, var in enumerate(vars_) if vars_.index(var) < i]
             for t in tuples:
-                value = {}
-                if all(value.setdefault(var, v) == v for var, v in zip(vars_, t)):
-                    key = [tuple(value[b, c] for c in cs) for b, cs in comps.items()]
+                if all(t[i] == t[j] for i, j in same):
+                    key = [tuple([t[i] for i in ps]) for ps in pos]
                     if all(k in offsets[b] for k, b in zip(key, comps)):
-                        keys.append(key)
+                        keys[key[0]].append(key[1:])
         else:
-            slots = [(list(comps).index(b), comps[b].index(c)) for b, c in vars_]
+            slots = [(blocks.index(b), comps[b].index(c)) for b, c in vars_]
             for key in product(*offsets.values()):
                 if tuple(key[i][j] for i, j in slots) in tuples:
-                    keys.append(key)
-        hits = (map(sum, product(*(offsets[b][k] for b, k in zip(comps, key)))) for key in keys)
-        mask = _bits(chain.from_iterable(hits), space)
-        # the blocks vars_ leaves free: every position, by one carry-free product
-        for b, size in enumerate(sizes):
-            if b not in comps:
-                mask *= _bits(range(0, size * strides[b], strides[b]), size * strides[b])
-        return mask
+                    keys[key[0]].append(key[1:])
+        tables = [offsets[b] for b in blocks[1:]]
 
-    def build(node) -> int:
+        def build(k) -> int:
+            spots = (product(*map(getitem, tables, key)) for key in keys[k])
+            mask = _bits(map(sum, chain.from_iterable(spots)), cells)
+            # the blocks vars_ leaves free: every position, by one carry-free product
+            for b, size in enumerate(sizes):
+                if b not in comps:
+                    mask *= _bits(range(0, size * strides[b], strides[b]), size * strides[b])
+            return mask
+
+        # a per-object memo would hold the whole space again
+        if len(offsets[0]) < len(lists[0]):
+            build = cache(build)
+        return lambda t: build(tuple(t[c] for c in comps[0]))
+
+    def compile_(node):
         op = node[0]
         if op == "atom":
             name, vars_ = node[1], node[2]
@@ -295,35 +308,14 @@ def _formula_masks(
         if op == "eq":
             return cylinder(node[1:], diagonal)
         if op == "not":
-            return full ^ build(node[1])
-        masks = [build(child) for child in node[1:]]
-        return reduce(and_ if op == "and" else or_, masks)
+            inner = compile_(node[1])
+            return lambda t: full ^ inner(t)
+        parts = [compile_(child) for child in node[1:]]
+        join = and_ if op == "and" else or_
+        return lambda t: reduce(join, [part(t) for part in parts])
 
-    return [build(phi.body) for phi in delta]
-
-
-def _types(
-    structure: FiniteStructure, delta: Sequence[QfFormula], lists: Sequence[Sequence]
-) -> list[int]:
-    """Truth pattern of each object tuple of lists[0], in list order, as an int.
-
-    Bit f * cells + g holds formula f on cell g of the row-major product
-    of the parameter lists.
-    """
-    masks = _formula_masks(structure, delta, lists)
-    cells = prod(len(lst) for lst in lists[1:])
-    low = (1 << cells) - 1
-    data = [mask.to_bytes(len(lists[0]) * cells // 8 + 1, "little") for mask in masks]
-
-    def piece(bits: bytes, start: int) -> int:
-        # the cells bits from start on, cut from the bytes that hold them
-        word = int.from_bytes(bits[start >> 3 : start + cells + 7 >> 3], "little")
-        return word >> (start & 7) & low
-
-    return [
-        sum(piece(bits, p * cells) << f * cells for f, bits in enumerate(data))
-        for p in range(len(lists[0]))
-    ]
+    formulas = [compile_(phi.body) for phi in delta]
+    return lambda t: sum(f(t) << i * cells for i, f in enumerate(formulas))
 
 
 def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
@@ -334,7 +326,7 @@ def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
     """
     spaces = [block_tuples(structure, l) for l in phi.block_lengths]
     universe = ProductUniverse(tuple(len(s) for s in spaces[1:]))
-    members = set(_types(structure, [phi], spaces))
+    members = set(map(_types(structure, [phi], spaces), spaces[0]))
     return SetSystem(universe, tuple(sorted(members)))
 
 
@@ -384,7 +376,8 @@ def count_types(
     """Number of distinct truth patterns of object tuples on the boxes."""
     shape = _check_delta(delta)
     norm = _block_lists(structure, boxes, shape[1:], "box")
-    patterns = set(_types(structure, delta, [block_tuples(structure, shape[0]), *norm]))
+    objects = block_tuples(structure, shape[0])
+    patterns = set(map(_types(structure, delta, [objects, *norm]), objects))
     return TypeCount(tuple(norm), len(patterns))
 
 
@@ -401,7 +394,7 @@ def pi_phi(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> in
     spaces = [block_tuples(structure, l) for l in shape]
     if any(m > len(s) for s in spaces[1:]):
         raise InputError(f"box size {m} exceeds a parameter tuple space")
-    types = list(set(_types(structure, delta, spaces)))
+    types = list(set(map(_types(structure, delta, spaces), spaces[0])))
     sizes = (len(delta), *(len(s) for s in spaces[1:]))
     pools = [[tuple(range(len(delta)))], *(combinations(range(s), m) for s in sizes[1:])]
     cap = min(len(types), 1 << len(delta) * m ** (len(sizes) - 1))
@@ -429,16 +422,13 @@ def verify_ipn_witness(
     exceeds the budget.
     """
     norm = _block_lists(structure, params, phi.block_lengths[1:], "parameter", True)
-    grid = 1
-    for lst in norm:
-        grid *= len(lst)
-    total = 1 << grid
+    total = 1 << prod(map(len, norm))
     if total > budget:
         raise BudgetExceededError(
             f"{total} patterns exceed the budget of {budget}; refusing to sample"
         )
     objects = block_tuples(structure, phi.block_lengths[0])
-    return len(set(_types(structure, [phi], [objects, *norm]))) == total
+    return len(set(map(_types(structure, [phi], [objects, *norm]), objects))) == total
 
 
 class IndexedFamily(Record):
@@ -515,7 +505,9 @@ def check_encodes(
     vertices = [(p, i) for p, size in enumerate(sizes) for i in range(size)]
     _check_family(structure, fam, vertices, phi.block_lengths)
     lists = [[fam.tuples[p, i] for i in range(size)] for p, size in enumerate(sizes)]
-    return _formula_masks(structure, [phi], lists)[0] == hypergraph._cell_mask()
+    pattern, cells = _types(structure, [phi], lists), prod(sizes[1:])
+    mask = sum(pattern(t) << p * cells for p, t in enumerate(lists[0]))
+    return mask == hypergraph._cell_mask()
 
 
 def check_indiscernible(
@@ -533,10 +525,10 @@ def check_indiscernible(
     Equality atoms always count.  Returns True, or the first violating
     pair of index tuples, in the index's own vertex keys.
 
-    Each formula is evaluated once, up front, as a mask over every block
-    map into the D distinct indexed tuples: D ** blocks bits per formula,
-    built even when the first index tuples already violate.  A delta
-    type then reads one bit per block map and formula.
+    Each formula is compiled once over the D distinct indexed tuples.  A
+    tuple's pattern, D ** (blocks - 1) bits per formula, is built when the
+    scan first reaches a vertex that carries it, so an early violation
+    builds few.  A delta type reads one bit per block map and formula.
     """
     reduct = frozenset(reduct)
     if not reduct <= {"order", "parts", "edge"}:
@@ -549,9 +541,10 @@ def check_indiscernible(
     # column[x]: the slot of position x's tuple among the distinct indexed tuples
     slot: dict = {}
     column = [slot.setdefault(fam.tuples[v], len(slot)) for v in vertices]
-    blocks = len(shape)
-    masks = _formula_masks(structure, delta, [list(slot)] * blocks)
-    data = [mask.to_bytes(len(slot) ** blocks // 8 + 1, "little") for mask in masks]
+    objects, blocks = list(slot), len(shape)
+    pattern, cells = _types(structure, delta, [objects] * blocks), len(slot) ** (blocks - 1)
+    built: dict = {}  # built[c]: the pattern of slot c, once the scan has reached it
+    fs = range(len(delta))
     part = (view.part_ids() or [0] * view.size) if "parts" in reduct else None
     rel = view.relations.get("R") if "edge" in reduct else None
     edges = rel and {frozenset(t) for t in rel.tuples}
@@ -567,9 +560,12 @@ def check_indiscernible(
 
     def delta_type(w):
         cols = [column[x] for x in w]
-        # one bit offset per block map into w, block 0 outermost
-        offsets = _rows([len(slot)] * blocks, [cols] * blocks)
-        return tuple(bits[o >> 3] >> (o & 7) & 1 for o in offsets for bits in data)
+        for c in cols:
+            if c not in built:
+                built[c] = pattern(objects[c])
+        # one cell per map of the parameter blocks into w
+        gs = _rows([len(slot)] * (blocks - 1), [cols] * (blocks - 1))
+        return tuple(built[c] >> g + f * cells & 1 for c in cols for g in gs for f in fs)
 
     for length in range(1, arity_cap + 1):
         groups: dict = {}

@@ -66,6 +66,12 @@ def test_no_import_hides_under_type_checking():
                 assert not hidden, f"{path.name}:{node.lineno} imports under TYPE_CHECKING"
 
 
+def test_no_source_line_is_longer_than_99_characters():
+    for path in sorted(SRC.glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            assert len(line) <= 99, f"{path.name}:{number} has {len(line)} characters"
+
+
 def _module_level_relative_imports(name: str) -> set[str]:
     tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
     return {
