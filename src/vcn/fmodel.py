@@ -39,7 +39,7 @@ from math import prod
 from operator import and_, getitem, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError, FiniteStructure, InputError, PartiteHypergraph
+from .errors import FiniteStructure, InputError, PartiteHypergraph
 from .errors import Record, Relation, _bits
 from .setsys import ProductUniverse, SetSystem, _max_trace, _rows, vc_n_dim
 
@@ -395,10 +395,8 @@ def pi_phi(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> in
     if any(m > len(s) for s in spaces[1:]):
         raise InputError(f"box size {m} exceeds a parameter tuple space")
     types = list(set(map(_types(structure, delta, spaces), spaces[0])))
-    sizes = (len(delta), *(len(s) for s in spaces[1:]))
-    pools = [[tuple(range(len(delta)))], *(combinations(range(s), m) for s in sizes[1:])]
-    cap = min(len(types), 1 << len(delta) * m ** (len(sizes) - 1))
-    return _max_trace(types, sizes, pools, 0, cap)
+    sizes = [len(delta), *map(len, spaces[1:])]
+    return _max_trace(types, sizes, [len(delta)] + [m] * (len(sizes) - 1), 0)
 
 
 def dim_phi(
@@ -409,26 +407,24 @@ def dim_phi(
 
 
 def verify_ipn_witness(
-    structure: FiniteStructure,
-    phi: QfFormula,
-    params: Sequence[Sequence[Sequence[int]]],
-    budget: int = 1 << 16,
+    structure: FiniteStructure, phi: QfFormula, params: Sequence[Sequence[Sequence[int]]]
 ) -> bool:
     """Check that every 0/1 pattern on the parameter grid is realized.
 
     The grid is the index product over the given parameter lists; a
     pattern s is realized when some object tuple satisfies phi exactly on
-    the cells in s.  Refuses (never samples) when the pattern count
-    exceeds the budget.
+    the cells in s.  Each object tuple realizes one pattern, so with fewer
+    object tuples than the 2 ** cells patterns the answer is False before
+    any pattern is built.  There is no budget: the check is exact, and a
+    pattern it builds never holds more than log2(objects) bits.
     """
     norm = _block_lists(structure, params, phi.block_lengths[1:], "parameter", True)
-    total = 1 << prod(map(len, norm))
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} patterns exceed the budget of {budget}; refusing to sample"
-        )
+    cells = prod(map(len, norm))
     objects = block_tuples(structure, phi.block_lengths[0])
-    return len(set(map(_types(structure, [phi], [objects, *norm]), objects))) == total
+    pattern = _types(structure, [phi], [objects, *norm])  # a bad formula raises on any grid
+    if len(objects).bit_length() <= cells:
+        return False
+    return len(set(map(pattern, objects))) == 1 << cells
 
 
 class IndexedFamily(Record):

@@ -48,30 +48,24 @@ class ProductUniverse(Record):
     def tuple_count(self) -> int:
         return prod(self.part_sizes)
 
-    def strides(self) -> tuple[int, ...]:
-        out = [1] * self.n
-        for i in range(self.n - 2, -1, -1):
-            out[i] = out[i + 1] * self.part_sizes[i + 1]
-        return tuple(out)
-
     def tuple_index(self, t: Sequence[int]) -> int:
         if len(t) != self.n:
             raise InputError(f"tuple length {len(t)} != {self.n}")
         idx = 0
-        for v, size, stride in zip(t, self.part_sizes, self.strides()):
+        for v, size in zip(t, self.part_sizes):
             if not 0 <= v < size:
                 raise InputError(f"coordinate {v} out of range for part of size {size}")
-            idx += v * stride
+            idx = idx * size + v
         return idx
 
     def index_tuple(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < self.tuple_count:
             raise InputError(f"tuple index {idx} out of range")
         out = []
-        for stride in self.strides():
-            out.append(idx // stride)
-            idx %= stride
-        return tuple(out)
+        for size in reversed(self.part_sizes):
+            idx, v = divmod(idx, size)
+            out.append(v)
+        return tuple(reversed(out))
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         """All tuples in row-major (index) order."""
@@ -200,16 +194,12 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _box_pools(universe: ProductUniverse, m: int) -> list[Iterator[tuple[int, ...]]]:
-    """Each part's size-m selections, in lexicographic order."""
-    return [combinations(range(s), m) for s in universe.part_sizes]
-
-
 def iter_boxes(universe: ProductUniverse, m: int) -> Iterator[BoxSpec]:
     """All boxes of size m, selections in lexicographic order per part."""
     if m < 0:
         raise InputError("box size must be nonnegative")
-    return (BoxSpec(sels) for sels in product(*_box_pools(universe, m)))
+    pools = (combinations(range(s), m) for s in universe.part_sizes)
+    return (BoxSpec(sels) for sels in product(*pools))
 
 
 def _rows(sizes: Sequence[int], selections: Sequence[Sequence[int]]) -> list[int]:
@@ -244,35 +234,40 @@ def is_shattered(system: SetSystem, box: BoxSpec) -> bool:
 
 
 def _max_trace(
-    members: Sequence[int], sizes: Sequence[int], pools: Sequence[Iterable], best: int, cap: int
+    members: Sequence[int], sizes: Sequence[int], widths: Sequence[int], best: int
 ) -> int:
-    """Largest trace over the boxes taking one selection from each part's pool.
+    """Largest trace over the boxes that take widths[i] values from part i.
 
-    Returns best when no trace is larger, and stops as soon as one reaches
-    cap.  A trace is the set of members ANDed with the box mask.  Bits on
-    which all members agree tell no members apart, so every box mask is
-    cut to the varying bits and split into a row mask (full rows at the
-    rows its first n-1 selections pick) and a column mask (its last
-    selection, spread over every row); each distinct one is read once.
-    For each column mask, the members ANDed with it bound every trace
-    that uses those columns, so the columns are skipped when they cannot
-    beat best.  A row mask's trace is then the set of those masked
-    members ANDed with it.
+    Returns best (at least 0) when no trace is larger.  No box has more
+    traces than members, or more than the subsets of its cells, so the
+    search stops, or never starts, once best reaches that cap; an empty
+    system never reaches the mask code.  A trace is the set of members
+    ANDed with the box mask.  Bits on which all members agree tell no
+    members apart, so every box mask is cut to the varying bits and split
+    into a row mask (full rows at the rows its first n-1 selections pick)
+    and a column mask (its last selection, spread over every row); each
+    distinct one is read once.  For each column mask, the members ANDed
+    with it bound every trace that uses those columns, so the columns are
+    skipped when they cannot beat best.  A row mask's trace is then the
+    set of those masked members ANDed with it.
     """
-    *row_pools, col_pool = pools
-    width = sizes[-1]
-    word = (1 << width) - 1
-    varying = reduce(or_, members, 0) ^ reduce(and_, members, -1)
+    cap = min(len(members), 1 << prod(widths))
+    if best >= cap:
+        return best
+    *row_pools, col_pool = (combinations(range(s), w) for s, w in zip(sizes, widths))
+    row_len = sizes[-1]
+    word = (1 << row_len) - 1
+    varying = reduce(or_, members) ^ reduce(and_, members)
     row_masks = {
-        sum(word << r * width for r in _rows(sizes, sels)) & varying
+        sum(word << r * row_len for r in _rows(sizes, sels)) & varying
         for sels in product(*row_pools)
     }
-    if members and 0 in row_masks:
+    if 0 in row_masks:
         best = max(best, 1)  # a box on shared rows only has one trace
         if best >= cap:
             return best
     row_masks.discard(0)
-    spread = sum(1 << r * width for r in range(prod(sizes[:-1])))  # one bit per row, no carries
+    spread = sum(1 << r * row_len for r in range(prod(sizes[:-1])))  # one bit per row, no carries
     col_masks = {sum(1 << c for c in cols) * spread & varying for cols in col_pool}
     for col in col_masks:
         vecs = set(map(col.__and__, members))
@@ -303,11 +298,8 @@ def vc_n_dim(system: SetSystem, size_cap: int | None = None) -> int:
     best = 0
     for m in range(1, limit + 1):
         full = 1 << m ** system.universe.n
-        # A trace can't outnumber the members, and the threshold only grows.
-        if len(system.members) < full:
-            break
-        pools = _box_pools(system.universe, m)
-        if _max_trace(system.members, system.universe.part_sizes, pools, full - 1, full) < full:
+        widths = [m] * system.universe.n
+        if _max_trace(system.members, system.universe.part_sizes, widths, full - 1) < full:
             break  # shattering a bigger box would shatter one of its sub-boxes
         best = m
     return best
@@ -319,9 +311,7 @@ def shatter_fn(system: SetSystem, m: int) -> int:
         raise InputError("box size must be nonnegative")
     if any(m > s for s in system.universe.part_sizes):
         raise InputError(f"box size {m} exceeds a part size")
-    cap = min(len(system.members), 1 << m ** system.universe.n)
-    pools = _box_pools(system.universe, m)
-    return _max_trace(system.members, system.universe.part_sizes, pools, 0, cap)
+    return _max_trace(system.members, system.universe.part_sizes, [m] * system.universe.n, 0)
 
 
 def shift(family: GroundFamily) -> GroundFamily:

@@ -30,7 +30,6 @@ from instance_gen import (
     ref_types,
 )
 from vcn import (
-    BudgetExceededError,
     FiniteStructure,
     IndexedFamily,
     InputError,
@@ -466,6 +465,20 @@ phi = parse_formula("(R x y0 y1)", (1, 1, 1))
     assert peak < 40 * 2**20
 
 
+def test_verify_ipn_witness_answers_past_the_object_count_without_patterns():
+    """A 64-cell grid over 8 object tuples: 8 objects realize at most 8 of
+    the 2 ** 64 patterns, so the answer comes before any pattern is built."""
+    setup = """
+edges = {(a, b, c) for a in range(8) for b in range(8) for c in range(8) if (a + b * c) % 3 == 0}
+s = FiniteStructure(8, {"R": Relation(3, edges)})
+phi = parse_formula("(R x y0 y1)", (1, 1, 1))
+grid = [[(v,) for v in range(8)]] * 2
+"""
+    realized, peak = _traced_peak(setup, "verify_ipn_witness(s, phi, grid)")
+    assert realized == "False"
+    assert peak < 2**20
+
+
 def test_dim_phi_size_cap():
     s = random_structure(1, domain=4, signature=(("R", 2),))
     phi = edge_formula(1)
@@ -556,8 +569,8 @@ def test_verify_ipn_witness_positive_and_negative():
     # dropping element 3 removes the (1,1) pattern
     s2 = FiniteStructure(6, {"R": Relation(2, frozenset(t for t in tuples if t[0] != 3))})
     assert not verify_ipn_witness(s2, phi, [[(4,), (5,)]])
-    with pytest.raises(BudgetExceededError):
-        verify_ipn_witness(s, phi, [[(0,), (1,), (2,), (3,), (4,), (5,)]], budget=8)
+    # six objects realize at most six of the 2 ** 6 patterns
+    assert not verify_ipn_witness(s, phi, [[(0,), (1,), (2,), (3,), (4,), (5,)]])
     with pytest.raises(InputError):
         verify_ipn_witness(s, phi, [[(4,), (4,)]])
 

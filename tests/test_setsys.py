@@ -236,9 +236,16 @@ def test_planted_systems_cover_the_pruning():
 
 
 def test_kernel_on_no_members():
-    pools = [[(0,), (1,)], [(0, 1)]]
-    assert _max_trace([], (2, 2), pools, 0, 4) == 0
-    assert _max_trace([], (2, 2), pools, 3, 4) == 3
+    assert _max_trace([], (2, 2), (1, 2), 0) == 0
+    assert _max_trace([], (2, 2), (1, 2), 3) == 3
+
+
+def test_kernel_returns_best_at_its_cap():
+    # two members cap every trace at 2; a 1 x 1 box caps it at 2 ** 1
+    assert _max_trace([1, 2], (2, 2), (1, 2), 2) == 2
+    assert _max_trace([1, 2], (2, 2), (1, 2), 5) == 5
+    assert _max_trace([0, 1, 2, 3], (2, 2), (1, 1), 2) == 2
+    assert _max_trace([0, 1, 2, 3], (2, 2), (1, 1), 0) == 2
 
 
 def test_extremal_family_separation_two_blocks_further():
