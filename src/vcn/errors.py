@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Mapping, TypeVar
 
 _T = TypeVar("_T")
@@ -175,6 +175,12 @@ def _check_shape(value, shape, path: tuple = ()) -> None:
                 _check_shape(item, sub, (*path, key))
 
 
+def _drain(items: list) -> Iterable:
+    """The items in order, each dropped from the list as it is given."""
+    items.reverse()
+    return map(list.pop, repeat(items, len(items)))
+
+
 def _decode(text: str, what: str, build: Callable[[dict], _T], shape: dict) -> _T:
     """build(doc) for a JSON object doc of the given shape (see _check_shape).
 
@@ -270,8 +276,12 @@ class FiniteStructure(Record):
         """Read a structure document, each vertex renamed to its position in the order.
 
         The order must enumerate the domain (default: ascending), and parts,
-        where given, be convex in it and cover the domain.  Every vertex of
-        every relation is renamed before any Relation checks its arity.
+        where given, be convex in it and cover the domain.  The vertices of
+        the parts, then of each relation, are checked with one set difference
+        per list before any Relation checks its arity; only a list that fails
+        is walked, to name its first vertex outside the domain.  Each Relation
+        takes its renamed tuples from a generator that empties the document's
+        list, so each tuple is held once.
         """
 
         def read(doc):
@@ -281,19 +291,21 @@ class FiniteStructure(Record):
                 raise InputError("order must enumerate the whole domain")
             position = {v: i for i, v in enumerate(order)}
 
-            def vertex(v: int) -> int:
-                if v not in position:
+            def renamed(lists):
+                bad = set(chain.from_iterable(lists)) - position.keys()
+                if bad:
+                    v = next(filter(bad.__contains__, chain.from_iterable(lists)))
                     raise InputError(f"vertex {v} is not in the domain")
-                return position[v]
+                return (tuple(map(position.__getitem__, t)) for t in _drain(lists))
 
             part_sizes = None
             if "parts" in doc:
-                parts = [sorted(map(vertex, part)) for part in doc["parts"]]
+                parts = list(map(sorted, renamed(doc["parts"])))
                 if list(chain.from_iterable(parts)) != list(range(size)):
                     raise InputError("parts must be convex in the order and cover the domain")
                 part_sizes = tuple(map(len, parts))
             relations = {
-                name: (spec["arity"], [tuple(map(vertex, t)) for t in spec["tuples"]])
+                name: (spec["arity"], renamed(spec["tuples"]))
                 for name, spec in doc.get("relations", {}).items()
             }
             return cls(size, {name: Relation(*r) for name, r in relations.items()}, part_sizes)
@@ -325,10 +337,11 @@ class PartiteHypergraph(Record):
         if len(sizes) != self.n or any(s < 1 for s in sizes):
             raise InputError("need one positive size per part")
         edges = frozenset(tuple(map(int, e)) for e in self.edges)
-        # one pass per part; only a failing edge set is walked, in sorted
-        # order, so the error names its least bad edge
-        if set(map(len, edges)) - {self.n} or any(
-            min(col) < 0 or max(col) >= s for col, s in zip(zip(*edges), sizes)
+        # a min and a max pass per part; only a failing (or empty) edge set is
+        # walked, in sorted order, so the error names its least bad edge
+        if set(map(len, edges)) != {self.n} or any(
+            min(map(itemgetter(p), edges)) < 0 or max(map(itemgetter(p), edges)) >= s
+            for p, s in enumerate(sizes)
         ):
             for e in sorted(edges):
                 if len(e) != self.n:
@@ -341,8 +354,8 @@ class PartiteHypergraph(Record):
     def _cell_mask(self) -> int:
         """The edges as a mask over the row-major grid: Horner's rule, part by part."""
         cells = [0] * len(self.edges)
-        for col, size in zip(zip(*self.edges), self.part_sizes):
-            cells = list(map(add, map(mul, cells, repeat(size)), col))
+        for p, size in enumerate(self.part_sizes):
+            cells = list(map(add, map(mul, cells, repeat(size)), map(itemgetter(p), self.edges)))
         return _bits(cells, reduce(mul, self.part_sizes))
 
     def to_json(self) -> str:
@@ -357,7 +370,7 @@ class PartiteHypergraph(Record):
         """Read a hypergraph document; a sample's "t" and "seed" are checked, then dropped."""
 
         def build(doc):
-            return cls(doc["n"], doc["part_sizes"], doc["edges"])
+            return cls(doc["n"], doc["part_sizes"], _drain(doc["edges"]))
 
         return _decode(text, "hypergraph", build, _HYPERGRAPH_SHAPE)
 

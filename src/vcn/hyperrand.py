@@ -50,6 +50,7 @@ from .errors import (
     SelectionStuckError,
     WalkStuckError,
     _decode,
+    _drain,
 )
 
 Vertex = tuple[int, int]  # (part, position)
@@ -83,7 +84,7 @@ class ExtensionHypergraph(Record):
         def build(doc):
             # every key is read, in the shape's order, before anything is built
             n, sizes, edges, t, seed = map(doc.__getitem__, _HYPERGRAPH_SHAPE)
-            return cls(PartiteHypergraph(n, sizes, edges), t, seed)
+            return cls(PartiteHypergraph(n, sizes, _drain(edges)), t, seed)
 
         return _decode(text, "hypergraph", build, _HYPERGRAPH_SHAPE)
 

@@ -73,18 +73,22 @@ def induced(structure: FiniteStructure, subset: Sequence[int]) -> FiniteStructur
     if subset and (subset[0] < 0 or subset[-1] >= structure.size):
         raise InputError("subset leaves the domain")
     pos = {v: i for i, v in enumerate(subset)}
-    part_sizes = None
-    part_ids = structure.part_ids()
-    if part_ids is not None:
-        counts = [0] * len(structure.part_sizes)
-        for v in subset:
-            counts[part_ids[v]] += 1
-        part_sizes = tuple(counts)
     relations = {
         name: Relation(rel.arity, _relabel(rel.tuples, pos))
         for name, rel in structure.relations.items()
     }
-    return FiniteStructure(len(subset), relations, part_sizes)
+    return FiniteStructure(len(subset), relations, _part_counts(structure, subset))
+
+
+def _part_counts(structure: FiniteStructure, subset: Sequence[int]) -> tuple | None:
+    """How many vertices of the subset lie in each part, or None without parts."""
+    part_ids = structure.part_ids()
+    if part_ids is None:
+        return None
+    counts = [0] * len(structure.part_sizes)
+    for v in subset:
+        counts[part_ids[v]] += 1
+    return tuple(counts)
 
 
 def _relabel(tuples: Iterable[tuple[int, ...]], pos: dict[int, int]) -> set[tuple[int, ...]]:
@@ -221,14 +225,23 @@ def hereditary_closure(structures: Iterable[FiniteStructure]) -> list[FiniteStru
     Sorted by size, part sizes (none first), then the relations by name,
     each by its arity and its sorted tuples (no relation first).
     """
-    seen = dict.fromkeys(
-        induced(s, subset)
-        for s in structures
-        for r in range(s.size + 1)
-        for subset in combinations(range(s.size), r)
-    )
+    found = {}
+    for s in structures:
+        for r in range(s.size + 1):
+            for subset in combinations(range(s.size), r):
+                # induced(s, subset) is built only for a key not seen before
+                pos = dict(zip(subset, range(r)))
+                rels = {
+                    name: (rel.arity, frozenset(_relabel(rel.tuples, pos)))
+                    for name, rel in s.relations.items()
+                }
+                parts = _part_counts(s, subset)
+                key = (r, parts, frozenset(rels.items()))
+                if key not in found:
+                    relations = {name: Relation(*rel) for name, rel in rels.items()}
+                    found[key] = FiniteStructure(r, relations, parts)
     return sorted(
-        seen,
+        found.values(),
         key=lambda s: (
             s.size,
             s.part_sizes or (),

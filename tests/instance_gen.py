@@ -1,4 +1,5 @@
-"""Seeded random instances and naive reference implementations.
+"""Seeded random instances, naive reference implementations, and the one
+fresh-interpreter memory probe that every memory test uses.
 
 The reference functions recompute everything with frozensets of tuples
 and plain loops, deliberately avoiding the bitmask representation the
@@ -7,8 +8,12 @@ package uses, so the two sides can only agree when both are right.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 from vcn import (
     BoxSpec,
@@ -25,6 +30,22 @@ from vcn import (
     copies,
     induced,
 )
+
+
+def traced_peak(setup: str, call: str) -> tuple[str, int]:
+    """The repr of call's result and the peak of the memory it allocates, in
+    bytes, traced in a fresh interpreter after setup: a transient peak in the
+    test process would stay in its peak RSS, which later tests read."""
+    script = (
+        f"import tracemalloc\nfrom vcn import *\n{setup}\ntracemalloc.start()\n"
+        f"print(repr({call}), tracemalloc.get_traced_memory()[1])\n"
+    )
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result, peak = proc.stdout.rsplit(" ", 1)
+    return result, int(peak)
 
 
 def random_system(seed: int, n: int = 2, max_part: int = 4, max_members: int = 12) -> SetSystem:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from instance_gen import traced_peak
 from vcn import (
     ExtensionHypergraph,
     FiniteStructure,
@@ -393,9 +394,15 @@ def test_structure_readers_agree():
          "tuple (1, 2) does not match arity 1"),
         ({"R": {"arity": 0, "tuples": []}, "S": {"arity": 1, "tuples": [[1], [2, 0]]}},
          "relation arity must be positive"),
-        # every relation is read along the order before any arity is checked
+        # every relation is read along the order before any arity is checked,
+        # and of several vertices outside the domain the first given is named
         ({"A": {"arity": 0, "tuples": []}, "B": {"arity": 1, "tuples": [[7]]}},
          "vertex 7 is not in the domain"),
+        ({"A": {"arity": 2, "tuples": [[0, 1, 2]]}, "B": {"arity": 1, "tuples": [[0], [9], [7]]}},
+         "vertex 9 is not in the domain"),
+        # each relation's keys are read before its vertices, relation by relation
+        ({"A": {"arity": 1, "tuples": [[7]]}, "B": {"tuples": []}}, "vertex 7 is not in the domain"),
+        ({"B": {"tuples": []}, "A": {"arity": 1, "tuples": [[7]]}}, "bad structure document: 'arity'"),
         # several bad tuples in one relation: the first given is named
         ({"S": {"arity": 1, "tuples": [[0, 2], [1, 2]]}}, "tuple (2, 1) does not match arity 1"),
         ({"S": {"arity": 2, "tuples": [[1, 2], [0], [1, 2, 0], [2]]}},
@@ -524,3 +531,38 @@ def test_hypergraph_documents_are_what_json_dumps_writes(n, sizes, edges):
     sample = ExtensionHypergraph(h, 2, -5)
     assert sample.to_json() == json.dumps({**doc, "t": 2, "seed": -5}, sort_keys=True)
     assert ExtensionHypergraph.from_json(sample.to_json()) == sample
+
+
+def test_constructors_leave_the_callers_lists_unchanged():
+    # only from_json empties a list of tuples: the one its own document parsed
+    edges, tuples = [[0, 1], [1, 0], [1, 1]], [[0, 1], [1, 1]]
+    assert PartiteHypergraph(2, (2, 2), edges).edges == {(0, 1), (1, 0), (1, 1)}
+    assert Relation(2, tuples).tuples == {(0, 1), (1, 1)}
+    assert edges == [[0, 1], [1, 0], [1, 1]] and tuples == [[0, 1], [1, 1]]
+
+
+def test_hypergraph_readers_hold_each_edge_once():
+    # a 96 x 96 sample of about 4,600 edges: each edge list of the document
+    # is dropped as its tuple is built, so the two are not all held at once
+    setup = "h = gen_extension_hypergraph(2, 96, 1, 7)\ntext = h.to_json()"
+    call = "PartiteHypergraph.from_json(text) == h.base, ExtensionHypergraph.from_json(text) == h"
+    same, peak = traced_peak(setup, f"({call})")
+    assert same == "(True, True)"
+    assert peak < 0.8 * 2**20
+
+
+def test_structure_reader_holds_each_tuple_once():
+    # a ternary relation of 31,925 tuples on 40 elements, renamed along a
+    # reversed order: the document's tuples, renamed tuples and a Relation's
+    # own copies are not all held at once
+    setup = """
+import itertools, json, random
+rng = random.Random(1)
+tuples = [list(t) for t in itertools.product(range(40), repeat=3) if rng.random() < 0.5]
+doc = {"domain": 40, "order": list(range(40))[::-1], "relations": {"R": {"arity": 3, "tuples": tuples}}}
+text = json.dumps(doc)
+want = {tuple(39 - v for v in t) for t in tuples}
+"""
+    same, peak = traced_peak(setup, "FiniteStructure.from_json(text).relations['R'].tuples == want")
+    assert same == "True"
+    assert peak < 6.5 * 2**20

@@ -5,13 +5,9 @@ formula's type count over the same box are the same number, and the
 whole-system invariants (dimension, shatter function) transfer.
 """
 
-import os
 import random
 import re
-import subprocess
-import sys
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +24,7 @@ from instance_gen import (
     ref_pi_phi,
     ref_trace,
     ref_types,
+    traced_peak,
 )
 from vcn import (
     FiniteStructure,
@@ -436,22 +433,6 @@ def test_counterexample_dimension_and_shatter_value():
     assert pi_phi(structure, [phi], 2) == 8 == 1 << (zarankiewicz(2, 2, 2).z - 1)
 
 
-def _traced_peak(setup: str, call: str) -> tuple[str, int]:
-    """The repr of call's result and the peak of the memory it allocates, in
-    bytes, traced in a fresh interpreter after setup: a transient peak here
-    would stay in this process's peak RSS, which later tests read."""
-    script = (
-        f"import tracemalloc\nfrom vcn import *\n{setup}\ntracemalloc.start()\n"
-        f"print(repr({call}), tracemalloc.get_traced_memory()[1])\n"
-    )
-    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    result, peak = proc.stdout.rsplit(" ", 1)
-    return result, int(peak)
-
-
 def test_phi_class_memory_is_bounded_by_its_members():
     """A definable family of 582 members over 591 x 591 parameters: the
     evaluator holds one object tuple's slice of the 591 ** 3 assignments at
@@ -460,7 +441,7 @@ def test_phi_class_memory_is_bounded_by_its_members():
 s = build_counterexample_structure((2, 3, 4))
 phi = parse_formula("(R x y0 y1)", (1, 1, 1))
 """
-    members, peak = _traced_peak(setup, "len(phi_class(s, phi).members)")
+    members, peak = traced_peak(setup, "len(phi_class(s, phi).members)")
     assert members == "582"
     assert peak < 40 * 2**20
 
@@ -474,7 +455,7 @@ s = FiniteStructure(8, {"R": Relation(3, edges)})
 phi = parse_formula("(R x y0 y1)", (1, 1, 1))
 grid = [[(v,) for v in range(8)]] * 2
 """
-    realized, peak = _traced_peak(setup, "verify_ipn_witness(s, phi, grid)")
+    realized, peak = traced_peak(setup, "verify_ipn_witness(s, phi, grid)")
     assert realized == "False"
     assert peak < 2**20
 
@@ -687,7 +668,7 @@ fam = IndexedFamily(h, {(p, i): (96 * p + i,) for p in range(3) for i in range(9
 s = FiniteStructure(288, {"R": Relation(3, frozenset({(1, 1, 1)}))})
 delta = [parse_formula(t, (1, 1, 1)) for t in ("(R x y0 y1)", "(or (= x y1) (not (= y0 y1)))")]
 """
-    res, peak = _traced_peak(setup, "check_indiscernible(fam, {'order'}, s, delta, 2)")
+    res, peak = traced_peak(setup, "check_indiscernible(fam, {'order'}, s, delta, 2)")
     assert res == repr((((0, 0),), ((0, 1),)))
     assert peak < 4 * 2**20
 

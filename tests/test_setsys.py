@@ -1,7 +1,6 @@
 """Set system primitives against naive frozenset references."""
 
 import random
-import tracemalloc
 from functools import reduce
 from itertools import product
 from operator import and_, or_
@@ -19,6 +18,7 @@ from instance_gen import (
     ref_is_shattered,
     ref_shatter,
     ref_trace,
+    traced_peak,
 )
 from vcn import (
     BoxSpec,
@@ -87,14 +87,9 @@ def test_ground_family_rejects_out_of_range_masks():
 
 def test_range_check_allocates_nothing_per_tuple():
     # 10**10 tuples: a 1 << tuple_count limit alone would take 1.25 GB
-    tracemalloc.start()
-    try:
-        s = SetSystem(ProductUniverse((100_000, 100_000)), (0b101,))
-        fam = GroundFamily(10**10, (0b11,))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert s.members == (0b101,) and fam.members == (0b11,)
+    system = "SetSystem(ProductUniverse((100_000, 100_000)), (0b101,))"
+    members, peak = traced_peak("", f"({system}.members, GroundFamily(10**10, (0b11,)).members)")
+    assert members == repr(((0b101,), (0b11,)))
     assert peak < 2**20
 
 

@@ -9,12 +9,11 @@ published small values.
 import math
 import random
 import time
-import tracemalloc
 from itertools import product
 
 import pytest
 
-from instance_gen import ref_has_box, ref_zar
+from instance_gen import ref_has_box, ref_zar, traced_peak
 from vcn import (
     BudgetExceededError,
     InputError,
@@ -313,13 +312,8 @@ def test_four_partite_m3_is_exact():
 
 def test_capped_search_memory_stays_small():
     # 2**27 candidate layers: the search must never list them
-    tracemalloc.start()
-    try:
-        res = zarankiewicz(4, 3, 2, node_budget=2_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert res.status == "lower_bound_only"
+    status, peak = traced_peak("", "zarankiewicz(4, 3, 2, node_budget=2_000).status")
+    assert status == repr("lower_bound_only")
     assert peak < 4 * 2**20
 
 
