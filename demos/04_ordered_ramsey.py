@@ -1,9 +1,10 @@
 """Ordered substructure arrows, tagged sums, and the partite double.
 
 Ordered structures are rigid, so counting copies means counting
-increasing selections.  The arrow check searches the colorings in
-lexicographic order, cutting every branch that already has a
-monochromatic copy, and refuses past its budget rather than sampling.
+increasing selections.  The arrow check searches the colorings with the
+pattern copies in colex order, cutting every branch that already has a
+monochromatic copy, and refuses past its node budget rather than
+sampling.
 """
 
 from vcn import (

@@ -173,11 +173,10 @@ def cmd_arrow(args) -> str:
 
 
 def cmd_direct_sum(args) -> str:
-    from .ramsey import build_direct_sum_witness, ordered_set_oracle
+    from .ramsey import build_direct_sum_witness
 
     parts = [_load_structure(p) for p in (args.a0, args.b0, args.a1, args.b1)]
-    oracle = ordered_set_oracle(args.budget)
-    return build_direct_sum_witness(*parts, args.k, witness_oracle=oracle).to_json()
+    return build_direct_sum_witness(*parts, args.k).to_json()
 
 
 def cmd_encode_partite(args) -> str:

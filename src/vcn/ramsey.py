@@ -10,16 +10,17 @@ substructure equals A.  A structure is its value, so copies and closures
 compare structures with == and collect them in dicts.
 
 The arrow predicate C -> (B)^A_k is decided by a pruned depth-first
-search for a bad coloring: the A-copies of C are colored in index order,
-and a color is skipped wherever it would make some B-copy monochromatic,
-so a whole block of good colorings is ruled out at once.  The count it
-reports, colorings_checked, is the number of colorings decided before the
-answer: all k**N when the arrow holds, or the lexicographic rank of the
-first bad coloring plus one when it fails.  The search refuses up front
-when k**N exceeds its budget rather than sampling, which keeps every
+search for a bad coloring: the A-copies of C are colored in colex order
+(by the reversed tuple), and a color is skipped wherever it would make
+some B-copy monochromatic, so a whole block of good colorings is ruled
+out at once.  The count it reports, colorings_checked, is the number of
+colorings decided before the answer: all k**N when the arrow holds, or
+the colex rank of the first bad coloring plus one when it fails.  The
+budget counts search nodes, one per color placed at one position; the
+search refuses when it runs out rather than sampling, which keeps every
 reported arrow exact.
 
-The direct-sum builder composes pigeonhole-sized witnesses along the
+The direct-sum builder composes classical witness sizes along the
 chain argument that proves two arrow problems can be solved jointly on a
 tagged disjoint union.
 """
@@ -141,7 +142,7 @@ def copies(target: FiniteStructure, source: FiniteStructure) -> EmbeddingSet:
     return EmbeddingSet(source, target, tuple(found))
 
 
-_ARROW_BUDGET = 1 << 20  # default cap on the k**N colorings of one arrow check
+_ARROW_BUDGET = 1 << 20  # default cap on the search nodes of one arrow check
 
 
 class ColoringProblem(Record):
@@ -159,22 +160,20 @@ def arrow_scan(problem: ColoringProblem, budget: int | None = None) -> tuple[boo
     """Like arrow_check but also reports how many colorings were decided.
 
     The count is every coloring, k**N for N A-copies, when the arrow
-    holds, and the lexicographic rank of the first bad coloring plus one
-    when it fails.  The budget caps k**N up front, before any search;
-    None means the default of 2**20.
+    holds, and the colex rank of the first bad coloring plus one when it
+    fails.  The budget caps the search nodes, one per color placed at
+    one position; None means the default of 2**20.
     """
     budget = _ARROW_BUDGET if budget is None else budget
-    a_copies = copies(problem.c, problem.a).embeddings
+    if budget < 0:
+        raise InputError("budget must be nonnegative")
+    # colex order (by the reversed tuple) closes every B-copy as early as it can
+    a_copies = sorted(copies(problem.c, problem.a).embeddings, key=lambda e: e[::-1])
     b_copies = copies(problem.c, problem.b).embeddings
     inner = copies(problem.b, problem.a).embeddings
     k, n = problem.k, len(a_copies)
-    total = k**n
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} colorings exceed the budget of {budget}; refusing to sample"
-        )
     if b_copies and not inner:
-        return True, total  # no inner copies: every B-copy is vacuously constant
+        return True, k**n  # no inner copies: every B-copy is vacuously constant
     index = {emb: i for i, emb in enumerate(a_copies)}
     # closing[i]: for each B-copy whose last A-copy is i, the bitmask of
     # its other A-copies; coloring i with c makes that B-copy constant
@@ -188,16 +187,19 @@ def arrow_scan(problem: ColoringProblem, budget: int | None = None) -> tuple[boo
     # coloring; a pruned branch holds only colorings with a constant B-copy
     color = [0] * n
     by_color = [0] * k  # bitmask of the positions holding each color
-    pos, c = 0, 0
+    pos, c, nodes = 0, 0, 0
     while pos < n:
         while c < k and any(o & by_color[c] == o for o in closing[pos]):
             c += 1
         if c < k:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"arrow search passed its budget of {budget} nodes")
             color[pos] = c
             by_color[c] |= 1 << pos
             pos, c = pos + 1, 0
         elif pos == 0:
-            return True, total
+            return True, k**n
         else:
             pos -= 1
             c = color[pos]
@@ -213,8 +215,8 @@ def arrow_check(problem: ColoringProblem, budget: int | None = None) -> bool:
     """Exhaustively decide C -> (B)^A_k.
 
     True when every k-coloring of the A-copies of C admits a B-copy whose
-    A-copies are monochromatic.  Refuses when the coloring count exceeds
-    the budget; None means arrow_scan's default.
+    A-copies are monochromatic.  Refuses when the search nodes exceed the
+    budget; None means arrow_scan's default.
     """
     return arrow_scan(problem, budget)[0]
 
@@ -266,32 +268,25 @@ def direct_sum(a0: FiniteStructure, a1: FiniteStructure) -> FiniteStructure:
     return FiniteStructure(a0.size + a1.size, relations, (a0.size, a1.size))
 
 
-def ordered_set_oracle(budget: int | None = None) -> Callable:
-    """Arrow witness oracle for plain ordered sets.
+def ordered_set_oracle(a: FiniteStructure, b: FiniteStructure, k: int) -> FiniteStructure:
+    """Arrow witness for plain ordered sets, from the classical sizes alone.
 
-    B itself where every B-copy holds at most one A-copy, exact pigeonhole
-    sizes where classical, otherwise an incremental exhaustive search that
-    refuses past its budget (None: arrow_scan's default).
+    B itself with one color (C -> (B)^A_1 holds exactly when B embeds in
+    C) or where every B-copy holds at most one A-copy; the pigeonhole
+    size k(|B|-1)+1 for one-point A; 6 for pairs, triangles and two
+    colors (R(3,3) = 6).  Every other case is refused.
     """
-
-    def oracle(a: FiniteStructure, b: FiniteStructure, k: int) -> FiniteStructure:
-        if a != points(a.size) or b != points(b.size):
-            raise InputError("the default oracle handles plain ordered sets only")
-        if a.size == 0 or a.size >= b.size:
-            return b  # every coloring is constant on a B-copy's one A-copy, or on none
-        if a.size == 1:
-            return points(k * (b.size - 1) + 1)
-        if (a.size, b.size, k) == (2, 3, 2):
-            return points(6)
-        for size in range(b.size, b.size + 12):
-            candidate = points(size)
-            if arrow_check(ColoringProblem(a, b, candidate, k), budget):
-                return candidate
-        raise BudgetExceededError(
-            f"no ordered-set witness found up to size {b.size + 11}"
-        )
-
-    return oracle
+    if a != points(a.size) or b != points(b.size):
+        raise InputError("the default oracle handles plain ordered sets only")
+    if k < 1:
+        raise InputError("number of colors must be positive")
+    if k == 1 or a.size == 0 or a.size >= b.size:
+        return b  # one color, or at most one A-copy in each B-copy
+    if a.size == 1:
+        return points(k * (b.size - 1) + 1)
+    if (a.size, b.size, k) == (2, 3, 2):
+        return points(6)
+    raise BudgetExceededError(f"no ordered-set witness is known for a={a.size}, b={b.size}, k={k}")
 
 
 def build_direct_sum_witness(
@@ -300,23 +295,23 @@ def build_direct_sum_witness(
     a1: FiniteStructure,
     b1: FiniteStructure,
     k: int,
-    witness_oracle: Callable | None = None,
+    witness_oracle: Callable = ordered_set_oracle,
 ) -> FiniteStructure:
     """Construct C with C -> (B0 + B1) for the direct-sum arrow problem.
 
     Following the chain argument: pick C1 solving the second problem, let
     m be the number of A1-copies of C1, then iterate the first problem's
     oracle m times starting from its own witness; the tagged disjoint
-    union of the final chain element and C1 is returned.
+    union of the final chain element and C1 is returned.  The oracle maps
+    (A, B, k) to a C with C -> (B)^A_k; ordered_set_oracle by default.
     """
     if k < 1:
         raise InputError("number of colors must be positive")
-    oracle = witness_oracle if witness_oracle is not None else ordered_set_oracle()
-    c1 = oracle(a1, b1, k)
+    c1 = witness_oracle(a1, b1, k)
     m = len(copies(c1, a1).embeddings)
-    c = oracle(a0, b0, k)
+    c = witness_oracle(a0, b0, k)
     for _ in range(m):
-        c = oracle(a0, c, k)
+        c = witness_oracle(a0, c, k)
     return direct_sum(c, c1)
 
 

@@ -424,8 +424,9 @@ def random_v_instance(seed: int, n: int):
 
 
 def ref_arrow_scan(problem: ColoringProblem, budget: int = 1 << 20) -> tuple[bool, int]:
-    """Walk every coloring in product order; stop at the first bad one."""
-    a_copies = copies(problem.c, problem.a).embeddings
+    """Walk every coloring in product order over the A-copies in colex
+    order (by the reversed tuple); stop at the first bad one."""
+    a_copies = sorted(copies(problem.c, problem.a).embeddings, key=lambda e: e[::-1])
     b_copies = copies(problem.c, problem.b).embeddings
     inner = copies(problem.b, problem.a).embeddings
     total = problem.k ** len(a_copies)

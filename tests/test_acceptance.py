@@ -260,7 +260,7 @@ def test_criterion_09_arrows_and_sums():
     with pytest.raises(BudgetExceededError):
         arrow_check(
             ColoringProblem(direct_sum(pt, pt), direct_sum(two, two), big, 2),
-            budget=1 << 22,
+            budget=1 << 12,
         )
     report(9, "threshold at 6 points (32768 colorings), sums verified or refused")
 

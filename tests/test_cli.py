@@ -224,12 +224,14 @@ def test_direct_sum_verb(tmp_path, capsys):
 
 
 def test_direct_sum_oracle_budget_refuses(tmp_path, capsys):
+    """The oracle knows no witness past its classical sizes; --budget is ignored."""
     (tmp_path / "p2.json").write_text(points(2).to_json())
     (tmp_path / "p3.json").write_text(points(3).to_json())
     p2, p3 = str(tmp_path / "p2.json"), str(tmp_path / "p3.json")
-    code, out, err = run(capsys, "direct-sum", p2, p3, p2, p3, "--k", "3", "--budget", "10")
-    assert (code, out) == (2, "")
-    assert err == "refused: 27 colorings exceed the budget of 10; refusing to sample\n"
+    for budget in ([], ["--budget", "10"]):
+        code, out, err = run(capsys, "direct-sum", p2, p3, p2, p3, "--k", "3", *budget)
+        assert (code, out) == (2, "")
+        assert err == "refused: no ordered-set witness is known for a=2, b=3, k=3\n"
 
 
 @pytest.mark.parametrize(

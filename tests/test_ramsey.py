@@ -198,18 +198,21 @@ def test_arrow_with_edges():
     assert not arrow_check(ColoringProblem(e, path, host, 2))
 
 
-def scan_or_refusal(scan, problem, budget):
-    try:
-        return scan(problem, budget)
-    except BudgetExceededError:
-        return "refused"
-
-
 @pytest.mark.parametrize("seed", range(240))
 def test_arrow_scan_matches_reference(seed):
+    """Both walk the colorings in the same colex order, so they agree on the
+    count wherever the product walk answers under its cap; elsewhere the
+    search still answers at its default budget, and a true arrow reports
+    all k**N colorings."""
     problem = random_arrow_problem(seed)
-    want = scan_or_refusal(ref_arrow_scan, problem, 1 << 12)
-    assert scan_or_refusal(arrow_scan, problem, 1 << 12) == want
+    got = arrow_scan(problem)
+    try:
+        want = ref_arrow_scan(problem, 1 << 16)
+    except BudgetExceededError:
+        n = len(copies(problem.c, problem.a).embeddings)
+        assert not got[0] or got[1] == problem.k**n
+        return
+    assert got == want
 
 
 @pytest.mark.parametrize(
@@ -232,23 +235,36 @@ def test_arrow_scan_vacuous_cases_match_reference(a, b, c, k):
     assert arrow_scan(problem) == ref_arrow_scan(problem)
 
 
-def test_arrow_scan_refusals_match_reference():
+def test_arrow_scan_node_budget_frontier():
+    """One budget unit is one color placed at one position: 2 -> (3)^2_2
+    on 6 points places 324 colors before it proves all 2**15 colorings."""
     problem = ColoringProblem(points(2), points(3), points(6), 2)
-    for scan in (arrow_scan, ref_arrow_scan):
-        with pytest.raises(BudgetExceededError):
-            scan(problem, budget=(1 << 15) - 1)
-    assert arrow_scan(problem, budget=1 << 15) == ref_arrow_scan(problem, budget=1 << 15)
+    assert arrow_scan(problem, budget=324) == (True, 1 << 15)
+    with pytest.raises(BudgetExceededError, match="budget of 323 nodes"):
+        arrow_scan(problem, budget=323)
+
+
+def test_arrow_scan_negative_budget_is_input_error():
+    vacuous = ColoringProblem(points(3), points(2), points(4), 2)  # A not in B
+    assert arrow_scan(vacuous, budget=0) == (True, 2**4)
+    for problem in (vacuous, ColoringProblem(points(2), points(3), points(6), 2)):
+        with pytest.raises(InputError, match="budget must be nonnegative"):
+            arrow_scan(problem, budget=-1)
 
 
 def test_arrow_scan_pinned_counts():
-    # the arrow holds on 7 points: every one of the 2**21 colorings is decided
+    # at the default budget the search decides instances far past 2**20 colorings
     start = time.perf_counter()
-    got = arrow_scan(ColoringProblem(points(2), points(3), points(7), 2), budget=1 << 21)
-    assert got == (True, 2097152)
+    assert arrow_scan(ColoringProblem(points(2), points(3), points(7), 2)) == (True, 1 << 21)
+    assert arrow_scan(ColoringProblem(points(2), points(3), points(12), 2)) == (True, 1 << 66)
+    got = arrow_scan(ColoringProblem(points(2), points(4), points(10), 2))
+    assert got == (False, 661718632331)
+    got = arrow_scan(ColoringProblem(points(3), points(4), points(10), 2))
+    assert got == (False, 98932886636603412417397117829820133)
     assert time.perf_counter() - start < 1.0
-    # failing arrows stop at the first bad coloring in lexicographic order
-    assert arrow_scan(ColoringProblem(points(3), points(4), points(6), 2)) == (False, 8085)
-    assert arrow_scan(ColoringProblem(points(2), points(3), points(5), 2)) == (False, 237)
+    # failing arrows stop at the first bad coloring in colex order
+    assert arrow_scan(ColoringProblem(points(3), points(4), points(6), 2)) == (False, 78045)
+    assert arrow_scan(ColoringProblem(points(2), points(3), points(5), 2)) == (False, 221)
 
 
 def test_hereditary_closure_counts():
@@ -276,13 +292,10 @@ def test_direct_sum_tags_parts():
 
 
 def test_ordered_set_oracle_pigeonhole():
-    oracle = ordered_set_oracle()
+    oracle = ordered_set_oracle
     assert oracle(points(1), points(3), 4).size == 4 * 2 + 1
     assert oracle(points(2), points(2), 5).size == 2
     assert oracle(points(2), points(3), 2).size == 6
-    # the classical sizes need no search, so a budget too small for one still answers
-    assert ordered_set_oracle(0)(points(1), points(3), 4).size == 4 * 2 + 1
-    assert ordered_set_oracle(100)(points(2), points(3), 2).size == 6
     # anything but a plain ordered set is refused, parts as well as edges
     for a, b in [
         (ordered_graph(2, [(0, 1)]), points(3)),
@@ -291,15 +304,32 @@ def test_ordered_set_oracle_pigeonhole():
     ]:
         with pytest.raises(InputError, match="plain ordered sets only"):
             oracle(a, b, 2)
+    for a, b in [(1, 3), (2, 3), (0, 2)]:
+        with pytest.raises(InputError, match="number of colors must be positive"):
+            oracle(points(a), points(b), 0)
 
 
-@pytest.mark.parametrize("budget", [None, 0])
-def test_ordered_set_oracle_answers_b_where_it_holds_one_a_copy_at_most(budget):
-    """A empty, A = B and A larger than B: B is the witness, found without a search."""
-    oracle = ordered_set_oracle(budget)
+@pytest.mark.parametrize("k", [2, 3])
+def test_ordered_set_oracle_answers_b_where_it_holds_one_a_copy_at_most(k):
+    """A empty, A = B and A larger than B: B is the witness."""
     for a, b in [(0, 0), (0, 3), (2, 2), (3, 2), (1, 0), (4, 1)]:
-        assert oracle(points(a), points(b), 2) == points(b)
-        assert arrow_check(ColoringProblem(points(a), points(b), points(b), 2))
+        assert ordered_set_oracle(points(a), points(b), k) == points(b)
+        assert arrow_check(ColoringProblem(points(a), points(b), points(b), k))
+
+
+def test_ordered_set_oracle_answers_b_for_one_color():
+    """With one color C -> (B)^A_1 holds exactly when B embeds in C."""
+    for a, b in [(2, 3), (3, 5), (1, 4), (2, 6)]:
+        assert ordered_set_oracle(points(a), points(b), 1) == points(b)
+        assert arrow_check(ColoringProblem(points(a), points(b), points(b), 1))
+
+
+@pytest.mark.parametrize("a, b, k", [(2, 4, 2), (3, 4, 2), (2, 3, 3)])
+def test_ordered_set_oracle_refuses_past_its_shortcuts(a, b, k):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"a={a}, b={b}, k={k}$"):
+        ordered_set_oracle(points(a), points(b), k)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_direct_sum_witness_small_exhaustive():
@@ -325,15 +355,16 @@ def test_direct_sum_witness_small_exhaustive():
 def test_direct_sum_witness_shape_for_larger_instance():
     """The classical chain sizes appear: 2-point targets give 17 + 3.
 
-    Verifying that witness exhaustively would mean 2**51 colorings, so the
-    structural shape is asserted and the scan is shown to refuse honestly.
+    Verifying that witness exhaustively would mean searching 2**51
+    colorings, so the structural shape is asserted and the search is shown
+    to refuse honestly under a small node budget.
     """
     pt, two = points(1), points(2)
     c = build_direct_sum_witness(pt, two, pt, two, 2)
     assert c.part_sizes == (17, 3)
     problem = ColoringProblem(direct_sum(pt, pt), direct_sum(two, two), c, 2)
     with pytest.raises(BudgetExceededError):
-        arrow_check(problem, budget=1 << 22)
+        arrow_check(problem, budget=1 << 12)
 
 
 def test_flatten_forgets_parts():
