@@ -2,9 +2,12 @@
 
 Submodules: setsys (set systems, shattering, shifts), zar (box-free
 thresholds, extremal families and the counterexample structure), fmodel
-(quantifier-free formulas and type counting over finite structures), ramsey (ordered substructure
-arrows and partite encodings), hyperrand (random hypergraphs with
-verified extension levels, adjacency walks), cli (the vcn command).
+(quantifier-free formulas and type counting over finite structures, with
+pi_phi and dim_phi on the support of delta), indisc (families of
+indiscernibles indexed by hypergraphs: encoding and indiscernibility
+checks), ramsey (ordered substructure arrows and partite encodings),
+hyperrand (random hypergraphs with verified extension levels, adjacency
+walks), cli (the vcn command).
 
 ``import vcn`` loads no submodule: each public name below is looked up in
 its home module on first use, which imports that module then.
@@ -22,10 +25,10 @@ _EXPORTS = {
         iter_boxes sauer_binomial_bound shatter_fn shift trace vc_n_dim""",
     "zar": """ZarResult build_counterexample_structure build_extremal_family
         contains_complete_partite zarankiewicz""",
-    "fmodel": """IndexedFamily QfFormula TypeCount check_encodes
-        check_indiscernible conjoin count_types dim_phi eval_formula
+    "fmodel": """QfFormula TypeCount conjoin count_types dim_phi eval_formula
         format_formula negate parse_formula permute_blocks phi_class pi_phi
         verify_ipn_witness""",
+    "indisc": "IndexedFamily check_encodes check_indiscernible",
     "ramsey": """ColoringProblem EmbeddingSet RelStructure arrow_check
         arrow_scan bar_restrict build_direct_sum_witness copies direct_sum
         encode_tilde flatten hereditary_closure induced ordered_set_oracle

@@ -2,7 +2,9 @@
 
 A structure is the library's one FiniteStructure, defined in errors
 beside PartiteHypergraph: a domain, named relations and optional parts.
-Its parts and order matter only where it indexes a family of indiscernibles.
+Its parts and order matter only where it indexes a family of
+indiscernibles; the encoding and indiscernibility checks live in indisc,
+which reads this module's evaluator.
 
 A formula here is quantifier-free with positional variable blocks: block 0
 is the object block (rendered "x"), blocks 1..n are parameter blocks
@@ -12,11 +14,13 @@ object tuples against a fixed structure yields a set system over the
 product of the parameter tuple spaces; counting distinct truth patterns of
 object tuples against finite parameter boxes counts realized types.  The
 two views agree cell by cell, and the test suite checks that agreement
-directly.  Every evaluation here, from one assignment (eval_formula) to
-the encoding and indiscernibility checks, reads one evaluator, which
-compiles each formula once and builds one object tuple's truth pattern
-at a time; type counting over all boxes is the shatter function of the
-delta-type system.
+directly.  Every evaluation, from one assignment (eval_formula) to type
+counting and the checks of indisc, reads one evaluator, which compiles
+each formula once and builds one object tuple's truth pattern at a time.
+Type counting over all boxes is the shatter function of the delta-type
+system.  pi_phi and dim_phi read that system on the support of delta:
+each parameter component keeps the values its atoms see and m inert
+values, which stand for every other value.
 
 Formulas are exchanged as s-expressions, e.g.::
 
@@ -34,14 +38,13 @@ from __future__ import annotations
 
 import re
 from functools import cache, reduce
-from itertools import chain, combinations, product
+from itertools import chain, islice, product
 from math import prod
 from operator import and_, getitem, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .errors import FiniteStructure, InputError, PartiteHypergraph
-from .errors import Record, Relation, _bits
-from .setsys import ProductUniverse, SetSystem, _max_trace, _rows, vc_n_dim
+from .errors import FiniteStructure, InputError, Record, _bits
+from .setsys import ProductUniverse, SetSystem, _max_trace, vc_n_dim
 
 
 # Formula AST nodes are nested tuples:
@@ -324,10 +327,52 @@ def phi_class(structure: FiniteStructure, phi: QfFormula) -> SetSystem:
     The universe has one part per parameter block, of size
     domain ** block_length, with parameter tuples indexed row-major.
     """
-    spaces = [block_tuples(structure, l) for l in phi.block_lengths]
-    universe = ProductUniverse(tuple(len(s) for s in spaces[1:]))
-    members = set(map(_types(structure, [phi], spaces), spaces[0]))
+    return _definable(structure, phi, [block_tuples(structure, l) for l in phi.block_lengths[1:]])
+
+
+def _definable(structure: FiniteStructure, phi: QfFormula, params: Sequence) -> SetSystem:
+    """phi's definable sets over the product of the parameter lists."""
+    objects = block_tuples(structure, phi.block_lengths[0])
+    universe = ProductUniverse(tuple(map(len, params)))
+    members = set(map(_types(structure, [phi], [objects, *params]), objects))
     return SetSystem(universe, tuple(sorted(members)))
+
+
+def _support(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> list[list]:
+    """One tuple list per parameter block: the support of delta, with m inert values.
+
+    A value is inert at a parameter component when no atom has it, in any
+    tuple of its relation, at a position that reads the component.  Every
+    atom reading an inert value is false, so inert values give equal
+    columns, and a box's inert values rename one to one into the first m
+    without changing a trace.  So a component keeps the values its atoms
+    see and its first max(m, 1) inert values (one keeps a list nonempty),
+    and one that an equality reads keeps every value.  A bad atom adds
+    nothing: the evaluator refuses it.
+    """
+    seen: dict = {}  # seen[b, c]: the values atoms read at component c of block b; None: all
+    nodes = [phi.body for phi in delta]
+    while nodes:
+        op, *args = nodes.pop()
+        if op == "eq":
+            seen.update(dict.fromkeys(args))
+        elif op != "atom":
+            nodes += args
+        elif args[0] in structure.relations:
+            rel = structure.relations[args[0]]
+            for p, var in enumerate(args[1] if rel.arity == len(args[1]) else ()):
+                if var[0] and seen.get(var, ()) is not None:
+                    seen.setdefault(var, set()).update(t[p] for t in rel.tuples)
+    domain = range(structure.size)
+
+    def values(var):
+        vals = seen.get(var, set())
+        if vals is None:
+            return domain
+        return sorted({*vals, *islice((v for v in domain if v not in vals), max(m, 1))})
+
+    lengths = enumerate(delta[0].block_lengths[1:], 1)
+    return [list(product(*(values((b, c)) for c in range(l)))) for b, l in lengths]
 
 
 class TypeCount(Record):
@@ -386,24 +431,35 @@ def pi_phi(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> in
 
     This is a shatter function of the delta-type system: one member per
     object tuple over the universe (formula, parameter tuple of each
-    block), where every box takes the formula coordinate whole.
+    block), where every box takes the formula coordinate whole.  Every
+    box has the traces of a box on the support of delta (see _support),
+    so the search reads only that.
     """
     shape = _check_delta(delta)
     if m < 0:
         raise InputError("box size must be nonnegative")
-    spaces = [block_tuples(structure, l) for l in shape]
-    if any(m > len(s) for s in spaces[1:]):
+    if any(m > structure.size**l for l in shape[1:]):
         raise InputError(f"box size {m} exceeds a parameter tuple space")
-    types = list(set(map(_types(structure, delta, spaces), spaces[0])))
-    sizes = [len(delta), *map(len, spaces[1:])]
-    return _max_trace(types, sizes, [len(delta)] + [m] * (len(sizes) - 1), 0)
+    lists = _support(structure, delta, m)
+    objects = block_tuples(structure, shape[0])
+    types = list(set(map(_types(structure, delta, [objects, *lists]), objects)))
+    sizes = [len(delta), *map(len, lists)]
+    return _max_trace(types, sizes, [len(delta)] + [m] * len(lists), 0)
 
 
 def dim_phi(
     structure: FiniteStructure, phi: QfFormula, size_cap: int | None = None
 ) -> int:
-    """Box dimension of the formula's definable family."""
-    return vc_n_dim(phi_class(structure, phi), size_cap)
+    """Box dimension of the formula's definable family.
+
+    A shattered m-box needs 2 ** m ** n distinct members, at most one per
+    object tuple, so the family is read on the support of phi with the
+    inert values of the largest such m (see _support).
+    """
+    m = 0
+    while 1 << (m + 1) ** phi.n <= structure.size ** phi.block_lengths[0]:
+        m += 1
+    return vc_n_dim(_definable(structure, phi, _support(structure, [phi], m)), size_cap)
 
 
 def verify_ipn_witness(
@@ -425,153 +481,3 @@ def verify_ipn_witness(
     if len(objects).bit_length() <= cells:
         return False
     return len(set(map(pattern, objects))) == 1 << cells
-
-
-class IndexedFamily(Record):
-    """Equal-length element tuples indexed by the vertices of a partite
-    hypergraph or an ordered structure."""
-
-    index: PartiteHypergraph | FiniteStructure
-    tuples: Mapping[object, tuple[int, ...]]
-
-    def __post_init__(self):
-        tups = {k: tuple(int(v) for v in t) for k, t in dict(self.tuples).items()}
-        lengths = {len(t) for t in tups.values()}
-        if len(lengths) > 1:
-            raise InputError("indexed tuples must share one length")
-        object.__setattr__(self, "tuples", tups)
-
-    @property
-    def tuple_length(self) -> int:
-        return len(next(iter(self.tuples.values()))) if self.tuples else 0
-
-
-def _index_view(index: PartiteHypergraph | FiniteStructure):
-    """The vertices of an index in order, and the ordered structure it is.
-
-    A structure is its own view, on the vertices 0..size-1.  A partite
-    hypergraph is read through its partite view: its (part, position)
-    vertices in part-major order, its parts convex, and each edge shifted
-    to the positions of the vertices it picks.
-    """
-    if isinstance(index, FiniteStructure):
-        return range(index.size), index
-    if not isinstance(index, PartiteHypergraph):
-        raise InputError("unsupported index structure")
-    sizes = index.part_sizes
-    vertices = [(p, i) for p in range(index.n) for i in range(sizes[p])]
-    starts = [sum(sizes[:p]) for p in range(index.n)]
-    edges = [tuple(s + v for s, v in zip(starts, e)) for e in index.edges]
-    return vertices, FiniteStructure(len(vertices), {"R": Relation(index.n, edges)}, sizes)
-
-
-def _check_family(
-    structure: FiniteStructure, fam: IndexedFamily, vertices, lengths: Sequence[int]
-) -> None:
-    """Refuse an indexed family that no mask over the blocks can read.
-
-    Checked before any relation is read, in this order: a vertex without an
-    indexed tuple, a tuple length other than a block length, a tuple outside
-    the domain.
-    """
-    for v in vertices:
-        if v not in fam.tuples:
-            raise InputError(f"vertex {v} has no indexed tuple")
-    if any(length != fam.tuple_length for length in lengths):
-        raise InputError("indexed tuple length must match every block length")
-    for v in vertices:
-        if any(not 0 <= x < structure.size for x in fam.tuples[v]):
-            raise InputError(f"indexed tuple {fam.tuples[v]} of vertex {v} leaves the domain")
-
-
-def check_encodes(
-    structure: FiniteStructure,
-    phi: QfFormula,
-    fam: IndexedFamily,
-    hypergraph: PartiteHypergraph,
-) -> bool:
-    """True when phi on the indexed tuples reproduces the hypergraph's edges.
-
-    Block j of phi is fed the tuple indexed by the part-j vertex of each
-    cross tuple, so the formula needs exactly one block per part.
-    """
-    if len(phi.block_lengths) != hypergraph.n:
-        raise InputError("formula needs one block per hypergraph part")
-    sizes = hypergraph.part_sizes
-    vertices = [(p, i) for p, size in enumerate(sizes) for i in range(size)]
-    _check_family(structure, fam, vertices, phi.block_lengths)
-    lists = [[fam.tuples[p, i] for i in range(size)] for p, size in enumerate(sizes)]
-    pattern, cells = _types(structure, [phi], lists), prod(sizes[1:])
-    mask = sum(pattern(t) << p * cells for p, t in enumerate(lists[0]))
-    return mask == hypergraph._cell_mask()
-
-
-def check_indiscernible(
-    fam: IndexedFamily,
-    reduct: Iterable[str],
-    structure: FiniteStructure,
-    delta: Sequence[QfFormula],
-    arity_cap: int,
-):
-    """Check that index tuples with equal reduct types get equal delta types.
-
-    The index is read as an ordered structure on vertex positions, a
-    partite hypergraph through its partite view.  The reduct names which
-    of its relations count: any subset of {"order", "parts", "edge"}.
-    Equality atoms always count.  Returns True, or the first violating
-    pair of index tuples, in the index's own vertex keys.
-
-    Each formula is compiled once over the D distinct indexed tuples.  A
-    tuple's pattern, D ** (blocks - 1) bits per formula, is built when the
-    scan first reaches a vertex that carries it, so an early violation
-    builds few.  A delta type reads one bit per block map and formula.
-    """
-    reduct = frozenset(reduct)
-    if not reduct <= {"order", "parts", "edge"}:
-        raise InputError("reduct must be a subset of {order, parts, edge}")
-    if arity_cap < 1:
-        raise InputError("arity cap must be positive")
-    shape = _check_delta(delta)
-    vertices, view = _index_view(fam.index)
-    _check_family(structure, fam, vertices, shape)
-    # column[x]: the slot of position x's tuple among the distinct indexed tuples
-    slot: dict = {}
-    column = [slot.setdefault(fam.tuples[v], len(slot)) for v in vertices]
-    objects, blocks = list(slot), len(shape)
-    pattern, cells = _types(structure, delta, [objects] * blocks), len(slot) ** (blocks - 1)
-    built: dict = {}  # built[c]: the pattern of slot c, once the scan has reached it
-    fs = range(len(delta))
-    part = (view.part_ids() or [0] * view.size) if "parts" in reduct else None
-    rel = view.relations.get("R") if "edge" in reduct else None
-    edges = rel and {frozenset(t) for t in rel.tuples}
-
-    def reduct_type(w):
-        # a rank pattern fixes every pairwise sign, an equality pattern every
-        # pairwise equality; with a repeated position a set is smaller than
-        # every edge
-        pattern = tuple(map((sorted(set(w)) if "order" in reduct else w).index, w))
-        parts = tuple(part[x] for x in w) if part is not None else None
-        hits = rel and tuple(frozenset(s) in edges for s in combinations(w, rel.arity))
-        return (pattern, parts, hits)
-
-    def delta_type(w):
-        cols = [column[x] for x in w]
-        for c in cols:
-            if c not in built:
-                built[c] = pattern(objects[c])
-        # one cell per map of the parameter blocks into w
-        gs = _rows([len(slot)] * (blocks - 1), [cols] * (blocks - 1))
-        return tuple(built[c] >> g + f * cells & 1 for c in cols for g in gs for f in fs)
-
-    for length in range(1, arity_cap + 1):
-        groups: dict = {}
-        for w in product(range(len(vertices)), repeat=length):
-            key = reduct_type(w)
-            val = delta_type(w)
-            if key in groups:
-                prev_w, prev_val = groups[key]
-                if prev_val != val:
-                    return tuple(vertices[x] for x in prev_w), tuple(vertices[x] for x in w)
-            else:
-                groups[key] = (w, val)
-    return True

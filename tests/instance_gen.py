@@ -1,5 +1,5 @@
-"""Seeded random instances, naive reference implementations, and the one
-fresh-interpreter memory probe that every memory test uses.
+"""Seeded random instances, naive reference implementations, and the two
+fresh-interpreter memory probes that every memory test uses.
 
 The reference functions recompute everything with frozensets of tuples
 and plain loops, deliberately avoiding the bitmask representation the
@@ -40,6 +40,27 @@ def traced_peak(setup: str, call: str) -> tuple[str, int]:
         f"import tracemalloc\nfrom vcn import *\n{setup}\ntracemalloc.start()\n"
         f"print(repr({call}), tracemalloc.get_traced_memory()[1])\n"
     )
+    return _child(script)
+
+
+def capped_rss_peak(setup: str, call: str, address_limit: int) -> tuple[str, int]:
+    """The repr of call's result and the peak resident set, in bytes, of a
+    fresh interpreter that caps its own address space at address_limit
+    bytes before setup: a call that outgrows the cap fails there with
+    MemoryError instead of exhausting the host."""
+    script = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({address_limit}, {address_limit}))\n"
+        f"from vcn import *\n{setup}\nresult = repr({call})\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "print(result, peak * 1024)\n"
+    )
+    return _child(script)
+
+
+def _child(script: str) -> tuple[str, int]:
+    """Run script in a fresh interpreter that prints a repr and a number."""
     path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -262,6 +283,16 @@ def ref_pi_phi(structure: FiniteStructure, delta, m: int) -> int:
         len(ref_types(structure, delta, boxes))
         for boxes in product(*(combinations(space, m) for space in spaces))
     )
+
+
+def ref_dim_phi(structure: FiniteStructure, phi: QfFormula) -> int:
+    """Largest m such that some box of size m per block realizes all
+    2 ** m ** n patterns, box by box."""
+    spaces = [structure.size**length for length in phi.block_lengths[1:]]
+    m = 0
+    while m < min(spaces) and ref_pi_phi(structure, [phi], m + 1) == 1 << (m + 1) ** len(spaces):
+        m += 1
+    return m
 
 
 def random_formula(rng: random.Random, lengths, signature, depth: int = 2) -> QfFormula:

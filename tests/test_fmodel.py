@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instance_gen import (
+    capped_rss_peak,
     member_sets,
     random_formula,
     random_ordered,
     random_structure,
+    ref_dim_phi,
     ref_encodes,
     ref_eval,
     ref_indiscernible,
@@ -54,7 +56,7 @@ from vcn import (
     verify_ipn_witness,
     zarankiewicz,
 )
-from vcn.fmodel import block_tuples
+from vcn.fmodel import _support, block_tuples
 
 
 def edge_formula(n: int = 2) -> QfFormula:
@@ -329,6 +331,53 @@ def test_type_counting_matches_pointwise_evaluation(seed):
     assert set(member_sets(phi_class(structure, delta[0]))) == want
 
 
+def sparse_instance(seed: int):
+    """A structure whose relations hold at most three tuples each, so most
+    values are inert at some component, and a delta of random formulas.
+    On every third seed the first formula reads the last parameter
+    component only through an equality."""
+    rng = random.Random(seed)
+    lengths = SHAPES[seed % len(SHAPES)]
+    domain = rng.randint(2, 5 if sum(lengths) <= 3 else 3)
+    relations = {}
+    for name, arity in SIGNATURE:
+        space = list(product(range(domain), repeat=arity))
+        relations[name] = Relation(arity, rng.sample(space, rng.randint(0, 3)))
+    delta = [random_formula(rng, lengths, SIGNATURE) for _ in range(1 + seed % 2)]
+    if seed % 3 == 0:
+        last = (len(lengths) - 1, lengths[-1] - 1)
+        body = ("or", ("atom", "S", ((0, 0), (1, 0))), ("not", ("eq", (0, 0), last)))
+        delta[0] = QfFormula(lengths, body if last != (1, 0) else body[2])
+    return FiniteStructure(domain, relations), delta
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_support_of_delta_keeps_pi_and_dimension(seed):
+    """pi_phi and dim_phi read the support of delta with m inert values;
+    the box-by-box references read every parameter tuple."""
+    structure, delta = sparse_instance(seed)
+    spaces = [structure.size**l for l in delta[0].block_lengths[1:]]
+    for m in range(min(3, min(spaces) + 1)):
+        assert pi_phi(structure, delta, m) == ref_pi_phi(structure, delta, m)
+    assert dim_phi(structure, delta[0]) == ref_dim_phi(structure, delta[0])
+
+
+def test_sparse_instances_leave_values_inert():
+    """The instances above exercise the collapse: a support list shorter
+    than its space is common, and every third first formula reads a
+    component only through an equality, which keeps all of its values."""
+    shorter = 0
+    for seed in range(60):
+        structure, delta = sparse_instance(seed)
+        lengths = delta[0].block_lengths
+        lists = _support(structure, delta, 1)
+        shorter += any(len(lst) < structure.size**l for lst, l in zip(lists, lengths[1:]))
+        if seed % 3 == 0:
+            values = {t[-1] for t in _support(structure, delta[:1], 0)[-1]}
+            assert values == set(range(structure.size))
+    assert shorter >= 30
+
+
 def test_random_formulas_cover_every_node():
     bodies = [str(phi) for seed in range(48) for phi in random_instance(seed)[2]]
     assert any("(not" in f for f in bodies)
@@ -444,6 +493,21 @@ phi = parse_formula("(R x y0 y1)", (1, 1, 1))
     members, peak = traced_peak(setup, "len(phi_class(s, phi).members)")
     assert members == "582"
     assert peak < 40 * 2**20
+
+
+def test_large_counterexample_reads_the_support_only():
+    """The (2, 3, 4, 5) counterexample has 4,691 elements, so its
+    whole-universe patterns would hold about 12.8 GB.  dim_phi and pi_phi
+    read the formula's support (14 x 14 seen values) in a child whose
+    address space is capped at 1 GiB."""
+    setup = """
+s = build_counterexample_structure((2, 3, 4, 5))
+phi = parse_formula("(R x y0 y1)", (1, 1, 1))
+"""
+    call = "(s.size, dim_phi(s, phi), pi_phi(s, [phi], 2))"
+    answers, peak = capped_rss_peak(setup, call, 1 << 30)
+    assert answers == "(4691, 1, 8)"
+    assert peak < 100 * 2**20
 
 
 def test_verify_ipn_witness_answers_past_the_object_count_without_patterns():

@@ -33,7 +33,7 @@ def _module_imports() -> dict[str, set[str]]:
 
 def test_import_graph_is_acyclic():
     graph = _module_imports()
-    assert {"zar", "fmodel", "hyperrand", "cli"} <= set(graph)
+    assert {"zar", "fmodel", "indisc", "hyperrand", "cli"} <= set(graph)
     try:
         list(TopologicalSorter(graph).static_order())
     except CycleError as exc:
@@ -41,7 +41,9 @@ def test_import_graph_is_acyclic():
     # the index types live in errors: no kernel loads the threshold search for them
     assert {name for name, deps in graph.items() if "zar" in deps} == {"cli"}
     assert graph["hyperrand"] == {"errors"}
+    # type counting never compiles the indiscernibility checks: no indisc here
     assert graph["fmodel"] == {"errors", "setsys"}
+    assert graph["indisc"] == {"errors", "fmodel", "setsys"}
 
 
 def test_cli_imports_no_private_kernel_name():
@@ -103,6 +105,12 @@ LOADED = {
     "ExtensionHypergraph.from_json": {"errors", "hyperrand"},
     # the counterexample builder reads no formula
     "build_counterexample_structure": {"errors", "setsys", "zar"},
+    # type counting and definable families leave the indiscernibility checks unloaded
+    "count_types": {"errors", "fmodel", "setsys"},
+    "pi_phi": {"errors", "fmodel", "setsys"},
+    "dim_phi": {"errors", "fmodel", "setsys"},
+    "phi_class": {"errors", "fmodel", "setsys"},
+    "check_indiscernible": {"errors", "fmodel", "indisc", "setsys"},
 }
 ARGV = {
     "zar-table": ["zar-table", "--n", "2", "--m", "2..3", "--d", "2"],
@@ -114,6 +122,11 @@ ARGV = {
     "walk": ["walk", "h.json", "pair.json"],
     "counterexample": ["counterexample", "--m", "2"],
 }
+# A structure on s.json and a formula over its binary relation R.
+FORMULA = (
+    "s = vcn.FiniteStructure.from_json(open('s.json').read()); "
+    "phi = vcn.parse_formula('(R x y0)'); "
+)
 # The statement each case runs after `import vcn`: a library call or a verb.
 STATEMENT = {
     "import vcn": "",
@@ -121,6 +134,13 @@ STATEMENT = {
     "PartiteHypergraph.from_json": "vcn.PartiteHypergraph.from_json(open('h.json').read())",
     "ExtensionHypergraph.from_json": "vcn.ExtensionHypergraph.from_json(open('h.json').read())",
     "build_counterexample_structure": "vcn.build_counterexample_structure([2])",
+    "count_types": FORMULA + "vcn.count_types(s, [phi], [[(0,), (2,)]])",
+    "pi_phi": FORMULA + "vcn.pi_phi(s, [phi], 2)",
+    "dim_phi": FORMULA + "vcn.dim_phi(s, phi)",
+    "phi_class": FORMULA + "vcn.phi_class(s, phi)",
+    "check_indiscernible": FORMULA
+    + "vcn.check_indiscernible(vcn.IndexedFamily(s, {v: (v,) for v in range(3)}),"
+    " {'order'}, s, [phi], 2)",
     **{case: f"import vcn.cli; assert vcn.cli.main({argv!r}) == 0" for case, argv in ARGV.items()},
 }
 # Standard-library modules no verb needs (dataclasses loads inspect, ast and

@@ -21,11 +21,11 @@ PUBLIC = {
         "contains_complete_partite", "zarankiewicz",
     ],
     "fmodel": [
-        "IndexedFamily", "QfFormula", "TypeCount",
-        "check_encodes", "check_indiscernible", "conjoin", "count_types", "dim_phi",
+        "QfFormula", "TypeCount", "conjoin", "count_types", "dim_phi",
         "eval_formula", "format_formula", "negate", "parse_formula", "permute_blocks",
         "phi_class", "pi_phi", "verify_ipn_witness",
     ],
+    "indisc": ["IndexedFamily", "check_encodes", "check_indiscernible"],
     "ramsey": [
         "ColoringProblem", "EmbeddingSet", "RelStructure", "arrow_check", "arrow_scan",
         "bar_restrict", "build_direct_sum_witness", "copies", "direct_sum", "encode_tilde",
