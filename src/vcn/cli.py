@@ -22,8 +22,8 @@ from .errors import (
     _decode,
 )
 
-# Each verb imports the kernel modules it calls, and json or csv where it
-# reads or writes that format, so a process loads only those.
+# Each verb imports the kernel modules it calls, and json where it reads
+# or writes that format, so a process loads only those.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,15 +68,8 @@ def _table(header: list[str], rows: list[list], fmt: str) -> str:
 
         doc = [dict(zip(header, row)) for row in rows]
         return json.dumps(doc, sort_keys=True)
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    return buf.getvalue().rstrip("\n")
+    # headers are fixed words and values integers or fixed words: nothing to quote
+    return "\n".join(",".join(map(_fmt, row)) for row in [header, *rows])
 
 
 def _load_system(path: str):

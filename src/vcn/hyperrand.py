@@ -181,6 +181,8 @@ def gen_extension_hypergraph(
     attempt achieved (-1 after zero attempts).
     """
     retries = _RETRIES if retries is None else retries
+    if any(type(x) is not int for x in (n, part_size, t, retries, seed)):  # exact: no bool
+        raise InputError("n, part_size, t, retries and seed must be integers")
     if n < 1 or part_size < 1 or retries < 0:
         raise InputError("n and part_size must be positive, retries nonnegative")
     if t < 0:

@@ -28,7 +28,7 @@ tagged disjoint union.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, FiniteStructure, InputError, Record, Relation
 
@@ -277,7 +277,7 @@ def ordered_set_oracle(a: FiniteStructure, b: FiniteStructure, k: int) -> Finite
     colors (R(3,3) = 6).  Every other case is refused.
     """
     if a != points(a.size) or b != points(b.size):
-        raise InputError("the default oracle handles plain ordered sets only")
+        raise InputError("the ordered-set oracle handles plain ordered sets only")
     if k < 1:
         raise InputError("number of colors must be positive")
     if k == 1 or a.size == 0 or a.size >= b.size:
@@ -295,23 +295,21 @@ def build_direct_sum_witness(
     a1: FiniteStructure,
     b1: FiniteStructure,
     k: int,
-    witness_oracle: Callable = ordered_set_oracle,
 ) -> FiniteStructure:
     """Construct C with C -> (B0 + B1) for the direct-sum arrow problem.
 
     Following the chain argument: pick C1 solving the second problem, let
     m be the number of A1-copies of C1, then iterate the first problem's
     oracle m times starting from its own witness; the tagged disjoint
-    union of the final chain element and C1 is returned.  The oracle maps
-    (A, B, k) to a C with C -> (B)^A_k; ordered_set_oracle by default.
+    union of the final chain element and C1 is returned.
     """
     if k < 1:
         raise InputError("number of colors must be positive")
-    c1 = witness_oracle(a1, b1, k)
+    c1 = ordered_set_oracle(a1, b1, k)
     m = len(copies(c1, a1).embeddings)
-    c = witness_oracle(a0, b0, k)
+    c = ordered_set_oracle(a0, b0, k)
     for _ in range(m):
-        c = witness_oracle(a0, c, k)
+        c = ordered_set_oracle(a0, c, k)
     return direct_sum(c, c1)
 
 
@@ -332,15 +330,15 @@ def encode_tilde(x0: FiniteStructure) -> FiniteStructure:
 
     Each part is a full copy of the domain; an edge joins position-tagged
     copies (i in part 0, j in part 1, ...) exactly when the index tuple is
-    strictly increasing and forms an edge of the source.  Supports arity 2
-    and 3; every tuple of R must be strictly increasing, as RelStructure
-    writes each edge.
+    strictly increasing and forms an edge of the source, at every arity;
+    every tuple of R must be strictly increasing, as RelStructure writes
+    each edge.
     """
     if x0.part_sizes is not None:
         raise InputError("source must be partless")
     rel = x0.relations.get("R")
-    if rel is None or rel.arity not in (2, 3):
-        raise InputError("source needs a declared edge relation of arity 2 or 3")
+    if rel is None:
+        raise InputError("source needs a declared edge relation")
     _check_increasing(rel)
     m, r = x0.size, rel.arity
     edges = [tuple(p * m + v for p, v in enumerate(e)) for e in rel.tuples]

@@ -106,9 +106,6 @@ class SetSystem(Record):
             members.add(mask)
         return cls(universe, tuple(sorted(members)))
 
-    def member_tuples(self, mask: int) -> list[tuple[int, ...]]:
-        return [self.universe.index_tuple(i) for i in bit_indices(mask)]
-
     def to_json(self) -> str:
         doc = {
             "part_sizes": list(self.universe.part_sizes),
@@ -317,10 +314,11 @@ def shatter_fn(system: SetSystem, m: int) -> int:
 def shift(family: GroundFamily) -> GroundFamily:
     """Iterate element-wise down-shifts to a fixpoint.
 
-    One pass applies, for each ground element e in ascending order, the
-    replacement C -> C \\ {e} to every member containing e whose shifted
-    image is not already present.  The fixpoint has the same cardinality,
-    is downward closed, and shatters no set the input did not shatter.
+    One pass shifts, for each ground element e in ascending order, every
+    member C containing e whose image C \\ {e} is not a member, all at
+    once: the moved members leave and their images arrive.  The fixpoint
+    has the same cardinality, is downward closed, and shatters no set the
+    input did not shatter.
     """
     members = set(family.members)
     changed = True
@@ -328,12 +326,9 @@ def shift(family: GroundFamily) -> GroundFamily:
         changed = False
         for e in range(family.ground_size):
             bit = 1 << e
-            snapshot = frozenset(members)
-            for c in snapshot:
-                if c & bit and (c ^ bit) not in snapshot and (c ^ bit) not in members:
-                    members.remove(c)
-                    members.add(c ^ bit)
-                    changed = True
+            moved = {c for c in members if c & bit and (c ^ bit) not in members}
+            members ^= moved | {c ^ bit for c in moved}
+            changed |= bool(moved)
     return GroundFamily(family.ground_size, tuple(sorted(members)))
 
 

@@ -21,7 +21,7 @@ structure is its ternary relation, so R(x, y0, y1) defines that system.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 from math import comb, isqrt, prod
 from typing import Iterator, Sequence
 
@@ -337,6 +337,8 @@ def build_counterexample_structure(
     R(x, y0, y1) then defines the family, with every ground element
     contributing the empty member.
     """
+    from .setsys import bit_indices
+
     sizes = [int(m) for m in m_range]
     if any(m < 1 for m in sizes):
         raise InputError("block sizes must be positive")
@@ -345,6 +347,6 @@ def build_counterexample_structure(
     count = len(fam.members)
     tuples = set()
     for idx, member in enumerate(fam.members):
-        for a0, a1 in fam.member_tuples(member):
+        for a0, a1 in map(divmod, bit_indices(member), repeat(ground)):
             tuples.add((idx, count + a0, count + a1))
     return FiniteStructure(count + ground, {"R": Relation(3, frozenset(tuples))})

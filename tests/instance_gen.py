@@ -90,6 +90,23 @@ def random_family(seed: int, ground: int = 6, count: int | None = None) -> Groun
     return GroundFamily(ground, tuple(sorted(members)))
 
 
+def ref_shift(family: GroundFamily) -> GroundFamily:
+    """Down-shifts to a fixpoint, one member at a time against a snapshot per element."""
+    members = set(family.members)
+    changed = True
+    while changed:
+        changed = False
+        for e in range(family.ground_size):
+            bit = 1 << e
+            snapshot = frozenset(members)
+            for c in snapshot:
+                if c & bit and (c ^ bit) not in snapshot and (c ^ bit) not in members:
+                    members.remove(c)
+                    members.add(c ^ bit)
+                    changed = True
+    return GroundFamily(family.ground_size, tuple(sorted(members)))
+
+
 def random_structure(
     seed: int, domain: int = 4, signature: tuple[tuple[str, int], ...] = (("R", 2),)
 ) -> FiniteStructure:

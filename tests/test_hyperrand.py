@@ -163,6 +163,16 @@ def test_generation_zero_retries_refuses():
         gen_extension_hypergraph(2, 6, 1, seed=4, retries=-1)
 
 
+def test_generation_refuses_a_non_integer_argument_before_sampling():
+    # refused before any attempt: a float seed is not left to the sampled result
+    for args in [
+        (2, 8, 2, 1.5), (2.0, 4, 1, 1), (2, 4.0, 1, 1), (2, 4, True, 1), (2, 4, 1, 1, 0.5),
+    ]:
+        with pytest.raises(InputError) as exc:
+            gen_extension_hypergraph(*args)
+        assert str(exc.value) == "n, part_size, t, retries and seed must be integers"
+
+
 def test_extension_json_round_trip():
     eh = gen_extension_hypergraph(2, 6, 0, seed=5)
     again = ExtensionHypergraph.from_json(eh.to_json())

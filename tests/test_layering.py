@@ -1,6 +1,6 @@
 """The modules of the package import each other in layers, without cycles,
-and each of them, like json and csv, is loaded only when a name or a verb
-needs it."""
+and each of them, like json, is loaded only when a name or a verb needs it;
+csv is never loaded."""
 
 import ast
 import os
@@ -145,7 +145,7 @@ STATEMENT = {
 }
 # Standard-library modules no verb needs (dataclasses loads inspect, ast and
 # dis); between them the cases load every vcn module.
-NEVER_LOADED = ("dataclasses", "inspect")
+NEVER_LOADED = ("dataclasses", "inspect", "csv")
 
 
 @pytest.fixture
@@ -192,18 +192,18 @@ def test_modules_load_on_first_use(case, work):
     assert set(loaded.split()) == LOADED[case]
 
 
-# A verb loads json or csv only where it reads or writes that format:
-# (the one it loads, the one it does not).
-FORMATS = {"zar-table": ("csv", "json"), "encode-partite": ("json", "csv")}
+# A verb loads json only where it reads or writes that format, and no verb
+# loads csv: whether each case loads json.
+LOADS_JSON = {"zar-table": False, "encode-partite": True}
 
 
-@pytest.mark.parametrize("case", list(FORMATS))
+@pytest.mark.parametrize("case", list(LOADS_JSON))
 def test_verbs_load_only_the_formats_they_use(case, work):
     script = (
         "import sys, vcn\n"
         f"{STATEMENT[case]}\n"
-        f"print(*[m in sys.modules for m in {FORMATS[case]!r}])\n"
+        "print(*[m in sys.modules for m in ('json', 'csv')])\n"
     )
     # -S: no site hook preloads standard-library modules
     *_, loaded = _run(work, script, "-S")
-    assert loaded == "True False"
+    assert loaded == f"{LOADS_JSON[case]} False"

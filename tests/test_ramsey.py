@@ -403,9 +403,11 @@ def test_encode_tilde_validation():
     with pytest.raises(InputError):
         encode_tilde(points(3))  # no edge relation
     with pytest.raises(InputError):
-        encode_tilde(RelStructure(3, None, 4, frozenset()))
-    with pytest.raises(InputError):
         encode_tilde(RelStructure(3, (3,), 2, frozenset()))
+    for r in (1, 4, 5):  # every arity doubles and restricts back
+        x = RelStructure(2 * r, (2,) * r, r, [range(0, 2 * r, 2), range(1, 2 * r, 2)])
+        assert encode_tilde(flatten(x)).part_sizes == (2 * r,) * r
+        assert bar_restrict(x) == x
 
 
 def _r(size, tuples, parts=None):

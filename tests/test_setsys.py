@@ -17,6 +17,7 @@ from instance_gen import (
     ref_gather,
     ref_is_shattered,
     ref_shatter,
+    ref_shift,
     ref_trace,
     traced_peak,
 )
@@ -372,6 +373,17 @@ def test_shift_property_random(ground, raw):
     assert len(shifted.members) == len(fam.members)
     assert downward_closed(shifted)
     assert shattered_sets(shifted) <= shattered_sets(fam)
+
+
+@pytest.mark.parametrize("ground", range(10))
+def test_shift_matches_the_sequential_reference(ground):
+    families = [GroundFamily(ground), GroundFamily(ground, range(1 << ground))]
+    rng = random.Random(ground)
+    for seed in range(300):
+        count = rng.randint(1, min(40, 1 << ground))
+        families.append(random_family(seed, ground, count))
+    for fam in families:
+        assert shift(fam) == ref_shift(fam), fam
 
 
 def test_family_json_round_trip():
