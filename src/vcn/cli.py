@@ -8,8 +8,8 @@ or selection gave up).
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     BudgetExceededError,
@@ -24,13 +24,6 @@ from .errors import (
 
 # Each verb imports the kernel modules it calls, and json where it reads
 # or writes that format, so a process loads only those.
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as InputError (exit 1)."""
-
-    def error(self, message):
-        raise InputError(message)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -210,146 +203,162 @@ def cmd_verify_bounds(args) -> str:
     return _table(["m", "pi", "bound", "ok"], rows, args.format)
 
 
-class _Budget(argparse.Action):
-    """--budget: a nonnegative integer, whatever the verb counts with it."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must be nonnegative, got {value}")
-        setattr(namespace, self.dest, value)
-
-
-def _add_common(sub, formats: tuple[str, ...]) -> None:
-    """--out, --format where the verb has formats (the first is the default), --budget."""
-    sub.add_argument("--out", help="write the output here instead of stdout")
-    if formats:
-        sub.add_argument("--format", choices=formats, default=formats[0], help="output format")
-    sub.add_argument(
-        "--budget",
-        type=int,
-        action=_Budget,
-        help="search/enumeration budget; refusals exit with code 2",
-    )
-
-
-def _zar_table_args(s):
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--m", required=True, help="M, LO..HI, or A,B,C")
-    s.add_argument("--d", type=int, required=True)
-
-
-def _bound_args(s):
-    s.add_argument("path", help="set system JSON")
-    s.add_argument("--m", required=True)
-    s.add_argument("--d", type=int, help="assume this dimension; default: compute it")
-
-
-def _dim_args(s):
-    s.add_argument("path", help="set system JSON")
-
-
-def _shift_args(s):
-    s.add_argument("path", help="ground family JSON")
-
-
-def _extremal_args(s):
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--m", required=True, help="block sizes")
-
-
-def _counterexample_args(s):
-    s.add_argument("--m", required=True, help="block sizes")
-
-
-def _arrow_args(s):
-    s.add_argument("a", help="pattern structure JSON")
-    s.add_argument("b", help="target structure JSON")
-    s.add_argument("c", help="ambient structure JSON")
-    s.add_argument("--k", type=int, required=True, help="number of colors")
-
-
-def _direct_sum_args(s):
-    for name in ("a0", "b0", "a1", "b1"):
-        s.add_argument(name)
-    s.add_argument("--k", type=int, required=True)
-
-
-def _encode_partite_args(s):
-    s.add_argument("path", help="partless structure JSON with an edge relation")
-
-
-def _gen_random_args(s):
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--m", type=int, required=True, help="size of every part")
-    s.add_argument("--t", type=int, required=True, help="extension level to certify")
-    s.add_argument("--seed", type=int, required=True)
-
-
-def _walk_args(s):
-    s.add_argument("hypergraph", help="hypergraph JSON")
-    s.add_argument("pair", help='JSON {"w": [[part, pos], ...], "w_prime": [...]}')
-
-
-# verb: (help line, command, argument builder, output formats), in the order
-# the help lists them
+# verb: (help line, command, positionals as (name, help), options as
+# (name, type, required, help), output formats), in the order the help lists
+# them.  Every verb also takes --out, --budget and, where it has formats,
+# --format, whose default is the first.  A verb reads its arguments from this
+# table and loads argparse only to print help or a usage error.
+_N, _D, _BLOCKS = ("n", int, True, None), ("d", int, True, None), ("m", str, True, "block sizes")
+_SYSTEM, _TABLE = [("path", "set system JSON")], ("csv", "json")
+_BOUND = [("m", str, True, None), ("d", int, False, "assume this dimension; default: compute it")]
 _VERBS = {
     "zar-table": (
-        "box-threshold table over a range of m", cmd_zar_table, _zar_table_args, ("csv", "json")
+        "box-threshold table over a range of m",
+        cmd_zar_table,
+        [],
+        [_N, ("m", str, True, "M, LO..HI, or A,B,C"), _D],
+        _TABLE,
     ),
-    "shatter": (
-        "shatter function vs the binomial bound", cmd_shatter, _bound_args, ("csv", "json")
-    ),
-    "dim": ("box dimension of a set system", cmd_dim, _dim_args, ("text", "json")),
-    "shift": ("down-shift a ground family to its fixpoint", cmd_shift, _shift_args, ()),
-    "extremal": (
-        "family meeting the binomial bound's order", cmd_extremal, _extremal_args, ()
-    ),
-    "counterexample": (
-        "structure separating formula types from traces",
-        cmd_counterexample,
-        _counterexample_args,
+    "shatter": ("shatter function vs the binomial bound", cmd_shatter, _SYSTEM, _BOUND, _TABLE),
+    "dim": ("box dimension of a set system", cmd_dim, _SYSTEM, [], ("text", "json")),
+    "shift": (
+        "down-shift a ground family to its fixpoint",
+        cmd_shift,
+        [("path", "ground family JSON")],
+        [],
         (),
     ),
-    "arrow": ("exhaustive partition arrow check", cmd_arrow, _arrow_args, ("csv", "json")),
+    "extremal": (
+        "family meeting the binomial bound's order", cmd_extremal, [], [_N, _D, _BLOCKS], ()
+    ),
+    "counterexample": (
+        "structure separating formula types from traces", cmd_counterexample, [], [_BLOCKS], ()
+    ),
+    "arrow": (
+        "exhaustive partition arrow check",
+        cmd_arrow,
+        [("a", "pattern structure JSON"), ("b", "target structure JSON")]
+        + [("c", "ambient structure JSON")],
+        [("k", int, True, "number of colors")],
+        _TABLE,
+    ),
     "direct-sum": (
-        "witness for a tagged-sum arrow problem", cmd_direct_sum, _direct_sum_args, ()
+        "witness for a tagged-sum arrow problem",
+        cmd_direct_sum,
+        [(name, None) for name in ("a0", "b0", "a1", "b1")],
+        [("k", int, True, None)],
+        (),
     ),
     "encode-partite": (
-        "partite double of an ordered hypergraph", cmd_encode_partite, _encode_partite_args, ()
+        "partite double of an ordered hypergraph",
+        cmd_encode_partite,
+        [("path", "partless structure JSON with an edge relation")],
+        [],
+        (),
     ),
     "gen-random": (
-        "sample a hypergraph with a verified level", cmd_gen_random, _gen_random_args, ()
+        "sample a hypergraph with a verified level",
+        cmd_gen_random,
+        [],
+        [_N, ("m", int, True, "size of every part")]
+        + [("t", int, True, "extension level to certify"), ("seed", int, True, None)],
+        (),
     ),
-    "walk": ("adjacency walk between two vertex sets", cmd_walk, _walk_args, ()),
+    "walk": (
+        "adjacency walk between two vertex sets",
+        cmd_walk,
+        [("hypergraph", "hypergraph JSON")]
+        + [("pair", 'JSON {"w": [[part, pos], ...], "w_prime": [...]}')],
+        [],
+        (),
+    ),
     "verify-bounds": (
-        "certify the shatter bound on a system", cmd_verify_bounds, _bound_args, ("csv", "json")
+        "certify the shatter bound on a system", cmd_verify_bounds, _SYSTEM, _BOUND, _TABLE
     ),
 }
 
 
-def build_parser(verb: str | None = None) -> _Parser:
+def _read_args(argv: list[str]) -> dict | None:
+    """vars() of the namespace argparse would read from argv, or None to let argparse answer.
+
+    Read here: a known verb, then options spelled in full as --opt value or
+    --opt=value (a repeat keeps the last value), no value or positional that
+    starts with '-', ints that int() reads, a --format of the verb's, a
+    --budget >= 0, every required option and exactly the verb's positionals.
+    Help, abbreviations, '--' and every usage error are argparse's.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, func, positionals, options, formats = _VERBS[argv[0]]
+    kinds = {"out": str, "budget": int, **{name: kind for name, kind, _, _ in options}}
+    args = {"verb": argv[0], "func": func, **dict.fromkeys(kinds)}
+    if formats:
+        kinds["format"], args["format"] = str, formats[0]
+    given, words = [], iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        name, eq, value = word.removeprefix("--").partition("=")
+        value = value if eq else next(words, None)
+        if name not in kinds or value is None or value.startswith("-"):
+            return None
+        try:
+            args[name] = kinds[name](value)
+        except ValueError:
+            return None
+        if name == "format" and value not in formats or name == "budget" and args[name] < 0:
+            return None
+    if len(given) != len(positionals) or any(r and args[o] is None for o, _, r, _ in options):
+        return None
+    return args | dict(zip([name for name, _ in positionals], given))
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser with the named verb's subparser alone, or with every verb's.
 
     Without a known verb (help, no verb, an unknown one) every subparser
     is built, so the usage and the error text list them all.
     """
-    parser = _Parser(prog="vcn", description=__doc__)
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse that reports usage problems as InputError (exit 1)."""
+
+        def error(self, message):
+            raise InputError(message)
+
+    class Budget(argparse.Action):
+        """--budget: a nonnegative integer, whatever the verb counts with it."""
+
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < 0:
+                raise argparse.ArgumentError(self, f"must be nonnegative, got {value}")
+            setattr(namespace, self.dest, value)
+
+    parser = Parser(prog="vcn", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
     for name in [verb] if verb in _VERBS else _VERBS:
-        help_line, func, add_args, formats = _VERBS[name]
+        help_line, func, positionals, options, formats = _VERBS[name]
         s = subs.add_parser(name, help=help_line)
-        add_args(s)
-        _add_common(s, formats)
+        for arg, help_text in positionals:
+            s.add_argument(arg, help=help_text)
+        for opt, kind, required, help_text in options:
+            s.add_argument(f"--{opt}", type=kind, required=required, help=help_text)
+        s.add_argument("--out", help="write the output here instead of stdout")
+        if formats:
+            s.add_argument("--format", choices=formats, default=formats[0], help="output format")
+        budget = "search/enumeration budget; refusals exit with code 2"
+        s.add_argument("--budget", type=int, action=Budget, help=budget)
         s.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        read = _read_args(argv)  # None: help or a usage error, which argparse prints or raises
+        args = SimpleNamespace(**read) if read else build_parser(*argv[:1]).parse_args(argv)
         text = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

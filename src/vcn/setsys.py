@@ -36,9 +36,11 @@ class ProductUniverse(Record):
     def __post_init__(self):
         if len(self.part_sizes) < 1:
             raise InputError("universe needs at least one part")
+        if any(type(s) is not int for s in self.part_sizes):  # exact: True is no size
+            raise InputError("part sizes must be integers")
         if any(s < 1 for s in self.part_sizes):
             raise InputError("part sizes must be positive")
-        object.__setattr__(self, "part_sizes", tuple(int(s) for s in self.part_sizes))
+        object.__setattr__(self, "part_sizes", tuple(self.part_sizes))
 
     @property
     def n(self) -> int:
@@ -164,6 +166,8 @@ class GroundFamily(Record):
     members: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.ground_size) is not int:  # exact: True is no size
+            raise InputError("ground size must be an integer")
         if self.ground_size < 0:
             raise InputError("ground size must be nonnegative")
         members = _members(self.members, self.ground_size, "member exceeds the ground set")

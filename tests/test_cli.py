@@ -1,6 +1,7 @@
 """The vcn command: verbs, formats, exit codes, and determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from vcn import (
     SetSystem,
     points,
 )
-from vcn.cli import main
+from vcn.cli import _VERBS, _read_args, build_parser, main
 
 
 def run(capsys, *argv):
@@ -426,3 +427,69 @@ def test_system_json_parse_error(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "dim", str(path))
     assert code == 1
+
+
+def _canonical_argv(verb: str) -> list[str]:
+    """The verb, a file per positional and a value per required option."""
+    _, _, positionals, options, _ = _VERBS[verb]
+    argv = [verb, *(f"{name}.json" for name, _ in positionals)]
+    for name, kind, required, _ in options:
+        argv += [f"--{name}", "3" if kind is int else "2..4"] if required else []
+    return argv
+
+
+# Words the perturbations insert: dash-leading values, bad ints and formats,
+# help, '--', '-', the empty word and an unknown option; then plain values,
+# drawn twice as often.
+ODD_WORDS = ["-1", " -1", "-x", "-", "--", "-h", "--help", "", "x", " 3", "1_0", "xml", "--zz"]
+PLAIN_WORDS = ["0", "7", "csv", "json", "text", "out.txt", "extra.json"]
+
+
+def _perturbed_argv(rng: random.Random) -> list[str]:
+    """A canonical argv after one to three random edits."""
+    verb, *words = _canonical_argv(rng.choice(list(_VERBS)))
+    _, _, _, options, formats = _VERBS[verb]
+    names = [f"--{name}" for name, *_ in options] + ["--out", "--budget"]
+    names += ["--format"] if formats else []
+    for _ in range(rng.randint(1, 3)):
+        at, edit = rng.randint(0, len(words)), rng.randrange(6)
+        name, value = rng.choice(names), rng.choice(ODD_WORDS + PLAIN_WORDS * 2)
+        if edit == 0:  # an option, maybe a repeat
+            words[at:at] = [name, value]
+        elif edit == 1:  # the = form
+            words.insert(at, f"{name}={value}")
+        elif edit == 2:  # an abbreviation
+            words[at:at] = [name[: rng.randint(2, len(name) - 1)], value]
+        elif edit == 3 and words:  # a missing positional, option or value
+            del words[rng.randrange(len(words))]
+        elif edit == 4:  # an extra or odd word
+            words.insert(at, value)
+        else:
+            rng.shuffle(words)
+    return [verb, *words]
+
+
+def test_reader_accepts_every_canonical_argv():
+    for verb, (_, _, _, options, formats) in _VERBS.items():
+        argv = _canonical_argv(verb)
+        every_option = [*argv, "--out", "o.txt", "--budget", "5"]
+        every_option += [f"--{name}=1" for name, _, required, _ in options if not required]
+        every_option += ["--format", formats[-1]] if formats else []
+        for words in (argv, every_option):
+            assert _read_args(words) == vars(build_parser(verb).parse_args(words))
+        for budget in (["--budget", "-1"], ["--budget=-1"], ["--budget", " -1"]):
+            assert _read_args([*argv, *budget]) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reader_reads_as_argparse_or_declines(seed):
+    """argparse is the reference: whatever argv the reader accepts, argparse
+    reads to the same namespace."""
+    rng = random.Random(seed)
+    accepted = 0
+    for argv in [[], ["bogus"], ["-h"]] + [_perturbed_argv(rng) for _ in range(1500)]:
+        read = _read_args(argv)
+        if read is not None:
+            accepted += 1
+            assert read == vars(build_parser(argv[0]).parse_args(argv)), argv
+    assert accepted > 0

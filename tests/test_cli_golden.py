@@ -2,7 +2,8 @@
 
 Each case pins stdout and the exit code byte for byte (and stderr for the
 refusal and the error), so any change to what a verb prints shows here;
-so do the usage cases for help, a missing verb and an unknown one.
+so do the usage cases for help, a missing verb, an unknown one and the
+argument forms and errors that argparse alone answers.
 The inputs follow the README examples; set systems and hypergraphs are
 the pinned outputs of the extremal and gen-random cases themselves, and
 the larger extremal family is built by the library.
@@ -183,6 +184,27 @@ USAGE_CASES = {
         + ", ".join(f"'{verb}'" for verb in VERBS.split(","))
         + ")\n",
     ),
+    "invalid-int": (
+        ["zar-table", "--n", "x", "--m", "2", "--d", "2"], 1, "",
+        "error: argument --n: invalid int value: 'x'\n",
+    ),
+    "bad-format": (
+        ["zar-table", "--n", "2", "--m", "2", "--d", "2", "--format", "xml"], 1, "",
+        "error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')\n",
+    ),
+    "extra-argument": (
+        ["dim", "a.json", "b.json"], 1, "", "error: unrecognized arguments: b.json\n"
+    ),
+    "abbreviated-option": (
+        ["zar-table", "--n", "2", "--m", "2..3", "--d", "2", "--bud", "5"], 0,
+        "n,m,d,z,status,z_upper\n2,2,2,4,exact,4\n2,3,2,7,exact,7\n", "",
+    ),
+    "equals-form": (
+        ["zar-table", "--n=2", "--m=2..3", "--d=2", "--format=json"], 0,
+        '[{"d": 2, "m": 2, "n": 2, "status": "exact", "z": 4, "z_upper": 4}, '
+        '{"d": 2, "m": 3, "n": 2, "status": "exact", "z": 7, "z_upper": 7}]\n',
+        "",
+    ),
 }
 
 
@@ -200,6 +222,8 @@ def test_usage_output(name, monkeypatch, capsys):
     assert captured.err == err
 
 
+# A valid argv (the missing file is the verb's error) builds no parser;
+# help and a usage error build the invoked verb's parser alone.
 @pytest.mark.parametrize("argv", [["zar-table", "--help"], ["dim", "missing.json"], ["walk"]])
 def test_main_builds_only_the_invoked_verb(argv, monkeypatch):
     built, build_parser = [], vcn.cli.build_parser
@@ -214,4 +238,4 @@ def test_main_builds_only_the_invoked_verb(argv, monkeypatch):
         main(argv)
     except SystemExit:
         pass
-    assert built == [[argv[0]]]
+    assert built == ([] if argv == ["dim", "missing.json"] else [[argv[0]]])

@@ -144,8 +144,9 @@ STATEMENT = {
     **{case: f"import vcn.cli; assert vcn.cli.main({argv!r}) == 0" for case, argv in ARGV.items()},
 }
 # Standard-library modules no verb needs (dataclasses loads inspect, ast and
-# dis); between them the cases load every vcn module.
-NEVER_LOADED = ("dataclasses", "inspect", "csv")
+# dis; argparse, which only help and usage errors load, loads gettext);
+# between them the cases load every vcn module.
+NEVER_LOADED = ("dataclasses", "inspect", "csv", "argparse", "gettext")
 
 
 @pytest.fixture

@@ -56,6 +56,12 @@ def test_universe_rejects_bad_parts():
         ProductUniverse((3, 0))
 
 
+@pytest.mark.parametrize("sizes", [(2.5, 3), (2, True), (3.0,), (-1.5,)])
+def test_universe_refuses_non_integer_part_sizes(sizes):
+    with pytest.raises(InputError, match="part sizes must be integers"):
+        ProductUniverse(sizes)
+
+
 def test_system_from_sets_matches_masks():
     u = ProductUniverse((2, 2))
     s = SetSystem.from_sets(u, [{(0, 0), (1, 1)}, set()])
@@ -84,6 +90,12 @@ def test_ground_family_rejects_out_of_range_masks():
     with pytest.raises(InputError, match="exceeds the ground set"):
         GroundFamily(3, (-1,))
     GroundFamily(3, ((1 << 3) - 1,))
+
+
+@pytest.mark.parametrize("ground_size", [2.5, True, 3.0, -1.5])
+def test_ground_family_refuses_a_non_integer_ground_size(ground_size):
+    with pytest.raises(InputError, match="ground size must be an integer"):
+        GroundFamily(ground_size, (1,))
 
 
 def test_range_check_allocates_nothing_per_tuple():
