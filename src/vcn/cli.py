@@ -314,12 +314,8 @@ def _read_args(argv: list[str]) -> dict | None:
     return args | dict(zip([name for name, _ in positionals], given))
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the named verb's subparser alone, or with every verb's.
-
-    Without a known verb (help, no verb, an unknown one) every subparser
-    is built, so the usage and the error text list them all.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb; main builds it only to print help or a usage error."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -328,18 +324,17 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         def error(self, message):
             raise InputError(message)
 
-    class Budget(argparse.Action):
-        """--budget: a nonnegative integer, whatever the verb counts with it."""
-
-        def __call__(self, parser, namespace, value, option_string=None):
-            if value < 0:
-                raise argparse.ArgumentError(self, f"must be nonnegative, got {value}")
-            setattr(namespace, self.dest, value)
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:  # --opt=--, which reads as []
+                raise argparse.ArgumentError(action, "expected one argument")
+            value = super()._get_values(action, arg_strings)
+            if action.dest == "budget" and value < 0:
+                raise argparse.ArgumentError(action, f"must be nonnegative, got {value}")
+            return value
 
     parser = Parser(prog="vcn", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
-    for name in [verb] if verb in _VERBS else _VERBS:
-        help_line, func, positionals, options, formats = _VERBS[name]
+    for name, (help_line, func, positionals, options, formats) in _VERBS.items():
         s = subs.add_parser(name, help=help_line)
         for arg, help_text in positionals:
             s.add_argument(arg, help=help_text)
@@ -349,7 +344,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         if formats:
             s.add_argument("--format", choices=formats, default=formats[0], help="output format")
         budget = "search/enumeration budget; refusals exit with code 2"
-        s.add_argument("--budget", type=int, action=Budget, help=budget)
+        s.add_argument("--budget", type=int, help=budget)
         s.set_defaults(func=func)
     return parser
 
@@ -358,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         read = _read_args(argv)  # None: help or a usage error, which argparse prints or raises
-        args = SimpleNamespace(**read) if read else build_parser(*argv[:1]).parse_args(argv)
+        args = SimpleNamespace(**read) if read else build_parser().parse_args(argv)
         text = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,8 +127,6 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _read(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise InputError("unexpected end of formula")
     tok = tokens[pos]
     if tok == "(":
         out = []
@@ -281,15 +279,13 @@ def _types(
                 if tuple(key[i][j] for i, j in slots) in tuples:
                     keys[key[0]].append(key[1:])
         tables = [offsets[b] for b in blocks[1:]]
+        # the blocks vars_ leaves free: every position, by one carry-free product
+        spans = [(size, strides[b]) for b, size in enumerate(sizes) if b not in comps]
+        free = prod(_bits(range(0, n * s, s), n * s) for n, s in spans)
 
         def build(k) -> int:
             spots = (product(*map(getitem, tables, key)) for key in keys[k])
-            mask = _bits(map(sum, chain.from_iterable(spots)), cells)
-            # the blocks vars_ leaves free: every position, by one carry-free product
-            for b, size in enumerate(sizes):
-                if b not in comps:
-                    mask *= _bits(range(0, size * strides[b], strides[b]), size * strides[b])
-            return mask
+            return _bits(map(sum, chain.from_iterable(spots)), cells) * free
 
         # a per-object memo would hold the whole space again
         if len(offsets[0]) < len(lists[0]):
@@ -335,7 +331,7 @@ def _definable(structure: FiniteStructure, phi: QfFormula, params: Sequence) -> 
     objects = block_tuples(structure, phi.block_lengths[0])
     universe = ProductUniverse(tuple(map(len, params)))
     members = set(map(_types(structure, [phi], [objects, *params]), objects))
-    return SetSystem(universe, tuple(sorted(members)))
+    return SetSystem(universe, members)
 
 
 def _support(structure: FiniteStructure, delta: Sequence[QfFormula], m: int) -> list[list]:

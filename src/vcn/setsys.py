@@ -106,7 +106,7 @@ class SetSystem(Record):
             for t in s:
                 mask |= 1 << universe.tuple_index(t)
             members.add(mask)
-        return cls(universe, tuple(sorted(members)))
+        return cls(universe, members)
 
     def to_json(self) -> str:
         doc = {
@@ -225,7 +225,7 @@ def trace(system: SetSystem, box: BoxSpec) -> GroundFamily:
     """
     cells, traces = _box_traces(system, box)
     masks = (sum(1 << i for i, c in enumerate(cells) if t >> c & 1) for t in traces)
-    return GroundFamily(len(cells), tuple(sorted(masks)))
+    return GroundFamily(len(cells), masks)
 
 
 def is_shattered(system: SetSystem, box: BoxSpec) -> bool:
@@ -263,11 +263,6 @@ def _max_trace(
         sum(word << r * row_len for r in _rows(sizes, sels)) & varying
         for sels in product(*row_pools)
     }
-    if 0 in row_masks:
-        best = max(best, 1)  # a box on shared rows only has one trace
-        if best >= cap:
-            return best
-    row_masks.discard(0)
     spread = sum(1 << r * row_len for r in range(prod(sizes[:-1])))  # one bit per row, no carries
     col_masks = {sum(1 << c for c in cols) * spread & varying for cols in col_pool}
     for col in col_masks:
@@ -333,7 +328,7 @@ def shift(family: GroundFamily) -> GroundFamily:
             moved = {c for c in members if c & bit and (c ^ bit) not in members}
             members ^= moved | {c ^ bit for c in moved}
             changed |= bool(moved)
-    return GroundFamily(family.ground_size, tuple(sorted(members)))
+    return GroundFamily(family.ground_size, members)
 
 
 def sauer_binomial_bound(n: int, m: int, z: int) -> int:

@@ -323,7 +323,7 @@ def build_extremal_family(
             subsets += [sub | 1 << c for sub in subsets]
         members.update(subsets)
         offset += m
-    return SetSystem(universe, tuple(sorted(members)))
+    return SetSystem(universe, members)
 
 
 def build_counterexample_structure(

@@ -393,6 +393,14 @@ def test_negative_budget_is_input_error(verb, tmp_path, capsys):
     assert err == "error: argument --budget: must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("option", ["budget", "n", "m", "format", "out"])
+def test_option_given_as_double_dash_is_a_usage_error(option, capsys):
+    """--opt=-- reads as no value, as --opt alone does."""
+    code, out, err = run(capsys, "zar-table", "--n", "2", "--m", "2", "--d", "2", f"--{option}=--")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --{option}: expected one argument\n"
+
+
 def test_zero_budget_keeps_its_meaning(capsys):
     code, out, _ = run(capsys, "zar-table", "--n", "2", "--m", "2", "--d", "2", "--budget", "0")
     assert code == 0
@@ -470,13 +478,14 @@ def _perturbed_argv(rng: random.Random) -> list[str]:
 
 
 def test_reader_accepts_every_canonical_argv():
+    parser = build_parser()
     for verb, (_, _, _, options, formats) in _VERBS.items():
         argv = _canonical_argv(verb)
         every_option = [*argv, "--out", "o.txt", "--budget", "5"]
         every_option += [f"--{name}=1" for name, _, required, _ in options if not required]
         every_option += ["--format", formats[-1]] if formats else []
         for words in (argv, every_option):
-            assert _read_args(words) == vars(build_parser(verb).parse_args(words))
+            assert _read_args(words) == vars(parser.parse_args(words))
         for budget in (["--budget", "-1"], ["--budget=-1"], ["--budget", " -1"]):
             assert _read_args([*argv, *budget]) is None
 
@@ -485,11 +494,41 @@ def test_reader_accepts_every_canonical_argv():
 def test_reader_reads_as_argparse_or_declines(seed):
     """argparse is the reference: whatever argv the reader accepts, argparse
     reads to the same namespace."""
-    rng = random.Random(seed)
+    rng, parser = random.Random(seed), build_parser()
     accepted = 0
     for argv in [[], ["bogus"], ["-h"]] + [_perturbed_argv(rng) for _ in range(1500)]:
         read = _read_args(argv)
         if read is not None:
             accepted += 1
-            assert read == vars(build_parser(argv[0]).parse_args(argv)), argv
+            assert read == vars(parser.parse_args(argv)), argv
     assert accepted > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_main_ends_every_perturbed_argv_in_an_exit_code(seed, tmp_path, monkeypatch, capsys):
+    """main on the perturbed argv, each verb's command stubbed: every argv ends
+    in exit 0, 1 or 2 (help exits 0 through SystemExit), and no option
+    reaches a command as a list."""
+    monkeypatch.chdir(tmp_path)  # where a stubbed command's --out lands
+    reached = []
+
+    def command(args):
+        reached.append(args)
+        return ""
+
+    stubbed = {verb: (row[0], command, *row[2:]) for verb, row in _VERBS.items()}
+    monkeypatch.setattr("vcn.cli._VERBS", stubbed)
+    parser = build_parser()  # the one parser main would build for each argv, built once
+    monkeypatch.setattr("vcn.cli.build_parser", lambda: parser)
+    rng = random.Random(seed)
+    for argv in [_perturbed_argv(rng) for _ in range(1500)]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2), argv
+    assert reached
+    for args in reached:
+        _, _, _, options, formats = _VERBS[args.verb]
+        names = [name for name, *_ in options] + ["out", "budget"] + ["format"] * bool(formats)
+        assert not any(isinstance(getattr(args, name), list) for name in names), vars(args)

@@ -10,6 +10,7 @@ the larger extremal family is built by the library.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -222,20 +223,35 @@ def test_usage_output(name, monkeypatch, capsys):
     assert captured.err == err
 
 
-# A valid argv (the missing file is the verb's error) builds no parser;
-# help and a usage error build the invoked verb's parser alone.
-@pytest.mark.parametrize("argv", [["zar-table", "--help"], ["dim", "missing.json"], ["walk"]])
-def test_main_builds_only_the_invoked_verb(argv, monkeypatch):
+def _spy_on_build_parser(monkeypatch) -> list[list[str]]:
+    """The verbs of each parser main builds, in build order."""
     built, build_parser = [], vcn.cli.build_parser
 
-    def spy(*args):
-        parser = build_parser(*args)
+    def spy():
+        parser = build_parser()
         built.append(list(parser._subparsers._group_actions[0].choices))
         return parser
 
     monkeypatch.setattr(vcn.cli, "build_parser", spy)
+    return built
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_argv_builds_no_parser(name, tmp_path, monkeypatch, capsys):
+    _inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delitem(sys.modules, "argparse", raising=False)
+    built = _spy_on_build_parser(monkeypatch)
+    assert main(CASES[name][0]) == CASES[name][1]
+    assert built == [] and "argparse" not in sys.modules
+
+
+# Help and a usage error build the parser of every verb.
+@pytest.mark.parametrize("argv", [["zar-table", "--help"], ["--help"], ["walk"]])
+def test_help_and_usage_errors_build_every_verb(argv, monkeypatch, capsys):
+    built = _spy_on_build_parser(monkeypatch)
     try:
         main(argv)
-    except SystemExit:
+    except SystemExit:  # argparse exits after printing help
         pass
-    assert built == ([] if argv == ["dim", "missing.json"] else [[argv[0]]])
+    assert built == [VERBS.split(",")]

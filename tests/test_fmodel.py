@@ -921,3 +921,28 @@ def test_indexed_cases_reach_every_outcome():
         (True, True), (True, False), (False, True), (False, False)
     }
     assert {len(delta[0].block_lengths) for _, _, delta in indexed} == {2, 3}
+
+
+H22 = PartiteHypergraph(2, (2, 2), [(0, 0), (1, 1)])
+EQ, EQ3 = parse_formula("(= x y0)"), parse_formula("(= x y0)", (1, 1, 1))
+# Refusals that no other in-process test reaches, each with its message.
+REFUSALS = [
+    (lambda: QfFormula((1, 0), ("eq", (0, 0), (1, 0))), "block lengths must be positive"),
+    (lambda: conjoin(EQ, EQ3), "conjunction needs matching block shapes"),
+    (lambda: verify_ipn_witness(points(3), EQ, [[]]), "parameter lists must be nonempty"),
+    (
+        lambda: IndexedFamily(H22, {(0, 0): (0,), (0, 1): (0, 1)}),
+        "indexed tuples must share one length",
+    ),
+    (
+        lambda: check_encodes(points(3), EQ3, IndexedFamily(H22, {}), H22),
+        "formula needs one block per hypergraph part",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_messages(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

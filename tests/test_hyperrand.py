@@ -527,3 +527,27 @@ def test_diagonal_three_parts():
     h = PartiteHypergraph(3, (3, 3, 3), frozenset({(0, 1, 2), (0, 2, 1)}))
     d = diagonal_hypergraph(h)
     assert d.relations == {"R": Relation(3, {(0, 1, 2)})}
+
+
+H22 = PartiteHypergraph(2, (2, 2), [(0, 0), (1, 1)])
+# Refusals that no other in-process test reaches, each with its message.
+REFUSALS = [
+    (lambda: PartiteHypergraph(2, (3,), []), "need one positive size per part"),
+    (lambda: find_extension_violation(H22, -1), "extension level must be nonnegative"),
+    (
+        lambda: adjacency_walk(H22, [(0, 0), (0, 0)], [(0, 1), (0, 1)]),
+        "vertex lists must be duplicate-free",
+    ),
+    (lambda: random_subgraph(H22, [], (0, 0), 0), "per-part size must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_messages(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_no_level_below_zero():
+    assert achieved_extension_level(H22, -1) == -1

@@ -445,3 +445,35 @@ def test_bar_restrict_validation():
     bad = RelStructure(4, (2, 2), 2, frozenset({frozenset({0, 1})}))
     with pytest.raises(InputError):
         bar_restrict(bad)
+
+
+# Refusals that no other in-process test reaches, each with its message.
+REFUSALS = [
+    (lambda: induced(points(3), [5]), "subset leaves the domain"),
+    (
+        lambda: ColoringProblem(points(1), points(2), points(3), 0),
+        "number of colors must be positive",
+    ),
+    (
+        lambda: direct_sum(
+            FiniteStructure(2, {"R": Relation(2, [(0, 1)])}),
+            FiniteStructure(3, {"R": Relation(3, [(0, 1, 2)])}),
+        ),
+        "summands disagree on the edge arity",
+    ),
+    (
+        lambda: build_direct_sum_witness(points(1), points(2), points(1), points(2), 0),
+        "number of colors must be positive",
+    ),
+    (
+        lambda: bar_restrict(FiniteStructure(3, {"R": Relation(2, [(0, 1)])}, (1, 1, 1))),
+        "parts must match the edge arity",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_messages(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

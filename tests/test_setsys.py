@@ -411,3 +411,25 @@ def test_sauer_binomial_bound_values():
     assert sauer_binomial_bound(2, 2, 3) == 1 + 4 + 6
     with pytest.raises(InputError):
         sauer_binomial_bound(0, 1, 1)
+
+
+U22 = ProductUniverse((2, 2))
+# Refusals that no other in-process test reaches, each with its message.
+REFUSALS = [
+    (lambda: U22.tuple_index((0,)), "tuple length 1 != 2"),
+    (lambda: U22.tuple_index((0, 2)), "coordinate 2 out of range for part of size 2"),
+    (lambda: U22.index_tuple(4), "tuple index 4 out of range"),
+    (lambda: SetSystem(U22, (1, 1)), "members must be distinct"),
+    (lambda: BoxSpec(()), "box needs at least one selection"),
+    (lambda: BoxSpec(((0,),)).validate(U22), "box arity does not match the universe"),
+    (lambda: GroundFamily(-1), "ground size must be nonnegative"),
+    (lambda: iter_boxes(U22, -1), "box size must be nonnegative"),
+    (lambda: shatter_fn(SetSystem(U22, (1,)), -1), "box size must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_messages(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

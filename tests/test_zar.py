@@ -453,3 +453,9 @@ def test_counterexample_structure_shape():
     assert rel.arity == 3
     # member 0 is the empty set: no triples start with 0
     assert all(t[0] != 0 for t in rel.tuples)
+
+
+def test_extremal_family_needs_positive_n():
+    with pytest.raises(InputError) as exc:
+        build_extremal_family(0, 1, [2])
+    assert str(exc.value) == "n and d must be positive"
